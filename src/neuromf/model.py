@@ -259,7 +259,7 @@ def eval_membrane_drift(pop: PopulationParams, t: float, v: Array, q) -> Array:
         if isinstance(q, (tuple, list)):
             raise VariantMismatchError(f"population {pop.label!r} is FHN; q must be the recovery variable")
         w = np.asarray(q, dtype=float)
-        return -(v ** 3) / 3.0 + v - w
+        return -(v * v * v) / 3.0 + v - w
     if not isinstance(q, (tuple, list)) or len(q) != 3:
         raise VariantMismatchError(f"population {pop.label!r} is HH; q must be the gate triple (n, m, h)")
     n, m, h = (np.asarray(x, dtype=float) for x in q)
