@@ -13,6 +13,7 @@ from .meanfield import (
     MeanFieldSolution,
     estimate_ms,
     simulate_limit_given_ybar,
+    solve_causal,
     solve_fixed_point,
     wasserstein2_marginal,
     ybar_from_ms,
@@ -65,7 +66,7 @@ __all__ = [
     "NeuronStates", "draw_initial_states", "network_noise",
     "population_sums", "run_coupled", "simulate", "simulate_limit_given_ybar",
     "step_network_sign_preserving", "step_network_simple",
-    "solve_fixed_point", "step_cir", "step_euler_confined", "step_euler_free",
+    "solve_causal", "solve_fixed_point", "step_cir", "step_euler_confined", "step_euler_free",
     "sweep", "synapse_diffusion", "synapse_drift", "wasserstein2_marginal",
     "ybar_from_ms",
 ]

@@ -88,7 +88,7 @@ def write_meancurve_csv(curve: MeanCurve, config_hash: str, seed: int, path: Pat
         for a, label in enumerate(curve.labels):
             for t, ms, yb, se in zip(curve.times, curve.m_s[a], curve.y_bar[a],
                                      curve.se[a] if curve.se is not None else np.zeros_like(curve.m_s[a])):
-                yield [f"{t:.9g}", label, repr(float(ms)), repr(float(yb)), repr(float(se))]
+                yield [repr(float(t)), label, repr(float(ms)), repr(float(yb)), repr(float(se))]
 
     _write_table(path, {"config_hash": config_hash, "seed": seed}, columns, rows())
 

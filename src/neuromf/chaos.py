@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .errors import ConfigError
-from .meanfield import MeanCurve, MeanFieldSolution, solve_fixed_point, wasserstein2_marginal
+from .meanfield import MeanCurve, MeanFieldSolution, solve_causal, wasserstein2_marginal
 from .network import CoupledPaths, NetworkConfig, coupled_distance_paths, simulate
 
 
@@ -117,7 +117,7 @@ def fit_rate(points: list[tuple[int, float]], confidence: float = 0.95) -> RateF
     if n > 2:
         s2 = float(np.sum(resid ** 2) / (n - 2))
         se_slope = math.sqrt(s2 / sxx)
-        tq = float(scipy.stats.t.ppf(0.5 + confidence / 2, n - 2))
+        tq = float(scipy.special.stdtrit(n - 2, 0.5 + confidence / 2))  # Student t quantile
         half = tq * se_slope
     else:
         half = math.inf
@@ -126,23 +126,26 @@ def fit_rate(points: list[tuple[int, float]], confidence: float = 0.95) -> RateF
 
 
 def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
-          *, solution: MeanFieldSolution | None = None, m_copies: int = 10_000,
-          tol: float = 1e-3, max_iter: int = 20,
-          path_offset: int = 0) -> tuple[CouplingReport, list[CouplingRun], MeanFieldSolution]:
+          *, curve: MeanCurve | None = None, m_copies: int = 10_000, tol: float = 1e-3,
+          path_offset: int = 0) -> tuple[CouplingReport, list[CouplingRun], MeanFieldSolution | None]:
     """Coupled runs across network sizes at fixed population proportions.
 
-    One mean-field solve serves every N (the limit does not depend on N).
+    One mean curve serves every N (the limit does not depend on N): the
+    given `curve`, or else a `solve_causal` of `m_copies` copies, which is
+    returned as the third value (None when `curve` was given).
     The sweep refuses size lists that cannot keep the proportions integral.
     """
     if len(ns) < 2 or sorted(set(ns)) != list(ns):
         raise ConfigError(["sweep sizes must be strictly increasing"])
     configs = [base_config.with_total_neurons(n) for n in ns]  # raises on proportion drift
-    if solution is None:
-        solution = solve_fixed_point(base_config, m_copies=m_copies, tol=tol, max_iter=max_iter)
+    solution = None
+    if curve is None:
+        solution = solve_causal(base_config, m_copies=m_copies, tol=tol)
+        curve = solution.curve
     d_hat, se = [], []
     runs = []
     for cfg in configs:
-        run = run_coupled(cfg, solution.curve, n_paths, path_offset=path_offset)
+        run = run_coupled(cfg, curve, n_paths, path_offset=path_offset)
         d, s = estimate_distance(run)
         runs.append(run)
         d_hat.append(d)
@@ -176,6 +179,9 @@ def marginal_chaos_check(config: NetworkConfig, k: int, n_paths: int,
     """
     if k < 1 or k > min(config.sizes):
         raise ValueError("k must be between 1 and the smallest population size")
+    if solution.ensemble is None:
+        raise ValueError("the solution carries no limit ensemble (solution.ensemble is None); "
+                         "the marginal check needs the limit copies' terminal voltages")
     ens = simulate(config, n_paths=n_paths, path_offset=path_offset)
     term_v = ens.data["v"][:, -1, :]                       # (n_paths, N)
     lim = solution.ensemble

@@ -45,8 +45,7 @@ def _cmd_meanfield(args) -> int:
     spec = _load_spec(args.spec, "meanfield")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sol = meanfield.solve_fixed_point(spec.config, m_copies=spec.m_copies,
-                                      tol=spec.tol, max_iter=spec.max_iter)
+    sol = meanfield.solve_causal(spec.config, m_copies=spec.m_copies, tol=spec.tol)
     h = configio.config_hash(spec.config)
     artifacts.write_meancurve_csv(sol.curve, h, spec.config.seed, out / "meancurve.csv")
     artifacts.write_meanfield_summary(sol, h, spec.config.seed, out / "meanfield_summary.json")
@@ -63,15 +62,12 @@ def _cmd_chaos_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     h = configio.config_hash(spec.config)
-    solution = None
     if args.curve:
         curve = artifacts.read_meancurve_csv(Path(args.curve), expect_hash=h)
-        report, _, _ = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths,
-                                   solution=_solution_from_curve(spec, curve))
+        report, _, _ = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths, curve=curve)
     else:
         report, _, solution = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths,
-                                          m_copies=spec.m_copies, tol=spec.tol,
-                                          max_iter=spec.max_iter)
+                                          m_copies=spec.m_copies, tol=spec.tol)
         artifacts.write_meancurve_csv(solution.curve, h, spec.config.seed,
                                       out / "meancurve.csv")
     artifacts.write_chaos_report(report, h, spec.config.seed,
@@ -80,15 +76,6 @@ def _cmd_chaos_sweep(args) -> int:
           + ", ".join(f"{d:.4g}" for d in report.d_hat)
           + f"; log-log slope {report.fit.slope:+.3f} -> {out}")
     return 0
-
-
-def _solution_from_curve(spec: configio.ExperimentSpec, curve) -> meanfield.MeanFieldSolution:
-    # a curve loaded from disk substitutes for a fresh solve; the ensemble
-    # is not needed by the sweep
-    return meanfield.MeanFieldSolution(
-        curve=curve, ensemble=None, distances=[], converged=True,
-        iterations=0, tol=spec.tol, m_copies=spec.m_copies,
-    )
 
 
 def _cmd_validate(args) -> int:

@@ -575,6 +575,10 @@ class _NodeStats:
             self.sums["s"][a, node] += ss.sum()
             self.sumsq["s"][a, node] += (ss ** 2).sum()
 
+    def node_mean(self, name: str, node: int) -> np.ndarray:
+        """Per-population mean at one node so far; `finalize`'s division."""
+        return self.sums[name][:, node] / self.count.astype(float)
+
     def finalize(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         means, ses = {}, {}
         cnt = self.count[:, None].astype(float)
@@ -586,26 +590,45 @@ class _NodeStats:
         return means, ses
 
 
+class _CurveDrive:
+    """Interaction read from a fixed deterministic curve, (P, n_steps + 1)."""
+
+    def __init__(self, curve: np.ndarray):
+        self.curve = curve
+
+    def interaction(self, k: int, stats: "_NodeStats | None") -> np.ndarray:
+        return self.curve[:, k]
+
+
 def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
              ybar_curve: np.ndarray | None = None, collect_node_stats: bool = False,
-             max_batch_cols: int = 1 << 19) -> PathEnsemble:
+             drive=None, max_batch_cols: int = 1 << 19) -> PathEnsemble:
     """Simulate `n_paths` independent realizations of the network.
 
     With `ybar_curve` (shape (P, n_steps + 1)) the interaction reads the
     given deterministic per-population curve instead of the empirical
     means; that is how ensembles of independent limit copies are advanced.
+    A `drive` instead supplies the (P,) interaction of step k through
+    `drive.interaction(k, stats)`, reading the node statistics gathered so
+    far; it needs `n_paths == 1` (one batch) and `collect_node_stats`.
     Results are a pure function of (config, path indices): batching,
     worker count, and buffer sizes cannot change a single bit.
     """
     config.validate_or_raise()
     plan = _make_plan(config)
     if ybar_curve is not None:
+        if drive is not None:
+            raise ValueError("pass either ybar_curve or drive, not both")
         ybar_curve = np.asarray(ybar_curve, dtype=float)
         if ybar_curve.shape != (len(plan.pops), plan.n_steps + 1):
             raise ConfigError([
                 f"ybar_curve shape {ybar_curve.shape} does not match "
                 f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
             ])
+        drive = _CurveDrive(ybar_curve)
+    elif drive is not None and (n_paths != 1 or not collect_node_stats):
+        raise ValueError("a drive reads the node statistics of the whole ensemble: "
+                         "use n_paths=1 and collect_node_stats=True")
     store = _store_indices(plan.n_steps, config.thin)
     store_set = {int(k): i for i, k in enumerate(store)}
     n_stored = len(store)
@@ -632,8 +655,8 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
             stats.accumulate(st, 0)
         for k in range(plan.n_steps):
             draws = noise.step(k)
-            if ybar_curve is not None:
-                ybar = ybar_curve[:, k]
+            if drive is not None:
+                ybar = drive.interaction(k, stats)
             else:
                 ybar = population_sums(st.y, plan.slices)
             st = _advance(plan, st, ybar, draws, times[k])

@@ -122,7 +122,7 @@ class BlockNoise:
     """
 
     def __init__(self, seed: int, path_ids: list[int], components: list[int],
-                 n_cols: int, n_steps: int, max_bytes: int = 1 << 28):
+                 n_cols: int, n_steps: int, max_bytes: int = 1 << 25):
         self.seed = int(seed)
         self.path_ids = list(path_ids)
         self.components = list(components)

@@ -1,6 +1,7 @@
 """Coupling statistics: distance estimator, rate fit, sweeps, marginals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ def test_fit_rate_with_noise():
     assert fit.ci_lo < fit.slope < fit.ci_hi
 
 
+def test_fit_rate_interval_uses_the_student_t_quantile():
+    import scipy.stats
+
+    pts = [(16, 0.5), (64, 0.2), (256, 0.13), (1024, 0.04), (4096, 0.021)]
+    fit = fit_rate(pts)
+    x = np.log([n for n, _ in pts])
+    y = np.log([d for _, d in pts])
+    resid = y - (fit.intercept + fit.slope * x)
+    se = math.sqrt(float(np.sum(resid ** 2) / 3) / float(np.sum((x - x.mean()) ** 2)))
+    half = float(scipy.stats.t.ppf(0.975, 3)) * se
+    assert fit.ci_lo == fit.slope - half and fit.ci_hi == fit.slope + half
+
+
 def test_fit_rate_excludes_nonpositive():
     fit = fit_rate([(16, 0.5), (64, 0.25), (256, 0.125), (1024, 0.0)])
     assert fit.excluded == [(1024, 0.0)]
@@ -143,23 +157,23 @@ def test_coupled_rejects_foreign_representative():
 def test_sweep_requires_increasing_sizes():
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)
     with pytest.raises(ConfigError):
-        sweep(cfg, [64, 16], 4, m_copies=50, tol=1e-2, max_iter=2)
+        sweep(cfg, [64, 16], 4, m_copies=50, tol=1e-2)
 
 
 def test_sweep_rejects_proportion_drift():
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)  # proportions (1/2, 1/2)
     with pytest.raises(ConfigError):
-        sweep(cfg, [16, 31, 64], 4, m_copies=50, tol=1e-2, max_iter=2)
+        sweep(cfg, [16, 31, 64], 4, m_copies=50, tol=1e-2)
 
 
 def test_sweep_shapes_and_reuse():
     cfg = fhn_two_pop(n_steps=100, t_end=1.0)
-    report, runs, sol = sweep(cfg, [8, 16, 32], 12, m_copies=300, tol=5e-3, max_iter=6)
+    report, runs, sol = sweep(cfg, [8, 16, 32], 12, m_copies=300, tol=5e-3)
     assert report.ns == [8, 16, 32]
     assert len(report.d_hat) == 3 and len(report.sqrtn_d) == 3
     assert all(q == pytest.approx(math.sqrt(n) * d)
                for n, d, q in zip(report.ns, report.d_hat, report.sqrtn_d))
-    report2, _, _ = sweep(cfg, [8, 16, 32], 12, solution=sol)
+    report2, _, _ = sweep(cfg, [8, 16, 32], 12, curve=sol.curve)
     assert report2.d_hat == report.d_hat  # solution reuse is deterministic
 
 
@@ -192,3 +206,10 @@ def test_marginal_k_bounds():
     sol = solve_fixed_point(cfg, m_copies=100, tol=1e-1, max_iter=2)
     with pytest.raises(ValueError):
         marginal_chaos_check(cfg, k=3, n_paths=10, solution=sol)
+
+
+def test_marginal_requires_limit_ensemble():
+    cfg = fhn_two_pop(n_per_pop=2, n_steps=20, t_end=0.2)
+    sol = solve_fixed_point(cfg, m_copies=50, tol=1e-1, max_iter=2)
+    with pytest.raises(ValueError, match="limit ensemble"):
+        marginal_chaos_check(cfg, k=1, n_paths=4, solution=replace(sol, ensemble=None))

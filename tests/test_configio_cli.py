@@ -17,7 +17,7 @@ from neuromf.configio import (
     parse_spec,
 )
 from neuromf.errors import ConfigError
-from neuromf.presets import fhn_two_pop, hh_two_pop
+from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -193,6 +193,30 @@ def test_cli_meanfield_and_curve_reuse(spec_file, tmp_path):
                   "--curve", str(curve)], tmp_path)
     assert r2.returncode == 0, r2.stderr
     assert json.loads((tmp_path / "cs/chaos_summary.json").read_text())["points"]
+
+
+def test_cli_chaos_sweep_accepts_the_curve_meanfield_wrote(tmp_path):
+    # a grid whose nodes (multiples of 1/300 ms) need all 17 digits
+    spec = tiny_spec_dict(m_copies=100, tol=1e-3, sweep_n=[4, 8, 16], config=config_to_dict(
+        fhn_chaos_sweep(n_per_pop=2, t_end=1.0, n_steps=300, thin=100)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli(["meanfield", "--spec", str(path), "--out", "mf"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    summary = json.loads((tmp_path / "mf/meanfield_summary.json").read_text())
+    assert summary["converged"] and summary["iterations"] == 1
+    assert summary["distances"][-1] < spec["tol"]
+    r2 = run_cli(["chaos-sweep", "--spec", str(path), "--out", "cs",
+                  "--curve", str(tmp_path / "mf/meancurve.csv")], tmp_path)
+    assert r2.returncode == 0, r2.stderr
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    code = "import sys, neuromf.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=package_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_cli_refuses_mismatched_curve_hash(spec_file, tmp_path):

@@ -15,13 +15,15 @@ from neuromf.meanfield import (
     estimate_ms,
     limit_config,
     simulate_limit_given_ybar,
+    solve_causal,
     solve_fixed_point,
     wasserstein2_marginal,
     ybar_from_ms,
 )
 from neuromf.model import SigmoidParams, eval_sigmoid
 from neuromf.network import Dist, InitialLaw, simulate
-from neuromf.presets import fhn_two_pop, interaction_free
+from neuromf.network import Conductance
+from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import block_stream
 from neuromf.stepping import TimeGrid
 
@@ -261,6 +263,62 @@ def test_fixed_point_curves_respect_bounds():
     assert np.all(sol.curve.y_bar >= 0.0) and np.all(sol.curve.y_bar <= 1.0)
     c_max = cfg.populations[0][0].sigmoid.c_max
     assert np.all(sol.curve.m_s >= 0.0) and np.all(sol.curve.m_s <= c_max)
+
+
+# ---------------------------------------------------------------------------
+# one-pass causal solve
+
+
+def one_more_map(curve: MeanCurve, cfg, m_copies: int) -> np.ndarray:
+    """The curve map applied to `curve`: fresh copies driven by it, m_S, closed form."""
+    m_s = simulate_limit_given_ybar(curve, cfg, m_copies).block_means["s"]
+    return np.stack([
+        ybar_from_ms(m_s[a], cfg.init[l].y.mean(), p.rise_rate, p.decay_rate, cfg.grid)
+        for a, (l, (p, _)) in enumerate(zip(cfg.labels, cfg.populations))
+    ])
+
+
+@pytest.mark.parametrize("cfg", [
+    fhn_two_pop(n_steps=150, t_end=1.5, conductance=Conductance.SIMPLE, sigma_j=0.2),
+    fhn_two_pop(n_steps=150, t_end=1.5),
+    hh_two_pop(n_steps=150, t_end=1.5),
+], ids=["fhn-simple", "fhn-sign-preserving", "hh"])
+def test_causal_solve_is_a_fixed_point_of_the_curve_map(cfg):
+    sol = solve_causal(cfg, m_copies=200, tol=1e-3)
+    assert sol.iterations == 1 and len(sol.distances) == 1
+    gap = float(np.max(np.abs(one_more_map(sol.curve, cfg, 200) - sol.curve.y_bar)))
+    assert gap <= 1e-12
+    assert abs(sol.distances[0] - gap) <= 1e-12
+    assert sol.converged
+    assert sol.ensemble.data["v"].shape[0] == 1
+
+
+def test_causal_solve_agrees_with_picard():
+    cfg = fhn_two_pop(n_steps=200, t_end=2.0)
+    causal = solve_causal(cfg, m_copies=300, tol=1e-3)
+    picard = solve_fixed_point(cfg, m_copies=300, tol=1e-8, max_iter=30)
+    assert picard.converged
+    assert causal.curve.node_distance(picard.curve) <= 1e-7
+    assert np.max(np.abs(causal.curve.m_s - picard.curve.m_s)) <= 1e-7
+
+
+def test_causal_solve_without_interaction_matches_zero_curve():
+    cfg = interaction_free(fhn_two_pop(n_steps=100, t_end=1.0))
+    sol = solve_causal(cfg, m_copies=100, tol=1e-6)
+    ens = simulate_limit_given_ybar(np.zeros((2, 101)), cfg, 100)
+    assert np.array_equal(sol.curve.m_s, ens.block_means["s"])
+    assert sol.distances == [0.0]
+
+
+def test_causal_drive_needs_one_batch():
+    from neuromf.meanfield import _CausalDrive
+
+    cfg = fhn_two_pop(n_steps=10, t_end=0.1)
+    lconf = limit_config(cfg, 4)
+    with pytest.raises(ValueError):
+        simulate(lconf, n_paths=2, collect_node_stats=True, drive=_CausalDrive(cfg))
+    with pytest.raises(ValueError):
+        simulate(lconf, n_paths=1, drive=_CausalDrive(cfg))
 
 
 # ---------------------------------------------------------------------------
