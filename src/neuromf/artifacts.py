@@ -22,23 +22,37 @@ from .meanfield import MeanCurve, MeanFieldSolution
 from .network import PathEnsemble
 
 
-def _header_lines(meta: dict[str, object]) -> str:
-    return "".join(f"# {k}={v}\n" for k, v in meta.items())
-
-
-def _write_table(path: Path, meta: dict[str, object], columns: list[str],
-                 rows) -> None:
+def _text_cell(text: str) -> str:
+    """`text` as `csv.writer` spells it inside a row: quoted only when it must be."""
     buf = io.StringIO()
-    buf.write(_header_lines(meta))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
+    # a lone empty field would be written as "": the second field keeps the
+    # cell spelled as it is in a row of several
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _float_cells(values) -> list[str]:
+    """`repr` of every value as a Python float, in C order: `csv.writer`'s spelling."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _write_table(path: Path, meta: dict[str, object], header: list[str], blocks) -> None:
+    """Write `# key=value` lines, the header row, then each block's rows.
+
+    A block is a list of equally long columns of formatted cells; its rows
+    are the columns zipped, so cells are formatted a column at a time and
+    only one block is held in memory.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(f"# {k}={v}\n" for k, v in meta.items()))
+        csv.writer(f, lineterminator="\n").writerow(header)
+        for columns in blocks:
+            f.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
 def read_meta(path: Path) -> dict[str, str]:
     meta = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for line in f:
             if not line.startswith("# "):
                 break
@@ -48,25 +62,30 @@ def read_meta(path: Path) -> dict[str, str]:
 
 
 def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
-    """One row per (path, neuron, stored time); columns are the components."""
+    """One row per (path, stored time, neuron); columns are the components.
+
+    The file is written path by path; within a path each component is
+    formatted in one pass over its (stored time, neuron) slab.
+    """
     comp_names = [c for c in ("v", "y", "w", "n", "m", "h") if c in ens.data]
     j_cols = [f"j_{l}" for l in ens.labels] if ens.j is not None else []
-    columns = ["path", "time_ms", "neuron", "population"] + comp_names + j_cols
-    n_paths, n_stored, n_cols = ens.data["v"].shape
+    header = ["path", "time_ms", "neuron", "population"] + comp_names + j_cols
+    n_paths = ens.data["v"].shape[0]
+    # time_ms,neuron,population does not depend on the path
+    labels = [_text_cell(l) for l in ens.labels]
+    neurons = [f"{i},{labels[a]}" for i, a in enumerate(ens.pop_of.tolist())]
+    shared = [f"{t:.6g},{cell}" for t in ens.times.tolist() for cell in neurons]
 
-    def rows():
+    def blocks():
         for p in range(n_paths):
-            for s in range(n_stored):
-                t = ens.times[s]
-                for i in range(n_cols):
-                    row = [p, f"{t:.6g}", i, ens.labels[ens.pop_of[i]]]
-                    row += [repr(float(ens.data[c][p, s, i])) for c in comp_names]
-                    if ens.j is not None:
-                        row += [repr(float(x)) for x in ens.j[p, s, i]]
-                    yield row
+            columns = [[f"{p},{cell}" for cell in shared]]
+            columns += [_float_cells(ens.data[c][p]) for c in comp_names]
+            if ens.j is not None:
+                columns += [_float_cells(ens.j[p, ..., a]) for a in range(len(ens.labels))]
+            yield columns
 
     _write_table(path, {"config_hash": ens.config_hash, "seed": ens.seed,
-                        "n_paths": n_paths}, columns, rows())
+                        "n_paths": n_paths}, header, blocks())
 
 
 def write_ensemble_npz(ens: PathEnsemble, path: Path) -> None:
@@ -82,15 +101,17 @@ def write_ensemble_npz(ens: PathEnsemble, path: Path) -> None:
 
 
 def write_meancurve_csv(curve: MeanCurve, config_hash: str, seed: int, path: Path) -> None:
-    columns = ["time_ms", "population", "m_s", "y_bar", "se"]
-
-    def rows():
-        for a, label in enumerate(curve.labels):
-            for t, ms, yb, se in zip(curve.times, curve.m_s[a], curve.y_bar[a],
-                                     curve.se[a] if curve.se is not None else np.zeros_like(curve.m_s[a])):
-                yield [repr(float(t)), label, repr(float(ms)), repr(float(yb)), repr(float(se))]
-
-    _write_table(path, {"config_hash": config_hash, "seed": seed}, columns, rows())
+    """One row per (population, node); `se` reads 0.0 when the curve has none."""
+    header = ["time_ms", "population", "m_s", "y_bar", "se"]
+    n_nodes = len(curve.times)
+    columns = [
+        _float_cells(curve.times) * len(curve.labels),
+        [cell for cell in map(_text_cell, curve.labels) for _ in range(n_nodes)],
+        _float_cells(curve.m_s),
+        _float_cells(curve.y_bar),
+        _float_cells(curve.se) if curve.se is not None else [repr(0.0)] * curve.m_s.size,
+    ]
+    _write_table(path, {"config_hash": config_hash, "seed": seed}, header, [columns])
 
 
 def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
@@ -101,7 +122,7 @@ def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
             f"current configuration ({expect_hash}); refusing to mix setups"
         ])
     by_pop: dict[str, list[tuple[float, float, float, float]]] = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         lines = [l for l in f if not l.startswith("# ")]
     for row in csv.DictReader(lines):
         by_pop.setdefault(row["population"], []).append(
@@ -116,10 +137,11 @@ def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
 
 def write_chaos_report(report: CouplingReport, config_hash: str, seed: int,
                        csv_path: Path, json_path: Path) -> None:
-    columns = ["N", "D_hat", "SE", "sqrtN_times_D"]
-    rows = [[n, repr(d), repr(s), repr(q)] for n, d, s, q in report.rows()]
+    header = ["N", "D_hat", "SE", "sqrtN_times_D"]
+    columns = [list(map(str, report.ns)), _float_cells(report.d_hat),
+               _float_cells(report.se), _float_cells(report.sqrtn_d)]
     _write_table(csv_path, {"config_hash": config_hash, "seed": seed,
-                            "n_paths": report.n_paths}, columns, rows)
+                            "n_paths": report.n_paths}, header, [columns])
     summary = {
         "config_hash": config_hash,
         "seed": seed,
@@ -131,7 +153,8 @@ def write_chaos_report(report: CouplingReport, config_hash: str, seed: int,
         "slope_ci": [report.fit.ci_lo, report.fit.ci_hi],
         "excluded_points": report.fit.excluded,
     }
-    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                         encoding="utf-8")
 
 
 def write_meanfield_summary(sol: MeanFieldSolution, config_hash: str, seed: int,
@@ -145,4 +168,4 @@ def write_meanfield_summary(sol: MeanFieldSolution, config_hash: str, seed: int,
         "m_copies": sol.m_copies,
         "distances": sol.distances,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

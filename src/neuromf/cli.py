@@ -26,7 +26,7 @@ from .parallel import simulate_paths
 
 
 def _load_spec(path: str, command: str) -> configio.ExperimentSpec:
-    return configio.parse_spec(Path(path).read_text(), command=command)
+    return configio.parse_spec(Path(path).read_text(encoding="utf-8"), command=command)
 
 
 def _cmd_simulate(args) -> int:
