@@ -24,7 +24,7 @@ from .model import (
     PopulationParams,
     SigmoidParams,
 )
-from .network import Conductance, Dist, InitialLaw, NetworkConfig
+from .network import MEANFIELD_PATH_BASE, Conductance, Dist, InitialLaw, NetworkConfig
 from .stepping import TimeGrid
 
 COMMANDS = ("simulate", "meanfield", "chaos-sweep", "validate")
@@ -423,6 +423,9 @@ def parse_spec(text: str, command: str | None = None) -> ExperimentSpec:
             errors.extend(e.errors)
     if n_paths is not None and n_paths < 1:
         reader.err("spec.n_paths", "must be >= 1")
+    if n_paths is not None and n_paths > MEANFIELD_PATH_BASE:
+        reader.err("spec.n_paths", f"must be <= 2**21 = {MEANFIELD_PATH_BASE}: "
+                                   "higher path ids belong to the limit copies")
     if m_copies is not None and m_copies < 2:
         reader.err("spec.m_copies", "must be >= 2")
     if tol is not None and not tol > 0:

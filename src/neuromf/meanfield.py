@@ -34,12 +34,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import SigmoidParams, eval_sigmoid
-from .network import NetworkConfig, PathEnsemble, simulate
+from .network import MEANFIELD_PATH_BASE, NetworkConfig, PathEnsemble, simulate
 from .stepping import TimeGrid
-
-# Limit-copy ensembles draw from their own region of the path-id space so
-# that, under one seed, they never share streams with network paths.
-MEANFIELD_PATH_BASE = 1 << 21
 
 
 @dataclass

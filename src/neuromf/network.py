@@ -41,6 +41,10 @@ from .model import (
 from .rng import BlockNoise, Component
 from .stepping import CirParams, TimeGrid, step_cir, step_euler_confined
 
+# Network paths take ids below this base; limit-copy ensembles draw from
+# ids at or above it, so that under one seed they never share streams.
+MEANFIELD_PATH_BASE = 1 << 21
+
 
 class Conductance(str, Enum):
     SIMPLE = "simple"
@@ -511,6 +515,16 @@ def step_network_sign_preserving(config: NetworkConfig, states: NeuronStates, su
     return _step_network(config, states, sums, draws, t, Conductance.SIGN_PRESERVING)
 
 
+def _check_network_path_ids(path_offset: int, n_paths: int) -> None:
+    last = path_offset + n_paths - 1
+    if last >= MEANFIELD_PATH_BASE:
+        first = max(path_offset, MEANFIELD_PATH_BASE)
+        raise ValueError(
+            f"network path id {first} is at or above MEANFIELD_PATH_BASE = 2**21, "
+            f"where the limit copies draw their noise; network paths "
+            f"{path_offset}..{last} must stay below {MEANFIELD_PATH_BASE}")
+
+
 def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> None:
     if np.isfinite(v).all():
         return
@@ -612,8 +626,12 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     `drive.interaction(k, stats)`, reading the node statistics gathered so
     far; it needs `n_paths == 1` (one batch) and `collect_node_stats`.
     Results are a pure function of (config, path indices): batching,
-    worker count, and buffer sizes cannot change a single bit.
+    worker count, and buffer sizes cannot change a single bit.  Without a
+    curve or drive the paths are network paths, whose ids must stay below
+    `MEANFIELD_PATH_BASE`.
     """
+    if ybar_curve is None and drive is None:
+        _check_network_path_ids(path_offset, n_paths)
     config.validate_or_raise()
     plan = _make_plan(config)
     if ybar_curve is not None:
@@ -729,8 +747,10 @@ def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_path
     Both systems consume identical Brownian increments and identical
     initial draws; under the sign-preserving variant the copy system reads
     the very conductance paths of the network (one array, no re-draw).
-    The copy system's interaction follows `ybar_curve`.
+    The copy system's interaction follows `ybar_curve`.  Path ids must
+    stay below `MEANFIELD_PATH_BASE`.
     """
+    _check_network_path_ids(path_offset, n_paths)
     config.validate_or_raise()
     plan = _make_plan(config)
     ybar_curve = np.asarray(ybar_curve, dtype=float)

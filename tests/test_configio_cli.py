@@ -112,6 +112,13 @@ def test_sweep_proportion_validation():
     assert "sweep_n" in str(exc.value)
 
 
+def test_n_paths_bounded_by_the_limit_copy_ids():
+    parse_spec(json.dumps(tiny_spec_dict(n_paths=2 ** 21)))
+    with pytest.raises(ConfigError) as exc:
+        parse_spec(json.dumps(tiny_spec_dict(n_paths=2 ** 21 + 1)))
+    assert any(e.startswith("spec.n_paths:") and "2**21" in e for e in exc.value.errors)
+
+
 def test_all_errors_reported_together():
     d = tiny_spec_dict(n_paths=0, tol=-1.0)
     d["config"]["seed"] = -3

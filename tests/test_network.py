@@ -18,6 +18,7 @@ from neuromf.model import (
     synapse_fields,
 )
 from neuromf.network import (
+    MEANFIELD_PATH_BASE,
     Conductance,
     Dist,
     InitialLaw,
@@ -306,6 +307,21 @@ def test_coupled_distance_positive_with_interaction():
     res = coupled_distance_paths(cfg, curve, 3)
     assert np.all(res.sup_sq > 0.0)
     assert np.all(res.comp_sup_sq["j"] == 0.0)  # pathwise-shared conductances
+
+
+def test_network_path_ids_stay_below_the_limit_copies():
+    cfg = fhn_two_pop(n_per_pop=1, n_steps=2, t_end=0.02)
+    last_ok = MEANFIELD_PATH_BASE - 1
+    with pytest.raises(ValueError, match=f"path id {MEANFIELD_PATH_BASE} "):
+        simulate(cfg, n_paths=2, path_offset=last_ok)
+    with pytest.raises(ValueError, match=f"path id {MEANFIELD_PATH_BASE} "):
+        coupled_distance_paths(cfg, np.zeros((2, 3)), 2, path_offset=last_ok)
+    with pytest.raises(ValueError, match=f"path id {MEANFIELD_PATH_BASE + 5} "):
+        simulate(cfg, n_paths=1, path_offset=MEANFIELD_PATH_BASE + 5)
+    assert simulate(cfg, n_paths=1, path_offset=last_ok).n_paths == 1
+    # limit copies, driven by a curve, live at and above the base
+    assert simulate(cfg, n_paths=1, path_offset=MEANFIELD_PATH_BASE,
+                    ybar_curve=np.zeros((2, 3))).n_paths == 1
 
 
 # ---------------------------------------------------------------------------
