@@ -154,12 +154,10 @@ def test_chaos_report_csv_matches_row_by_row_reference(tmp_path):
 
 
 def relabel(config_dict, old, new):
+    """Rename a population of a simple-conductance config (no `j` laws keyed by label)."""
     for pop in config_dict["populations"]:
         if pop["label"] == old:
             pop["label"] = new
-        j = pop["init"].get("j")
-        if j is not None and old in j:
-            j[new] = j.pop(old)
     config_dict["pairs"] = {
         "->".join(new if side == old else side for side in key.split("->")): value
         for key, value in config_dict["pairs"].items()
