@@ -17,10 +17,14 @@ Two addressing schemes share one Philox key space and never collide
 
 Successive draws from one numpy Generator concatenate exactly, so block
 buffering is free to choose any chunk size without changing a single value.
+`BlockNoise` uses that to draw ahead: it keeps two buffer sets, and while
+the engine steps through the block in one, a helper thread fills the next
+block into the other (numpy releases the interpreter lock while it fills).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -118,7 +122,16 @@ class BlockNoise:
     Serves, at each step k, a raw-normal array of shape (n_paths, n_cols)
     per component; entry [b, i] is element (k * n_cols + i) of the block
     stream (seed, path_ids[b], component).  Values are independent of the
-    buffer size, which is chosen from a memory budget.
+    block length, which is chosen from a memory budget.
+
+    The budget holds two buffer sets of `block` steps.  While the engine
+    steps through the block in one set, one helper thread fills the next
+    block into the other.  Only one fill is in flight and each stream is
+    drawn in step order, so every value is the one a synchronous fill would
+    give.  When the budget holds a single step there is one set, filled in
+    line.  The arrays `step(k)` returns are views of the current set and
+    are valid only until `step` leaves the current block: the helper thread
+    then writes into them, so holding on to one is a data race.
     """
 
     def __init__(self, seed: int, path_ids: list[int], components: list[int],
@@ -130,27 +143,62 @@ class BlockNoise:
         self.n_steps = int(n_steps)
         n_streams = max(1, len(self.path_ids) * len(self.components))
         per_step = 8 * n_streams * self.n_cols
-        self.block = int(min(max(1, max_bytes // max(per_step, 1)), 512, max(n_steps, 1)))
+        whole = int(min(max(1, max_bytes // max(per_step, 1)), 512, max(n_steps, 1)))
+        n_sets = 2 if whole > 1 else 1
+        self.block = whole // n_sets
         self._gens = {
             (p, c): block_stream(self.seed, p, c)
             for p in self.path_ids for c in self.components
         }
-        self._buf: dict[int, np.ndarray] = {
-            c: np.empty((self.block, len(self.path_ids), self.n_cols)) for c in self.components
-        }
+        self._sets = [
+            {c: np.empty((self.block, len(self.path_ids), self.n_cols)) for c in self.components}
+            for _ in range(n_sets)
+        ]
+        self._buf = self._sets[0]
+        self._next = 0  # the set the next block goes into
+        self._pending: tuple[threading.Thread, list[BaseException]] | None = None
         self._lo = -1
         self._hi = -1
 
     def _refill(self, k0: int) -> None:
+        """Serve the block starting at step k0; start filling the one after it."""
+        if self._pending is None:
+            self._fill(self._sets[self._next], k0)
+        else:
+            thread, failure = self._pending
+            thread.join()
+            if failure:
+                raise failure[0]
+            self._pending = None
+        self._buf = self._sets[self._next]
+        self._next = (self._next + 1) % len(self._sets)
+        self._lo, self._hi = k0, min(k0 + self.block, self.n_steps)
+        if len(self._sets) > 1 and self._hi < self.n_steps:
+            failure: list[BaseException] = []
+            thread = threading.Thread(target=self._fill_ahead, name="neuromf-noise-fill",
+                                      args=(self._sets[self._next], self._hi, failure))
+            thread.start()
+            self._pending = (thread, failure)
+
+    def _fill(self, bufs: dict[int, np.ndarray], k0: int) -> None:
         count = min(self.block, self.n_steps - k0)
         for c in self.components:
-            buf = self._buf[c]
+            buf = bufs[c]
             for b, p in enumerate(self.path_ids):
                 buf[:count, b, :] = self._gens[(p, c)].standard_normal((count, self.n_cols))
-        self._lo, self._hi = k0, k0 + count
+
+    def _fill_ahead(self, bufs: dict[int, np.ndarray], k0: int,
+                    failure: list[BaseException]) -> None:
+        try:
+            self._fill(bufs, k0)
+        except BaseException as e:  # raised by every step that needs this block
+            failure.append(e)
 
     def step(self, k: int) -> dict[int, np.ndarray]:
-        """Raw N(0, 1) draws for step k, one (n_paths, n_cols) array per component."""
+        """Raw N(0, 1) draws for step k, one (n_paths, n_cols) array per component.
+
+        The arrays are valid until `step` leaves the block that holds k.
+        """
         if not 0 <= k < self.n_steps:
             raise IndexError(f"step {k} outside [0, {self.n_steps})")
         if not self._lo <= k < self._hi:

@@ -1,6 +1,8 @@
 """Step kernels and the keyed noise streams."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuromf.errors import SimulationDiverged
+from neuromf.network import coupled_distance_paths, simulate
+from neuromf.presets import fhn_two_pop
 from neuromf.rng import BlockNoise, Component, RngStreamKey, block_stream, gaussian_increments
 from neuromf.stepping import (
     CirParams,
@@ -239,6 +243,106 @@ def test_block_noise_requires_step_order():
     bn.step(0)
     with pytest.raises(IndexError):
         bn.step(9)
+
+
+def flat_draws(seed, path_ids, components, n_cols, n_steps):
+    return {(p, c): block_stream(seed, p, c).standard_normal(n_steps * n_cols).reshape(n_steps, n_cols)
+            for p in path_ids for c in components}
+
+
+# (budget in steps, expected buffer sets, expected block length)
+SHORT_BLOCKS = [(1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 2), (5, 2, 2), (1 << 20, 2, 3)]
+
+
+@pytest.mark.parametrize("budget_steps, n_sets, block", SHORT_BLOCKS)
+def test_block_noise_short_blocks_match_flat_stream(budget_steps, n_sets, block):
+    ids, comps, n_cols, n_steps = [2, 5], [0, 3], 3, 7
+    per_step = 8 * len(ids) * len(comps) * n_cols
+    bn = BlockNoise(seed=17, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
+                    max_bytes=budget_steps * per_step)
+    assert (len(bn._sets), bn.block) == (n_sets, block)
+    flat = flat_draws(17, ids, comps, n_cols, n_steps)
+    for k in range(n_steps):
+        draws = bn.step(k)
+        for c in comps:
+            for b, p in enumerate(ids):
+                assert np.array_equal(draws[c][b], flat[(p, c)][k])
+    assert bn._pending is None  # the last block starts no fill
+
+
+def test_block_noise_values_hold_under_fast_thread_switching():
+    # one-step blocks hand over a buffer set at every step; a fill that
+    # wrote into the set being served would show up as a changed value
+    ids, comps, n_cols, n_steps = [0, 1, 2], [0, 1], 50, 300
+    flat = flat_draws(5, ids, comps, n_cols, n_steps)
+    bn = BlockNoise(seed=5, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
+                    max_bytes=2 * 8 * len(ids) * len(comps) * n_cols)
+    assert bn.block == 1
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(n_steps):
+            draws = bn.step(k)
+            held = {c: draws[c].copy() for c in comps}
+            sum(range(200))  # let the fill thread run while this block is served
+            for c in comps:
+                assert np.array_equal(draws[c], held[c])
+                for b, p in enumerate(ids):
+                    assert np.array_equal(draws[c][b], flat[(p, c)][k])
+    finally:
+        sys.setswitchinterval(old)
+
+
+class _FailingGenerator:
+    """Serves its first request from a real stream and raises on the next."""
+
+    def __init__(self, gen, error):
+        self.gen, self.error, self.calls = gen, error, 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        if self.calls > 1:
+            raise self.error
+        return self.gen.standard_normal(shape)
+
+
+def test_block_noise_fill_error_reaches_the_consuming_step():
+    bn = BlockNoise(seed=3, path_ids=[0, 1], components=[0], n_cols=4, n_steps=10,
+                    max_bytes=4 * 8 * 2 * 4)
+    assert bn.block == 2
+    error = FloatingPointError("generator broke")
+    bn._gens[(1, 0)] = _FailingGenerator(bn._gens[(1, 0)], error)
+    bn.step(0)  # the first block is filled in line; the fill thread draws the second
+    bn.step(1)
+    for _ in range(2):  # never stale values: every later request raises again
+        with pytest.raises(FloatingPointError) as exc:
+            bn.step(2)
+        assert exc.value is error
+
+
+def test_no_fill_thread_outlives_the_engine():
+    # 1200 steps make five blocks under the 512-step cap, so four fills run ahead
+    config = fhn_two_pop(n_per_pop=3, n_steps=1200, t_end=1.2, thin=100)
+    before = threading.active_count()
+    simulate(config, n_paths=2)
+    assert threading.active_count() == before
+    coupled_distance_paths(config, np.full((2, 1201), 0.2), n_paths=2)
+    assert threading.active_count() == before
+
+
+# (paths, components, columns, steps): the simulate_hh and the N = 1024
+# chaos_sweep_fhn shapes of the benchmark
+BENCH_SHAPES = [(32, 7, 16, 1000), (48, 4, 1024, 150)]
+
+
+@pytest.mark.parametrize("n_paths, n_comps, n_cols, n_steps", BENCH_SHAPES)
+def test_block_noise_buffers_stay_within_one_single_buffer(n_paths, n_comps, n_cols, n_steps):
+    per_step = 8 * n_paths * n_comps * n_cols
+    single = min(max(1, (1 << 25) // per_step), 512, n_steps) * per_step
+    bn = BlockNoise(seed=1, path_ids=list(range(n_paths)), components=list(range(n_comps)),
+                    n_cols=n_cols, n_steps=n_steps)
+    assert len(bn._sets) == 2
+    assert sum(buf.nbytes for bufs in bn._sets for buf in bufs.values()) <= single
 
 
 def test_generator_draw_concatenation():
