@@ -135,7 +135,9 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     returned as the third value (None when `curve` was given).
     The sweep refuses size lists that cannot keep the proportions integral.
     """
-    if len(ns) < 2 or sorted(set(ns)) != list(ns):
+    if len(ns) < 3:
+        raise ConfigError([f"sweep sizes {list(ns)}: at least three are needed to fit a rate"])
+    if sorted(set(ns)) != list(ns):
         raise ConfigError(["sweep sizes must be strictly increasing"])
     configs = [base_config.with_total_neurons(n) for n in ns]  # raises on proportion drift
     solution = None

@@ -437,6 +437,8 @@ def parse_spec(text: str, command: str | None = None) -> ExperimentSpec:
             reader.err("spec.sweep_n", "must be a list of integers")
         elif sorted(set(sweep_n)) != sweep_n:
             reader.err("spec.sweep_n", "sizes must be strictly increasing")
+        elif cmd == "chaos-sweep" and len(sweep_n) < 3:
+            reader.err("spec.sweep_n", "chaos-sweep needs at least three sizes to fit a rate")
         else:
             for n in sweep_n:
                 try:

@@ -215,6 +215,9 @@ class NetworkConfig:
         labels = self.labels
         if len(set(labels)) != len(labels):
             errs.append("populations: labels must be unique")
+        for i, label in enumerate(labels):
+            if any(ch < " " or ch == "\x7f" for ch in label):
+                errs.append(f"populations[{i}].label: {label!r} holds a control character")
         for pop, n in self.populations:
             if n < 1:
                 errs.append(f"populations[{pop.label!r}].n: population must have at least one neuron")

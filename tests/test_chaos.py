@@ -160,6 +160,13 @@ def test_sweep_requires_increasing_sizes():
         sweep(cfg, [64, 16], 4, m_copies=50, tol=1e-2)
 
 
+def test_sweep_requires_three_sizes():
+    cfg = fhn_two_pop(n_steps=20, t_end=0.2)
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, [16, 64], 4, m_copies=50, tol=1e-2)
+    assert "three" in str(exc.value)
+
+
 def test_sweep_rejects_proportion_drift():
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)  # proportions (1/2, 1/2)
     with pytest.raises(ConfigError):

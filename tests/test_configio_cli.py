@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,43 @@ def test_sweep_proportion_validation():
     assert "sweep_n" in str(exc.value)
 
 
+def test_chaos_sweep_spec_needs_three_sizes():
+    short = json.dumps(tiny_spec_dict(sweep_n=[4, 8]))
+    parse_spec(short)  # no command: nothing fits a rate to it
+    for text, command in ((short, "chaos-sweep"),
+                          (json.dumps(tiny_spec_dict(sweep_n=[4, 8], command="chaos-sweep")), None)):
+        with pytest.raises(ConfigError) as exc:
+            parse_spec(text, command)
+        assert any(e.startswith("spec.sweep_n:") and "three" in e for e in exc.value.errors)
+
+
+def relabel_minimal(label):
+    d = json.loads(json.dumps(MINIMAL_SINGLE_POP))
+    d["config"]["populations"][0]["label"] = label
+    d["config"]["pairs"] = {f"{label}->{label}": d["config"]["pairs"]["solo->solo"]}
+    return d
+
+
+@pytest.mark.parametrize("label", ["in\rh", "in\nh", "in\th", "\x00", "in\x1f", "in\x7fh"])
+def test_control_characters_in_labels_rejected(label):
+    with pytest.raises(ConfigError) as exc:
+        parse_spec(json.dumps(relabel_minimal(label)))
+    assert f"populations[0].label: {label!r} holds a control character" in exc.value.errors
+    config = parse_spec(json.dumps(MINIMAL_SINGLE_POP)).config
+    pop, n = config.populations[0]
+    bad = replace(config, populations=[(replace(pop, label=label), n)],
+                  pairs={(label, label): config.pairs[("solo", "solo")]},
+                  init={label: config.init["solo"]})
+    with pytest.raises(ConfigError) as exc:
+        bad.validate_or_raise()
+    assert any(e.startswith("populations[0].label:") for e in exc.value.errors)
+
+
+def test_printable_labels_accepted():
+    for label in ("exé", "a b", "exc,1", 'in"h', "\x80"):
+        parse_spec(json.dumps(relabel_minimal(label)))
+
+
 def test_n_paths_bounded_by_the_limit_copy_ids():
     parse_spec(json.dumps(tiny_spec_dict(n_paths=2 ** 21)))
     with pytest.raises(ConfigError) as exc:
@@ -216,6 +254,15 @@ def test_cli_chaos_sweep_accepts_the_curve_meanfield_wrote(tmp_path):
     r2 = run_cli(["chaos-sweep", "--spec", str(path), "--out", "cs",
                   "--curve", str(tmp_path / "mf/meancurve.csv")], tmp_path)
     assert r2.returncode == 0, r2.stderr
+
+
+def test_cli_chaos_sweep_refuses_fewer_than_three_sizes(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(sweep_n=[4, 8])))
+    r = run_cli(["chaos-sweep", "--spec", str(path), "--out", "cs"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "spec.sweep_n" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "cs").exists()
 
 
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
