@@ -251,7 +251,7 @@ def flat_draws(seed, path_ids, components, n_cols, n_steps):
 
 
 # (budget in steps, expected buffer sets, expected block length)
-SHORT_BLOCKS = [(1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 2), (5, 2, 2), (1 << 20, 2, 3)]
+SHORT_BLOCKS = [(1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 2), (5, 2, 2)]
 
 
 @pytest.mark.parametrize("budget_steps, n_sets, block", SHORT_BLOCKS)
