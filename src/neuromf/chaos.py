@@ -114,13 +114,10 @@ def fit_rate(points: list[tuple[int, float]], confidence: float = 0.95) -> RateF
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = float(ym - slope * xm)
     resid = y - (intercept + slope * x)
-    if n > 2:
-        s2 = float(np.sum(resid ** 2) / (n - 2))
-        se_slope = math.sqrt(s2 / sxx)
-        tq = float(scipy.special.stdtrit(n - 2, 0.5 + confidence / 2))  # Student t quantile
-        half = tq * se_slope
-    else:
-        half = math.inf
+    s2 = float(np.sum(resid ** 2) / (n - 2))
+    se_slope = math.sqrt(s2 / sxx)
+    tq = float(scipy.special.stdtrit(n - 2, 0.5 + confidence / 2))  # Student t quantile
+    half = tq * se_slope
     return RateFit(slope=slope, intercept=intercept, ci_lo=slope - half,
                    ci_hi=slope + half, used=used, excluded=excluded)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -70,7 +71,16 @@ class _Reader:
             return default
         val = d.pop(key)
         if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-            return float(val)
+            # json.loads lets NaN and Infinity through, and a long integer
+            # literal overflows a float
+            try:
+                val = float(val)
+            except OverflowError:
+                val = math.inf
+            if not math.isfinite(val):
+                self.err(f"{path}.{key}", "must be finite")
+                return None
+            return val
         if kind is int and isinstance(val, int) and not isinstance(val, bool):
             return int(val)
         if kind is str and isinstance(val, str):

@@ -6,7 +6,9 @@ proportion variables inside [0, 1], clamped gate opening/closing rates,
 and the synapse / gate drift and diffusion fields built from them.
 
 Everything in this module is a pure function of its arguments and accepts
-scalars or numpy arrays; simulation state lives in `network`.
+scalars or numpy arrays, for parameters as well as state: the network
+engine passes parameter blocks whose fields are per-column vectors, so
+one call covers several populations.  Simulation state lives in `network`.
 
 Units are fixed package-wide: mV, ms, mS/cm^2; all rates are per ms.
 """
@@ -232,19 +234,28 @@ def _raw_gate_rates(gate: str, v: Array) -> tuple[Array, Array]:
     raise ValueError(f"unknown gate {gate!r}; expected one of {GATES}")
 
 
-def eval_gate_rates(g: GateRates, gate: str, v: Array) -> tuple[Array, Array]:
-    """(opening, closing) rate pair, frozen outside |v| <= clamp_v and clipped.
+def clamp_gate_voltage(g: GateRates, v: Array) -> Array:
+    """v frozen to the window |v| <= clamp_v, the only voltages the gate rates see.
 
-    Freezing happens before evaluation, so the expressions never see
+    Freezing happens before evaluation, so the rate expressions never see
     voltages outside the physiological window (this also rules out
-    overflow in the exponentials).
+    overflow in the exponentials).  One clamped potential serves all three
+    gates.
     """
-    v_eff = np.clip(np.asarray(v, dtype=float), -g.clamp_v, g.clamp_v)
+    return np.clip(np.asarray(v, dtype=float), -g.clamp_v, g.clamp_v)
+
+
+def _clipped_gate_rates(g: GateRates, gate: str, v_eff: Array) -> tuple[Array, Array]:
     rho, zeta = _raw_gate_rates(gate, v_eff)
     return (
         np.clip(rho, g.clamp_lo, g.clamp_hi),
         np.clip(zeta, g.clamp_lo, g.clamp_hi),
     )
+
+
+def eval_gate_rates(g: GateRates, gate: str, v: Array) -> tuple[Array, Array]:
+    """(opening, closing) rate pair, frozen outside |v| <= clamp_v and clipped."""
+    return _clipped_gate_rates(g, gate, clamp_gate_voltage(g, v))
 
 
 def eval_membrane_drift(pop: PopulationParams, t: float, v: Array, q) -> Array:
@@ -255,7 +266,7 @@ def eval_membrane_drift(pop: PopulationParams, t: float, v: Array, q) -> Array:
     contract violation.
     """
     v = np.asarray(v, dtype=float)
-    if isinstance(pop.membrane, FhnMembrane):
+    if not pop.is_hh:
         if isinstance(q, (tuple, list)):
             raise VariantMismatchError(f"population {pop.label!r} is FHN; q must be the recovery variable")
         w = np.asarray(q, dtype=float)
@@ -304,9 +315,13 @@ def synapse_diffusion(pop: PopulationParams, v: Array, y: Array) -> Array:
     return synapse_fields(pop, v, y)[1]
 
 
-def gate_fields(g: GateRates, gate: str, v: Array, x: Array, cutoff: CutoffSpec) -> tuple[Array, Array]:
-    """(drift, diffusion) of one gate proportion; same structure as the synapse."""
-    rho, zeta = eval_gate_rates(g, gate, v)
+def gate_fields(g: GateRates, gate: str, v_eff: Array, x: Array, cutoff: CutoffSpec) -> tuple[Array, Array]:
+    """(drift, diffusion) of one gate proportion; same structure as the synapse.
+
+    v_eff is the membrane potential already frozen to the gate window,
+    `clamp_gate_voltage(g, v)`.
+    """
+    rho, zeta = _clipped_gate_rates(g, gate, v_eff)
     x = np.asarray(x, dtype=float)
     drift = rho * (1.0 - x) - zeta * x
     rad = rho * (1.0 - x) + zeta * x
@@ -320,7 +335,7 @@ def gate_drift(g: GateRates, gate: str, v: Array, x: Array) -> Array:
 
 
 def gate_diffusion(g: GateRates, gate: str, v: Array, x: Array, cutoff: CutoffSpec) -> Array:
-    return gate_fields(g, gate, v, x, cutoff)[1]
+    return gate_fields(g, gate, clamp_gate_voltage(g, v), x, cutoff)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import groupby
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ from .model import (
     GATES,
     PairParams,
     PopulationParams,
+    clamp_gate_voltage,
     eval_membrane_drift,
     eval_sigmoid,
     gate_fields,
@@ -39,7 +42,7 @@ from .model import (
     synapse_fields,
 )
 from .rng import BlockNoise, Component
-from .stepping import CirParams, TimeGrid, step_cir, step_euler_confined
+from .stepping import TimeGrid, step_cir, step_euler_confined
 
 # Network paths take ids below this base; limit-copy ensembles draw from
 # ids at or above it, so that under one seed they never share streams.
@@ -298,6 +301,94 @@ def population_sums(y: np.ndarray, slices: Sequence[tuple[int, int]]) -> np.ndar
 # engine
 
 
+def _columns(items: Sequence, sizes: Sequence[int], names: Sequence[str]) -> SimpleNamespace:
+    """One column vector per attribute: each item's value repeated over its columns."""
+    return SimpleNamespace(**{
+        name: np.repeat(np.array([getattr(it, name) for it in items], dtype=float), sizes)
+        for name in names
+    })
+
+
+class _ColumnCurrent:
+    """The applied currents of a run's HH populations, one column vector per time."""
+
+    def __init__(self, specs: list, sizes: list[int]):
+        self.specs, self.sizes = specs, sizes
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.repeat(np.array([spec(t) for spec in self.specs], dtype=float), self.sizes)
+
+
+@dataclass(frozen=True)
+class _RunColumns:
+    """A run's parameters in the place of one population's `PopulationParams`.
+
+    Every scalar coefficient becomes a vector over the run's columns, so the
+    model functions evaluate the whole run in one call with the same
+    elementwise operations, in the same order, as population by population.
+    """
+
+    label: str
+    is_hh: bool
+    membrane: SimpleNamespace   # FHN a, b, c, or HH conductances, reversals and i_ext
+    sigma_v: np.ndarray
+    rise_rate: np.ndarray
+    decay_rate: np.ndarray
+    sigmoid: SimpleNamespace
+    cutoff: SimpleNamespace
+    gates: SimpleNamespace | None
+
+
+@dataclass
+class _Run:
+    """A maximal block of adjacent populations that share a membrane variant."""
+
+    lo: int
+    hi: int
+    pop: _RunColumns
+    pairs: list[SimpleNamespace]   # per source g: v_rev, j_mean, sigma_j, theta columns
+    # simple variant: the sources whose conductance noise reaches some column
+    # of the run, each with the mask of those columns (None: all of them);
+    # a column with sigma_j = 0 gets no term at all, not a signed zero
+    j_noise: dict[int, np.ndarray | None]
+
+
+def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
+    pops = [config.populations[a][0] for a in members]
+    sizes = [config.populations[a][1] for a in members]
+    slices = config.population_slices()
+    is_hh = pops[0].is_hh
+    if is_hh:
+        membrane = _columns([p.membrane for p in pops], sizes,
+                            ("g_na", "g_k", "g_l", "e_na", "e_k", "e_l"))
+        membrane.i_ext = _ColumnCurrent([p.membrane.i_ext for p in pops], sizes)
+        gates = _columns([p.gates for p in pops], sizes, ("clamp_lo", "clamp_hi", "clamp_v"))
+    else:
+        membrane = _columns([p.membrane for p in pops], sizes, ("a", "b", "c"))
+        gates = None
+    rates = _columns(pops, sizes, ("sigma_v", "rise_rate", "decay_rate"))
+    columns = _RunColumns(
+        label=", ".join(p.label for p in pops), is_hh=is_hh, membrane=membrane,
+        sigma_v=rates.sigma_v, rise_rate=rates.rise_rate, decay_rate=rates.decay_rate,
+        sigmoid=_columns([p.sigmoid for p in pops], sizes, ("c_max", "lam", "v_half")),
+        cutoff=_columns([p.cutoff for p in pops], sizes, ("support_lo", "support_hi", "ramp")),
+        gates=gates,
+    )
+    pairs = [
+        _columns([config.pairs[(p.label, lg)] for p in pops], sizes,
+                 ("v_rev", "j_mean", "sigma_j", "theta"))
+        for lg in config.labels
+    ]
+    j_noise = {}
+    if config.conductance is Conductance.SIMPLE:
+        for g, pair in enumerate(pairs):
+            on = pair.sigma_j != 0.0
+            if on.any():
+                j_noise[g] = None if on.all() else on
+    return _Run(lo=slices[members[0]][0], hi=slices[members[-1]][1], pop=columns,
+                pairs=pairs, j_noise=j_noise)
+
+
 @dataclass
 class _Plan:
     pops: list[PopulationParams]
@@ -305,12 +396,9 @@ class _Plan:
     slices: list[tuple[int, int]]
     n_cols: int
     conductance: Conductance
-    v_rev: np.ndarray    # (P, P) target x source
-    j_mean: np.ndarray
-    sigma_j: np.ndarray
-    cir: list[list[CirParams]] | None
+    runs: list[_Run]
+    sigmoid: SimpleNamespace   # every column's sigmoid parameters
     any_hh: bool
-    any_fhn: bool
     components: list[int]
     init_laws: list[InitialLaw]
     dt: float
@@ -320,51 +408,25 @@ class _Plan:
 
 def _make_plan(config: NetworkConfig) -> _Plan:
     pops = [p for p, _ in config.populations]
-    labels = config.labels
     P = len(pops)
-    v_rev = np.zeros((P, P))
-    j_mean = np.zeros((P, P))
-    sigma_j = np.zeros((P, P))
-    cir: list[list[CirParams]] | None = None
-    for a, la in enumerate(labels):
-        for g, lg in enumerate(labels):
-            pair = config.pairs[(la, lg)]
-            v_rev[a, g] = pair.v_rev
-            j_mean[a, g] = pair.j_mean
-            sigma_j[a, g] = pair.sigma_j
-    sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
-    if sign_preserving:
-        cir = [
-            [
-                CirParams(
-                    theta=config.pairs[(la, lg)].theta,
-                    j_mean=config.pairs[(la, lg)].j_mean,
-                    sigma_j=config.pairs[(la, lg)].sigma_j,
-                )
-                for lg in labels
-            ]
-            for la in labels
-        ]
+    runs = [_make_run(config, list(members))
+            for _, members in groupby(range(P), key=lambda a: pops[a].is_hh)]
     any_hh = any(p.is_hh for p in pops)
-    any_fhn = any(not p.is_hh for p in pops)
     comps = [int(Component.V), int(Component.Y)]
     if any_hh:
         comps += [int(Component.GATE_N), int(Component.GATE_M), int(Component.GATE_H)]
     comps += [Component.j(g) for g in range(P)]
     return _Plan(
         pops=pops,
-        labels=labels,
+        labels=config.labels,
         slices=config.population_slices(),
         n_cols=config.total_neurons,
         conductance=config.conductance,
-        v_rev=v_rev,
-        j_mean=j_mean,
-        sigma_j=sigma_j,
-        cir=cir,
+        runs=runs,
+        sigmoid=_columns([p.sigmoid for p in pops], config.sizes, ("c_max", "lam", "v_half")),
         any_hh=any_hh,
-        any_fhn=any_fhn,
         components=comps,
-        init_laws=[config.init[l] for l in labels],
+        init_laws=[config.init[l] for l in config.labels],
         dt=config.grid.dt,
         sqrt_dt=math.sqrt(config.grid.dt) if config.grid.n_steps else 0.0,
         n_steps=config.grid.n_steps,
@@ -419,65 +481,76 @@ def _draw_initial(plan: _Plan, noise: BlockNoise, path_ids: Sequence[int]) -> Ne
     return st
 
 
+_GATE_COMPONENTS = (Component.GATE_N, Component.GATE_M, Component.GATE_H)
+
+
+def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, ybars: list, draws: dict[int, np.ndarray],
+                 t: float) -> dict[str, np.ndarray]:
+    """The run's new v, y and w or gates: one model call per field over all its columns."""
+    dt, sqrt_dt = plan.dt, plan.sqrt_dt
+    lo, hi, pop = run.lo, run.hi, run.pop
+    vs = st.v[:, lo:hi]
+    ys = st.y[:, lo:hi]
+    if pop.is_hh:
+        q = (st.n[:, lo:hi], st.m[:, lo:hi], st.h[:, lo:hi])
+    else:
+        q = st.w[:, lo:hi]
+    drift_v = eval_membrane_drift(pop, t, vs, q)
+    noise_v = pop.sigma_v * draws[int(Component.V)][:, lo:hi]
+    for g, pair in enumerate(run.pairs):
+        dv = vs - pair.v_rev
+        if plan.conductance is Conductance.SIGN_PRESERVING:
+            drift_v -= dv * st.j[:, lo:hi, g] * ybars[g]
+        else:
+            drift_v -= dv * pair.j_mean * ybars[g]
+            if g in run.j_noise:
+                noised = noise_v - dv * pair.sigma_j * ybars[g] * draws[Component.j(g)][:, lo:hi]
+                mask = run.j_noise[g]
+                noise_v = noised if mask is None else np.where(mask, noised, noise_v)
+    out = {"v": vs + drift_v * dt + noise_v * sqrt_dt}
+
+    dy, sy = synapse_fields(pop, vs, ys)
+    out["y"] = step_euler_confined(ys, dy, sy, dt, draws[int(Component.Y)][:, lo:hi] * sqrt_dt)
+
+    if pop.is_hh:
+        v_eff = clamp_gate_voltage(pop.gates, vs)
+        for gate, comp, xs in zip(GATES, _GATE_COMPONENTS, q):
+            dx, sx = gate_fields(pop.gates, gate, v_eff, xs, pop.cutoff)
+            out[gate] = step_euler_confined(xs, dx, sx, dt, draws[int(comp)][:, lo:hi] * sqrt_dt)
+    else:
+        out["w"] = q + recovery_drift(pop.membrane, vs, q) * dt
+    return out
+
+
 def _advance(plan: _Plan, st: NeuronStates, ybar: np.ndarray, draws: dict[int, np.ndarray],
              t: float, update_j: bool = True) -> NeuronStates:
-    """One Euler step of every column.
+    """One Euler step of every column, one pass per run of same-variant populations.
 
     ybar holds the interaction aggregates, shape (P,) for a deterministic
     curve or (B, P) for empirical per-path means; it broadcasts against
     the (B, block) state slices either way.
     """
-    dt, sqrt_dt = plan.dt, plan.sqrt_dt
-    sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
-    out = NeuronStates(
-        v=np.empty_like(st.v), y=np.empty_like(st.y),
-        w=st.w.copy() if plan.any_fhn else st.w,
-        n=st.n.copy() if plan.any_hh else st.n,
-        m=st.m.copy() if plan.any_hh else st.m,
-        h=st.h.copy() if plan.any_hh else st.h,
-        j=np.empty_like(st.j) if (st.j is not None and update_j) else st.j,
-    )
     ybar = np.asarray(ybar)
-    for a, (lo, hi) in enumerate(plan.slices):
-        pop = plan.pops[a]
-        vs = st.v[:, lo:hi]
-        ys = st.y[:, lo:hi]
-        if pop.is_hh:
-            q = (st.n[:, lo:hi], st.m[:, lo:hi], st.h[:, lo:hi])
+    ybars = [ybar[..., g, None] if ybar.ndim == 2 else ybar[g] for g in range(len(plan.pops))]
+    parts = [_advance_run(plan, run, st, ybars, draws, t) for run in plan.runs]
+    fields = {}
+    for name in ("v", "y", "w", "n", "m", "h"):
+        if len(parts) == 1:
+            fields[name] = parts[0].get(name, getattr(st, name))
         else:
-            q = st.w[:, lo:hi]
-        drift_v = np.asarray(eval_membrane_drift(pop, t, vs, q), dtype=float).copy()
-        noise_v = pop.sigma_v * draws[int(Component.V)][:, lo:hi]
-        for g in range(len(plan.pops)):
-            ybg = ybar[..., g, None] if ybar.ndim == 2 else ybar[g]
-            dv = vs - plan.v_rev[a, g]
-            if sign_preserving:
-                drift_v -= dv * st.j[:, lo:hi, g] * ybg
-            else:
-                drift_v -= dv * plan.j_mean[a, g] * ybg
-                if plan.sigma_j[a, g] != 0.0:
-                    noise_v = noise_v - dv * plan.sigma_j[a, g] * ybg * draws[Component.j(g)][:, lo:hi]
-        out.v[:, lo:hi] = vs + drift_v * dt + noise_v * sqrt_dt
-
-        dy, sy = synapse_fields(pop, vs, ys)
-        out.y[:, lo:hi] = step_euler_confined(ys, dy, sy, dt, draws[int(Component.Y)][:, lo:hi] * sqrt_dt)
-
-        if pop.is_hh:
-            for gate, comp in (("n", Component.GATE_N), ("m", Component.GATE_M), ("h", Component.GATE_H)):
-                xs = getattr(st, gate)[:, lo:hi]
-                dx, sx = gate_fields(pop.gates, gate, vs, xs, pop.cutoff)
-                getattr(out, gate)[:, lo:hi] = step_euler_confined(
-                    xs, dx, sx, dt, draws[int(comp)][:, lo:hi] * sqrt_dt
-                )
-        else:
-            out.w[:, lo:hi] = st.w[:, lo:hi] + recovery_drift(pop.membrane, vs, st.w[:, lo:hi]) * dt
-
-        if sign_preserving and update_j:
-            for g in range(len(plan.pops)):
-                out.j[:, lo:hi, g] = step_cir(
-                    st.j[:, lo:hi, g], plan.cir[a][g], dt, draws[Component.j(g)][:, lo:hi] * sqrt_dt
-                )
-    return out
+            # columns of a run without this component keep their values
+            fields[name] = np.concatenate(
+                [part.get(name, getattr(st, name)[:, run.lo:run.hi])
+                 for run, part in zip(plan.runs, parts)], axis=1)
+    j = st.j
+    if j is not None and update_j:
+        j = np.empty_like(st.j)
+        for run in plan.runs:
+            lo, hi = run.lo, run.hi
+            for g, pair in enumerate(run.pairs):
+                j[:, lo:hi, g] = step_cir(st.j[:, lo:hi, g], pair, plan.dt,
+                                          draws[Component.j(g)][:, lo:hi] * plan.sqrt_dt)
+    return NeuronStates(**fields, j=j)
 
 
 def network_noise(config: NetworkConfig, path_ids: Sequence[int]) -> BlockNoise:
@@ -494,11 +567,42 @@ def draw_initial_states(config: NetworkConfig, path_ids: Sequence[int]) -> Neuro
     return _draw_initial(plan, network_noise(config, path_ids), path_ids)
 
 
+def _component_name(c: int, labels: list[str]) -> str:
+    if c >= Component.J_BASE:
+        return f"{c} (conductance noise from source {labels[c - Component.J_BASE]!r})"
+    return f"{c} ({Component(c).name})"
+
+
 def _step_network(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
                   draws: dict[int, np.ndarray], t: float, variant: Conductance) -> NeuronStates:
     if config.conductance is not variant:
         raise ConfigError([f"configuration uses the {config.conductance.value} variant"])
-    return _advance(_make_plan(config), states, np.asarray(sums, dtype=float), draws, t)
+    config.validate_or_raise()
+    plan = _make_plan(config)
+    N, P = plan.n_cols, len(plan.pops)
+    B = np.shape(states.v)[0] if np.ndim(states.v) == 2 else None
+    for name in ("v", "y", "w", "n", "m", "h"):
+        shape = np.shape(getattr(states, name))
+        if B is None or shape != (B, N):
+            raise ValueError(f"states.{name}: shape {shape}, expected (paths, {N}) "
+                             f"like states.v, with {N} neuron columns")
+    if variant is Conductance.SIMPLE and states.j is not None:
+        raise ValueError("states.j: the simple variant carries no conductance state")
+    if variant is Conductance.SIGN_PRESERVING and np.shape(states.j) != (B, N, P):
+        raise ValueError(f"states.j: shape {np.shape(states.j)}, expected ({B}, {N}, {P})")
+    sums = np.asarray(sums, dtype=float)
+    if sums.shape not in ((P,), (B, P)):
+        raise ValueError(f"sums: shape {sums.shape}, expected ({P},) for one curve value "
+                         f"or ({B}, {P}) for per-path means of {P} populations")
+    missing = [c for c in plan.components if c not in draws]
+    if missing:
+        raise ValueError("draws: missing component(s) "
+                         + ", ".join(_component_name(c, plan.labels) for c in missing))
+    for c in plan.components:
+        if np.shape(draws[c]) != (B, N):
+            raise ValueError(f"draws[{_component_name(c, plan.labels)}]: shape "
+                             f"{np.shape(draws[c])}, expected ({B}, {N})")
+    return _advance(plan, states, sums, draws, t)
 
 
 def step_network_simple(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
@@ -582,9 +686,11 @@ class _NodeStats:
         self._nodes_seen = 0
 
     def accumulate(self, st: NeuronStates, node: int) -> None:
+        s = eval_sigmoid(self.plan.sigmoid, st.v)
         for a, (lo, hi) in enumerate(self.plan.slices):
             ys = st.y[:, lo:hi]
-            ss = np.asarray(eval_sigmoid(self.plan.pops[a].sigmoid, st.v[:, lo:hi]))
+            # a contiguous copy sums in the same order as a per-population evaluation
+            ss = np.ascontiguousarray(s[:, lo:hi])
             if node == 0:
                 self.count[a] += ys.size
             self.sums["y"][a, node] += ys.sum()
@@ -628,8 +734,13 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     A `drive` instead supplies the (P,) interaction of step k through
     `drive.interaction(k, stats)`, reading the node statistics gathered so
     far; it needs `n_paths == 1` (one batch) and `collect_node_stats`.
-    Results are a pure function of (config, path indices): batching,
-    worker count, and buffer sizes cannot change a single bit.  Without a
+    Each step makes one pass per run of adjacent populations that share a
+    membrane variant, evaluating every field in one call over all the
+    run's columns with per-column parameters; the operations are the
+    elementwise ones of a population-by-population step, in the same
+    order.  Results are a pure function of (config, path indices):
+    batching, worker count, and buffer sizes cannot change a single bit.
+    Without a
     curve or drive the paths are network paths, whose ids must stay below
     `MEANFIELD_PATH_BASE`.
     """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,8 +56,4 @@ def simulate_paths(config: NetworkConfig, n_paths: int, workers: int | None = No
         los = [p.extremes[name][0] for p in parts]
         his = [p.extremes[name][1] for p in parts]
         extremes[name] = (min(los), max(his))
-    return PathEnsemble(
-        times=first.times, store_steps=first.store_steps, labels=first.labels,
-        pop_of=first.pop_of, data=data, j=j, seed=first.seed,
-        config_hash=first.config_hash, extremes=extremes,
-    )
+    return replace(first, data=data, j=j, extremes=extremes)

@@ -297,6 +297,26 @@ def test_cli_error_reporting_is_complete(tmp_path):
     assert "decay_rate" in res.stderr and "sigma_v" in res.stderr
 
 
+def test_cli_rejects_non_finite_numbers_by_field(tmp_path):
+    # json.loads accepts NaN and Infinity; each must be refused at parse time
+    d = tiny_spec_dict(config=config_to_dict(hh_two_pop(n_per_pop=2, n_steps=10, t_end=0.1)))
+    pops = d["config"]["populations"]
+    pops[0]["membrane"]["g_na"] = float("inf")
+    pops[0]["init"]["v"]["mean"] = float("nan")
+    pops[1]["gates"]["clamp_v"] = float("-inf")
+    d["config"]["pairs"]["exc->inh"]["theta"] = float("inf")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert "NaN" in path.read_text() and "Infinity" in path.read_text()
+    res = run_cli(["simulate", "--spec", str(path), "--out", "x"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    for field in ("config.populations[0].membrane.g_na", "config.populations[0].init.v.mean",
+                  "config.populations[1].gates.clamp_v", "config.pairs['exc->inh'].theta"):
+        assert f"{field}: must be finite" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # golden artifacts (schema stability)
 

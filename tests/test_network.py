@@ -1,6 +1,7 @@
 """The interacting-network engine: structure, determinism, couplings."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,12 +9,17 @@ import scipy.stats
 
 from neuromf.errors import ConfigError
 from neuromf.model import (
+    GATES,
+    CurrentSpec,
     FhnMembrane,
+    GateRates,
+    HhMembrane,
     PairParams,
     PopulationParams,
     SigmoidParams,
     CutoffSpec,
     eval_membrane_drift,
+    gate_fields,
     recovery_drift,
     synapse_fields,
 )
@@ -23,14 +29,19 @@ from neuromf.network import (
     Dist,
     InitialLaw,
     NetworkConfig,
+    NeuronStates,
     coupled_distance_paths,
+    draw_initial_states,
+    network_noise,
     population_sums,
     simulate,
+    step_network_sign_preserving,
+    step_network_simple,
 )
 from neuromf.parallel import simulate_paths
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import BlockNoise, Component
-from neuromf.stepping import TimeGrid
+from neuromf.stepping import CirParams, TimeGrid, step_cir, step_euler_confined
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +125,23 @@ def test_batch_size_does_not_change_results():
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
 
 
+def _same_value(x, y) -> bool:
+    if isinstance(x, dict):
+        return isinstance(y, dict) and x.keys() == y.keys() and all(_same_value(x[k], y[k]) for k in x)
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and np.array_equal(x, y)
+    return x == y
+
+
 def test_worker_count_does_not_change_results():
     cfg = fhn_two_pop(n_steps=50, t_end=0.5)
     a = simulate_paths(cfg, 4, workers=1)
     b = simulate_paths(cfg, 4, workers=4)
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
     assert a.extremes == b.extremes
+    # every field, so that a field added later cannot be dropped
+    for f in fields(a):
+        assert _same_value(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 def test_thinning_keeps_endpoints():
@@ -394,3 +416,195 @@ def test_step_network_variant_guard():
     noise = network_noise(cfg, [0])
     with pytest.raises(ConfigError):
         step_network_simple(cfg, st, np.zeros(2), noise.step(0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the engine step against a per-population reference step
+
+
+def _reference_step(cfg: NetworkConfig, st: NeuronStates, ybar, draws, t: float) -> NeuronStates:
+    """One Euler step, population by population, from the public kernels.
+
+    Every coefficient is evaluated once per population slice with that
+    population's scalar parameters; the engine must reproduce it bit for bit.
+    """
+    dt = cfg.grid.dt
+    sqrt_dt = math.sqrt(dt)
+    sign_preserving = cfg.conductance is Conductance.SIGN_PRESERVING
+    out = {name: getattr(st, name).copy() for name in ("v", "y", "w", "n", "m", "h")}
+    j = None if st.j is None else st.j.copy()
+    ybar = np.asarray(ybar)
+    gate_comps = (Component.GATE_N, Component.GATE_M, Component.GATE_H)
+    for a, ((pop, _), (lo, hi)) in enumerate(zip(cfg.populations, cfg.population_slices())):
+        vs, ys = st.v[:, lo:hi], st.y[:, lo:hi]
+        q = tuple(getattr(st, x)[:, lo:hi] for x in GATES) if pop.is_hh else st.w[:, lo:hi]
+        drift_v = np.array(eval_membrane_drift(pop, t, vs, q), dtype=float)
+        noise_v = pop.sigma_v * draws[int(Component.V)][:, lo:hi]
+        for g, lg in enumerate(cfg.labels):
+            pair = cfg.pairs[(pop.label, lg)]
+            ybg = ybar[..., g, None] if ybar.ndim == 2 else ybar[g]
+            dv = vs - pair.v_rev
+            if sign_preserving:
+                drift_v -= dv * st.j[:, lo:hi, g] * ybg
+            else:
+                drift_v -= dv * pair.j_mean * ybg
+                if pair.sigma_j != 0.0:
+                    noise_v = noise_v - dv * pair.sigma_j * ybg * draws[Component.j(g)][:, lo:hi]
+        out["v"][:, lo:hi] = vs + drift_v * dt + noise_v * sqrt_dt
+        dy, sy = synapse_fields(pop, vs, ys)
+        out["y"][:, lo:hi] = step_euler_confined(ys, dy, sy, dt, draws[int(Component.Y)][:, lo:hi] * sqrt_dt)
+        if pop.is_hh:
+            v_eff = np.clip(vs, -pop.gates.clamp_v, pop.gates.clamp_v)
+            for gate, comp in zip(GATES, gate_comps):
+                xs = getattr(st, gate)[:, lo:hi]
+                dx, sx = gate_fields(pop.gates, gate, v_eff, xs, pop.cutoff)
+                out[gate][:, lo:hi] = step_euler_confined(xs, dx, sx, dt, draws[int(comp)][:, lo:hi] * sqrt_dt)
+        else:
+            ws = st.w[:, lo:hi]
+            out["w"][:, lo:hi] = ws + recovery_drift(pop.membrane, vs, ws) * dt
+        if sign_preserving:
+            for g, lg in enumerate(cfg.labels):
+                pair = cfg.pairs[(pop.label, lg)]
+                cir = CirParams(theta=pair.theta, j_mean=pair.j_mean, sigma_j=pair.sigma_j)
+                j[:, lo:hi, g] = step_cir(st.j[:, lo:hi, g], cir, dt, draws[Component.j(g)][:, lo:hi] * sqrt_dt)
+    return NeuronStates(**out, j=j)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    # compares signed zeros and NaN payloads too, unlike array_equal
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _assert_same_state(got: NeuronStates, want: NeuronStates) -> None:
+    for name in ("v", "y", "w", "n", "m", "h"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+    if want.j is None:
+        assert got.j is None
+    else:
+        assert np.array_equal(_bits(got.j), _bits(want.j)), "j"
+
+
+def _as_simple(cfg: NetworkConfig) -> NetworkConfig:
+    from dataclasses import replace
+    init = {l: InitialLaw(v=law.v, y=law.y, w=law.w, n=law.n, m=law.m, h=law.h)
+            for l, law in cfg.init.items()}
+    return replace(cfg, conductance=Conductance.SIMPLE, init=init)
+
+
+def _mixed_fhn_hh_fhn() -> NetworkConfig:
+    # three runs of columns: FHN, HH, FHN, each population with its own
+    # parameters, and a current pulse that switches on inside the window
+    fhn_a = PopulationParams(
+        label="fa", membrane=FhnMembrane(a=0.7, b=0.8, c=0.08), sigma_v=0.2, rise_rate=1.1,
+        decay_rate=0.19, sigmoid=SigmoidParams(c_max=1.0, lam=4.0, v_half=0.0), cutoff=CutoffSpec())
+    hh = PopulationParams(
+        label="hh", membrane=HhMembrane(i_ext=CurrentSpec(kind="pulse", amplitude=9.0, base=2.0,
+                                                          t_on=0.02, t_off=0.05)),
+        sigma_v=1.0, rise_rate=0.9, decay_rate=0.25,
+        sigmoid=SigmoidParams(c_max=0.8, lam=0.2, v_half=-40.0),
+        cutoff=CutoffSpec(support_lo=0.02, support_hi=0.97, ramp=0.05),
+        gates=GateRates(clamp_lo=2e-3, clamp_hi=50.0, clamp_v=90.0))
+    fhn_c = PopulationParams(
+        label="fc", membrane=FhnMembrane(a=0.6, b=0.9, c=0.1), sigma_v=0.3, rise_rate=1.3,
+        decay_rate=0.15, sigmoid=SigmoidParams(c_max=1.0, lam=2.0, v_half=-1.0), cutoff=CutoffSpec())
+    labels = ["fa", "hh", "fc"]
+    v_rev = {"fa": 1.5, "hh": -2.5, "fc": 2.0}
+    pairs = {}
+    for i, a in enumerate(labels):
+        for k, g in enumerate(labels):
+            scale = 60.0 if a == "hh" else 1.0  # HH potentials are in mV, FHN ones O(1)
+            pairs[(a, g)] = PairParams(v_rev=scale * v_rev[g], j_mean=0.1 + 0.05 * (i + k),
+                                       sigma_j=0.05 * (1 + i), theta=0.4 + 0.1 * k)
+    jm = {g: 0.2 for g in labels}
+
+    def fhn_law() -> InitialLaw:
+        return InitialLaw(v=Dist.normal(-1.2, 0.2), y=Dist.uniform(0.05, 0.25),
+                          w=Dist.normal(-0.62, 0.1), j={g: Dist.uniform(0.1, 0.3) for g in labels})
+
+    hh_law = InitialLaw(v=Dist.normal(-65.0, 2.0), y=Dist.uniform(0.05, 0.15),
+                        n=Dist.uniform(0.27, 0.37), m=Dist.uniform(0.02, 0.09),
+                        h=Dist.uniform(0.55, 0.65), j={g: Dist.const(jm[g]) for g in labels})
+    return NetworkConfig(
+        populations=[(fhn_a, 3), (hh, 2), (fhn_c, 4)], pairs=pairs,
+        conductance=Conductance.SIGN_PRESERVING, grid=TimeGrid(t_end=0.08, n_steps=8),
+        seed=31, init={"fa": fhn_law(), "hh": hh_law, "fc": fhn_law()})
+
+
+def _engine_cases():
+    for name, cfg in (
+        ("fhn", fhn_two_pop(n_per_pop=3, n_steps=8, t_end=0.08)),
+        ("hh", hh_two_pop(n_per_pop=3, n_steps=8, t_end=0.08)),
+        ("mixed", _mixed_fhn_hh_fhn()),
+    ):
+        yield pytest.param(cfg, id=f"{name}-sign_preserving")
+        yield pytest.param(_as_simple(cfg), id=f"{name}-simple")
+
+
+@pytest.mark.parametrize("cfg", list(_engine_cases()))
+def test_engine_step_matches_per_population_reference(cfg):
+    step = (step_network_sign_preserving if cfg.conductance is Conductance.SIGN_PRESERVING
+            else step_network_simple)
+    ids = [0, 1, 2]
+    st = draw_initial_states(cfg, ids)
+    noise = network_noise(cfg, ids)
+    times = cfg.grid.times()
+    curve = np.linspace(0.1, 0.4, len(cfg.populations))
+    for k in range(cfg.grid.n_steps):
+        draws = noise.step(k)
+        # a deterministic curve value, then the empirical per-path means
+        _assert_same_state(step(cfg, st, curve, draws, times[k]),
+                           _reference_step(cfg, st, curve, draws, times[k]))
+        sums = population_sums(st.y, cfg.population_slices())
+        got = step(cfg, st, sums, draws, times[k])
+        _assert_same_state(got, _reference_step(cfg, st, sums, draws, times[k]))
+        assert np.isfinite(got.v).all()
+        st = got
+
+
+def test_simple_variant_pair_without_conductance_noise_adds_no_term():
+    # pairs into "exc" carry no conductance noise, pairs into "inh" do;
+    # poisoning the conductance draws of the "exc" columns with NaN shows
+    # that no term, not even 0 * NaN, reaches them
+    from dataclasses import replace
+    base = fhn_two_pop(n_per_pop=3, n_steps=4, t_end=0.04, conductance=Conductance.SIMPLE)
+    pairs = {(a, g): replace(p, sigma_j=0.0 if a == "exc" else 0.2) for (a, g), p in base.pairs.items()}
+    cfg = replace(base, pairs=pairs)
+    st = draw_initial_states(cfg, [0, 1])
+    noise = network_noise(cfg, [0, 1])
+    times = cfg.grid.times()
+    lo, hi = cfg.population_slices()[0]
+    for k in range(cfg.grid.n_steps):
+        draws = {c: d.copy() for c, d in noise.step(k).items()}
+        for g in range(2):
+            draws[Component.j(g)][:, lo:hi] = np.nan
+        sums = population_sums(st.y, cfg.population_slices())
+        got = step_network_simple(cfg, st, sums, draws, times[k])
+        _assert_same_state(got, _reference_step(cfg, st, sums, draws, times[k]))
+        assert np.isfinite(got.v).all()
+        st = got
+
+
+def test_step_network_rejects_malformed_inputs():
+    from dataclasses import replace
+
+    cfg = fhn_two_pop(n_per_pop=3, n_steps=2, t_end=0.02)
+    st = draw_initial_states(cfg, [0, 1])
+    draws = network_noise(cfg, [0, 1]).step(0)
+    sums = population_sums(st.y, cfg.population_slices())
+    broken = replace(cfg, pairs={k: p for k, p in cfg.pairs.items() if k != ("exc", "inh")})
+    with pytest.raises(ConfigError, match=r"pairs\['exc'->'inh'\]"):
+        step_network_sign_preserving(broken, st, sums, draws, 0.0)
+    with pytest.raises(ValueError, match=r"sums: shape \(3,\), expected \(2,\)"):
+        step_network_sign_preserving(cfg, st, np.zeros(3), draws, 0.0)
+    with pytest.raises(ValueError, match=r"sums: shape \(3, 2\)"):
+        step_network_sign_preserving(cfg, st, np.zeros((3, 2)), draws, 0.0)
+    short = {c: d for c, d in draws.items() if c != Component.j(1)}
+    with pytest.raises(ValueError, match="draws: missing component.*'inh'"):
+        step_network_sign_preserving(cfg, st, sums, short, 0.0)
+    narrow = {**draws, int(Component.Y): draws[int(Component.Y)][:, :4]}
+    with pytest.raises(ValueError, match=r"draws\[1 \(Y\)\]: shape \(2, 4\), expected \(2, 6\)"):
+        step_network_sign_preserving(cfg, st, sums, narrow, 0.0)
+    with pytest.raises(ValueError, match=r"states.j: shape \(2, 6\)"):
+        step_network_sign_preserving(cfg, replace(st, j=st.j[..., 0]), sums, draws, 0.0)
+    # the well-formed inputs still step
+    assert step_network_sign_preserving(cfg, st, sums, draws, 0.0).v.shape == (2, 6)
