@@ -354,7 +354,6 @@ def _quiet_single_pop():
     # transmitter release exactly zero at rest: the sigmoid underflows to 0.0
     # for voltages this far below its midpoint
     import scipy.optimize
-    from neuromf.network import draw_initial_states, network_noise
 
     mem = FhnMembrane(a=0.7, b=0.8, c=0.08)
     v_star = scipy.optimize.brentq(
@@ -377,8 +376,6 @@ def _quiet_single_pop():
 
 
 def test_step_network_deterministic_fixed_point():
-    from neuromf.network import draw_initial_states, network_noise, step_network_sign_preserving
-
     cfg, v_star, w_star = _quiet_single_pop()
     st = draw_initial_states(cfg, [0])
     noise = network_noise(cfg, [0])
@@ -393,8 +390,6 @@ def test_step_network_deterministic_fixed_point():
 
 
 def test_step_network_matches_engine():
-    from neuromf.network import draw_initial_states, network_noise, step_network_sign_preserving
-
     cfg = fhn_two_pop(n_steps=3, t_end=0.03, thin=1)
     ens = simulate(cfg, n_paths=2)
     st = draw_initial_states(cfg, [0, 1])
@@ -409,8 +404,6 @@ def test_step_network_matches_engine():
 
 
 def test_step_network_variant_guard():
-    from neuromf.network import draw_initial_states, network_noise, step_network_simple
-
     cfg = fhn_two_pop(n_steps=2, t_end=0.02)
     st = draw_initial_states(cfg, [0])
     noise = network_noise(cfg, [0])
