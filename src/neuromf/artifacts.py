@@ -1,4 +1,4 @@
-"""File artifacts: provenance-stamped CSV tables and compact binary dumps.
+"""File artifacts: provenance-stamped CSV tables and uncompressed binary dumps.
 
 Every file starts with `# key=value` comment lines carrying at least the
 config hash and the seed.  Downstream commands refuse inputs whose hash
@@ -92,7 +92,7 @@ def write_ensemble_npz(ens: PathEnsemble, path: Path) -> None:
     payload = {f"data_{k}": v for k, v in ens.data.items()}
     if ens.j is not None:
         payload["j"] = ens.j
-    np.savez_compressed(
+    np.savez(
         path, times=ens.times, store_steps=ens.store_steps, pop_of=ens.pop_of,
         meta=json.dumps({"config_hash": ens.config_hash, "seed": ens.seed,
                          "labels": ens.labels}),
