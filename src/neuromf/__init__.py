@@ -31,10 +31,6 @@ from .model import (
     eval_gate_rates,
     eval_membrane_drift,
     eval_sigmoid,
-    gate_diffusion,
-    gate_drift,
-    synapse_diffusion,
-    synapse_drift,
 )
 from .network import (
     Conductance,
@@ -47,11 +43,10 @@ from .network import (
     network_noise,
     population_sums,
     simulate,
-    step_network_sign_preserving,
-    step_network_simple,
+    step_network,
 )
-from .rng import Component, RngStreamKey, gaussian_increments
-from .stepping import CirParams, TimeGrid, step_cir, step_euler_confined, step_euler_free
+from .rng import Component
+from .stepping import CirParams, TimeGrid, step_cir, step_euler_confined
 
 __version__ = "0.1.0"
 
@@ -59,14 +54,11 @@ __all__ = [
     "CirParams", "Component", "ConfigError", "Conductance", "CouplingReport",
     "CouplingRun", "CurrentSpec", "CutoffSpec", "Dist", "FhnMembrane", "GateRates",
     "HhMembrane", "InitialLaw", "MeanCurve", "MeanFieldSolution", "NetworkConfig",
-    "PairParams", "PathEnsemble", "PopulationParams", "RngStreamKey", "SigmoidParams",
-    "SimulationDiverged", "TimeGrid", "VariantMismatchError", "estimate_distance",
-    "estimate_ms", "eval_cutoff", "eval_gate_rates", "eval_membrane_drift",
-    "eval_sigmoid", "fit_rate", "gate_diffusion", "gate_drift", "gaussian_increments",
-    "NeuronStates", "draw_initial_states", "network_noise",
-    "population_sums", "run_coupled", "simulate", "simulate_limit_given_ybar",
-    "step_network_sign_preserving", "step_network_simple",
-    "solve_causal", "solve_fixed_point", "step_cir", "step_euler_confined", "step_euler_free",
-    "sweep", "synapse_diffusion", "synapse_drift", "wasserstein2_marginal",
-    "ybar_from_ms",
+    "NeuronStates", "PairParams", "PathEnsemble", "PopulationParams", "SigmoidParams",
+    "SimulationDiverged", "TimeGrid", "VariantMismatchError", "draw_initial_states",
+    "estimate_distance", "estimate_ms", "eval_cutoff", "eval_gate_rates",
+    "eval_membrane_drift", "eval_sigmoid", "fit_rate", "network_noise", "population_sums",
+    "run_coupled", "simulate", "simulate_limit_given_ybar", "solve_causal",
+    "solve_fixed_point", "step_cir", "step_euler_confined", "step_network", "sweep",
+    "wasserstein2_marginal", "ybar_from_ms",
 ]

@@ -19,22 +19,14 @@ import numpy as np
 import scipy.special
 
 from .errors import ConfigError
-from .meanfield import MeanCurve, MeanFieldSolution, solve_causal, wasserstein2_marginal
-from .network import CoupledPaths, NetworkConfig, coupled_distance_paths, simulate
-
-
-@dataclass
-class CouplingRun:
-    """Per-path sup-distance samples of one coupled run at one network size."""
-
-    n_total: int
-    labels: list[str]
-    proportions: list[float]
-    representatives: list[int]
-    sup_sq: np.ndarray                  # (n_paths,)
-    comp_sup_sq: dict[str, np.ndarray]
-    max_gap_all: float
-    coupled: CoupledPaths | None = None  # terminal samples, when collected
+from .meanfield import (
+    MeanCurve,
+    MeanFieldSolution,
+    _ybar_on_grid,
+    solve_causal,
+    wasserstein2_marginal,
+)
+from .network import CouplingRun, NetworkConfig, coupled_distance_paths, simulate
 
 
 @dataclass
@@ -61,31 +53,15 @@ class CouplingReport:
 
 
 def run_coupled(config: NetworkConfig, ybar: MeanCurve | np.ndarray, n_paths: int,
-                *, representatives=None, path_offset: int = 0,
-                collect_terminal: bool = False) -> CouplingRun:
+                *, representatives=None, path_offset: int = 0) -> CouplingRun:
     """Simulate the coupled pair and collect per-path sup distances.
 
     `ybar` is the converged mean-proportion curve the limit copies follow;
     any fixed-point error in it biases every network size equally and so
     cancels from the N-trend the sweep reads.
     """
-    if isinstance(ybar, MeanCurve):
-        if len(ybar.times) != config.grid.n_steps + 1 or not np.allclose(
-                ybar.times, config.grid.times(), rtol=0, atol=1e-12):
-            raise ConfigError(["mean curve grid does not match the configuration grid"])
-        curve = ybar.y_bar
-    else:
-        curve = np.asarray(ybar, dtype=float)
-    res: CoupledPaths = coupled_distance_paths(
-        config, curve, n_paths, representatives=representatives,
-        path_offset=path_offset, collect_terminal=collect_terminal,
-    )
-    return CouplingRun(
-        n_total=config.total_neurons, labels=config.labels,
-        proportions=config.proportions(), representatives=res.representatives,
-        sup_sq=res.sup_sq, comp_sup_sq=res.comp_sup_sq, max_gap_all=res.max_gap_all,
-        coupled=res if collect_terminal else None,
-    )
+    return coupled_distance_paths(config, _ybar_on_grid(ybar, config.grid), n_paths,
+                                  representatives=representatives, path_offset=path_offset)
 
 
 def estimate_distance(run: CouplingRun) -> tuple[float, float]:

@@ -120,6 +120,16 @@ def estimate_ms(v_paths: np.ndarray, sigmoid: SigmoidParams) -> tuple[np.ndarray
     return mean, se
 
 
+def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The y_bar values of a curve; a `MeanCurve` must live on `grid`."""
+    if not isinstance(y_bar, MeanCurve):
+        return y_bar
+    if len(y_bar.times) != grid.n_steps + 1 or not np.allclose(
+            y_bar.times, grid.times(), rtol=0, atol=1e-12):
+        raise ConfigError(["mean curve grid does not match the configuration grid"])
+    return y_bar.y_bar
+
+
 def limit_config(config: NetworkConfig, m_copies: int, thin: int | None = None) -> NetworkConfig:
     """A copy-ensemble layout: the same populations, `m_copies` columns each."""
     from dataclasses import replace
@@ -137,16 +147,9 @@ def simulate_limit_given_ybar(y_bar: MeanCurve | np.ndarray, config: NetworkConf
     the interaction differs, reading the deterministic curve.  The curve
     must live on the configuration's grid.
     """
-    if isinstance(y_bar, MeanCurve):
-        if len(y_bar.times) != config.grid.n_steps + 1 or not np.allclose(
-                y_bar.times, config.grid.times(), rtol=0, atol=1e-12):
-            raise ConfigError(["mean curve grid does not match the configuration grid"])
-        curve = y_bar.y_bar
-    else:
-        curve = np.asarray(y_bar, dtype=float)
     lconf = limit_config(config, m_copies, thin)
-    return simulate(lconf, n_paths=1, path_offset=path_id, ybar_curve=curve,
-                    collect_node_stats=True)
+    return simulate(lconf, n_paths=1, path_offset=path_id,
+                    interaction=_ybar_on_grid(y_bar, config.grid), collect_node_stats=True)
 
 
 def _y0_means(config: NetworkConfig) -> np.ndarray:
@@ -251,7 +254,7 @@ def solve_causal(config: NetworkConfig, m_copies: int, tol: float, *,
     config.validate_or_raise()
     drive = _CausalDrive(config)
     ens = simulate(limit_config(config, m_copies, thin), n_paths=1,
-                   path_offset=MEANFIELD_PATH_BASE, collect_node_stats=True, drive=drive)
+                   path_offset=MEANFIELD_PATH_BASE, interaction=drive, collect_node_stats=True)
     curve = _curve_from_ensemble(ens, config)
     # the last node drives no step; its gap is at most the one before it
     r = float(np.max(np.abs(curve.y_bar[:, :-1] - drive.y_bar), initial=0.0))

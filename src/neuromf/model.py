@@ -286,14 +286,6 @@ def recovery_drift(m: FhnMembrane, v: Array, w: Array) -> Array:
     return m.c * (np.asarray(v, dtype=float) + m.a - m.b * np.asarray(w, dtype=float))
 
 
-def _synapse_fields_from_s(pop: PopulationParams, s: Array, y: Array) -> tuple[Array, Array]:
-    y = np.asarray(y, dtype=float)
-    release = pop.rise_rate * s * (1.0 - y)
-    drift = release - pop.decay_rate * y
-    rad = release + pop.decay_rate * y
-    return drift, np.sqrt(np.abs(rad)) * eval_cutoff(pop.cutoff, y)
-
-
 def synapse_fields(pop: PopulationParams, v: Array, y: Array) -> tuple[Array, Array]:
     """(drift, diffusion) of the available-transmitter proportion.
 
@@ -304,15 +296,12 @@ def synapse_fields(pop: PopulationParams, v: Array, y: Array) -> tuple[Array, Ar
     discrete step before projection; on [0, 1] the radicand is a convex
     combination of two positive rates, so it is never active there.
     """
-    return _synapse_fields_from_s(pop, eval_sigmoid(pop.sigmoid, v), y)
-
-
-def synapse_drift(pop: PopulationParams, v: Array, y: Array) -> Array:
-    return synapse_fields(pop, v, y)[0]
-
-
-def synapse_diffusion(pop: PopulationParams, v: Array, y: Array) -> Array:
-    return synapse_fields(pop, v, y)[1]
+    s = eval_sigmoid(pop.sigmoid, v)
+    y = np.asarray(y, dtype=float)
+    release = pop.rise_rate * s * (1.0 - y)
+    drift = release - pop.decay_rate * y
+    rad = release + pop.decay_rate * y
+    return drift, np.sqrt(np.abs(rad)) * eval_cutoff(pop.cutoff, y)
 
 
 def gate_fields(g: GateRates, gate: str, v_eff: Array, x: Array, cutoff: CutoffSpec) -> tuple[Array, Array]:
@@ -326,16 +315,6 @@ def gate_fields(g: GateRates, gate: str, v_eff: Array, x: Array, cutoff: CutoffS
     drift = rho * (1.0 - x) - zeta * x
     rad = rho * (1.0 - x) + zeta * x
     return drift, np.sqrt(np.abs(rad)) * eval_cutoff(cutoff, x)
-
-
-def gate_drift(g: GateRates, gate: str, v: Array, x: Array) -> Array:
-    rho, zeta = eval_gate_rates(g, gate, v)
-    x = np.asarray(x, dtype=float)
-    return rho * (1.0 - x) - zeta * x
-
-
-def gate_diffusion(g: GateRates, gate: str, v: Array, x: Array, cutoff: CutoffSpec) -> Array:
-    return gate_fields(g, gate, clamp_gate_voltage(g, v), x, cutoff)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +338,13 @@ def check_boundary_drift_signs(pop: PopulationParams, v_lo: float = -120.0, v_hi
     v = _grid(v_lo, v_hi, n_v)[:, None]
     below = np.array([-0.5, -1e-9, 0.0])[None, :]
     above = np.array([1.0, 1.0 + 1e-9, 1.5])[None, :]
-    ok = bool(np.all(synapse_drift(pop, v, below) >= 0.0) and np.all(synapse_drift(pop, v, above) <= 0.0))
+    ok = bool(np.all(synapse_fields(pop, v, below)[0] >= 0.0)
+              and np.all(synapse_fields(pop, v, above)[0] <= 0.0))
     if pop.gates is not None:
+        v_eff = clamp_gate_voltage(pop.gates, v)
         for gate in GATES:
-            ok = ok and bool(np.all(gate_drift(pop.gates, gate, v, below) >= 0.0))
-            ok = ok and bool(np.all(gate_drift(pop.gates, gate, v, above) <= 0.0))
+            ok = ok and bool(np.all(gate_fields(pop.gates, gate, v_eff, below, pop.cutoff)[0] >= 0.0))
+            ok = ok and bool(np.all(gate_fields(pop.gates, gate, v_eff, above, pop.cutoff)[0] <= 0.0))
     return CheckResult("boundary-drift-signs", ok, f"population {pop.label!r}, v in [{v_lo}, {v_hi}]")
 
 
@@ -372,10 +353,11 @@ def check_diffusion_support(pop: PopulationParams, v_lo: float = -120.0, v_hi: f
     """Diffusion vanishes identically for proportion state outside (0, 1)."""
     v = _grid(v_lo, v_hi, n_v)[:, None]
     outside = np.array([-1.0, -1e-12, 0.0, pop.cutoff.support_lo, pop.cutoff.support_hi, 1.0, 1.0 + 1e-12, 2.0])[None, :]
-    ok = bool(np.all(synapse_diffusion(pop, v, outside) == 0.0))
+    ok = bool(np.all(synapse_fields(pop, v, outside)[1] == 0.0))
     if pop.gates is not None:
+        v_eff = clamp_gate_voltage(pop.gates, v)
         for gate in GATES:
-            ok = ok and bool(np.all(gate_diffusion(pop.gates, gate, v, outside, pop.cutoff) == 0.0))
+            ok = ok and bool(np.all(gate_fields(pop.gates, gate, v_eff, outside, pop.cutoff)[1] == 0.0))
     return CheckResult("diffusion-support", ok, f"population {pop.label!r}")
 
 

@@ -399,14 +399,19 @@ class _Plan:
     runs: list[_Run]
     sigmoid: SimpleNamespace   # every column's sigmoid parameters
     any_hh: bool
+    any_fhn: bool
     components: list[int]
     init_laws: list[InitialLaw]
+    seed: int
+    times: np.ndarray
     dt: float
     sqrt_dt: float
     n_steps: int
 
 
 def _make_plan(config: NetworkConfig) -> _Plan:
+    """The validated configuration, laid out for the engine."""
+    config.validate_or_raise()
     pops = [p for p, _ in config.populations]
     P = len(pops)
     runs = [_make_run(config, list(members))
@@ -425,8 +430,11 @@ def _make_plan(config: NetworkConfig) -> _Plan:
         runs=runs,
         sigmoid=_columns([p.sigmoid for p in pops], config.sizes, ("c_max", "lam", "v_half")),
         any_hh=any_hh,
+        any_fhn=not all(p.is_hh for p in pops),
         components=comps,
         init_laws=[config.init[l] for l in config.labels],
+        seed=config.seed,
+        times=config.grid.times(),
         dt=config.grid.dt,
         sqrt_dt=math.sqrt(config.grid.dt) if config.grid.n_steps else 0.0,
         n_steps=config.grid.n_steps,
@@ -442,13 +450,6 @@ class NeuronStates:
     m: np.ndarray
     h: np.ndarray
     j: np.ndarray | None  # (B, n_cols, P)
-
-    def copy(self) -> "NeuronStates":
-        return NeuronStates(
-            v=self.v.copy(), y=self.y.copy(), w=self.w.copy(),
-            n=self.n.copy(), m=self.m.copy(), h=self.h.copy(),
-            j=None if self.j is None else self.j.copy(),
-        )
 
 
 def _draw_initial(plan: _Plan, noise: BlockNoise, path_ids: Sequence[int]) -> NeuronStates:
@@ -523,12 +524,14 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, ybars: list, draws: d
 
 
 def _advance(plan: _Plan, st: NeuronStates, ybar: np.ndarray, draws: dict[int, np.ndarray],
-             t: float, update_j: bool = True) -> NeuronStates:
+             t: float, j: np.ndarray | None = None) -> NeuronStates:
     """One Euler step of every column, one pass per run of same-variant populations.
 
     ybar holds the interaction aggregates, shape (P,) for a deterministic
     curve or (B, P) for empirical per-path means; it broadcasts against
-    the (B, block) state slices either way.
+    the (B, block) state slices either way.  A given `j` becomes the new
+    conductance state in place of a step of the old one: the limit copies
+    read the network's conductance paths.
     """
     ybar = np.asarray(ybar)
     ybars = [ybar[..., g, None] if ybar.ndim == 2 else ybar[g] for g in range(len(plan.pops))]
@@ -542,8 +545,7 @@ def _advance(plan: _Plan, st: NeuronStates, ybar: np.ndarray, draws: dict[int, n
             fields[name] = np.concatenate(
                 [part.get(name, getattr(st, name)[:, run.lo:run.hi])
                  for run, part in zip(plan.runs, parts)], axis=1)
-    j = st.j
-    if j is not None and update_j:
+    if j is None and st.j is not None:
         j = np.empty_like(st.j)
         for run in plan.runs:
             lo, hi = run.lo, run.hi
@@ -556,15 +558,12 @@ def _advance(plan: _Plan, st: NeuronStates, ybar: np.ndarray, draws: dict[int, n
 def network_noise(config: NetworkConfig, path_ids: Sequence[int]) -> BlockNoise:
     """The keyed increment source a step-by-step caller shares with `simulate`."""
     plan = _make_plan(config)
-    return BlockNoise(config.seed, list(path_ids), plan.components, plan.n_cols,
-                      config.grid.n_steps)
+    return BlockNoise(plan.seed, list(path_ids), plan.components, plan.n_cols, plan.n_steps)
 
 
 def draw_initial_states(config: NetworkConfig, path_ids: Sequence[int]) -> NeuronStates:
     """Initial state arrays of shape (len(path_ids), N), from the keyed laws."""
-    config.validate_or_raise()
-    plan = _make_plan(config)
-    return _draw_initial(plan, network_noise(config, path_ids), path_ids)
+    return _draw_initial(_make_plan(config), network_noise(config, path_ids), path_ids)
 
 
 def _component_name(c: int, labels: list[str]) -> str:
@@ -573,11 +572,16 @@ def _component_name(c: int, labels: list[str]) -> str:
     return f"{c} ({Component(c).name})"
 
 
-def _step_network(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
-                  draws: dict[int, np.ndarray], t: float, variant: Conductance) -> NeuronStates:
-    if config.conductance is not variant:
-        raise ConfigError([f"configuration uses the {config.conductance.value} variant"])
-    config.validate_or_raise()
+def step_network(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
+                 draws: dict[int, np.ndarray], t: float) -> NeuronStates:
+    """One Euler step of the network, in the conductance variant of `config`.
+
+    `sums` holds the per-population interaction aggregates, (P,) for a
+    deterministic curve value or (B, P) for empirical means; `draws` is
+    one step's worth of raw increments as produced by `network_noise`.
+    Inputs of the wrong shape, or states of the other variant, raise
+    `ValueError` naming the field.
+    """
     plan = _make_plan(config)
     N, P = plan.n_cols, len(plan.pops)
     B = np.shape(states.v)[0] if np.ndim(states.v) == 2 else None
@@ -586,9 +590,10 @@ def _step_network(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
         if B is None or shape != (B, N):
             raise ValueError(f"states.{name}: shape {shape}, expected (paths, {N}) "
                              f"like states.v, with {N} neuron columns")
-    if variant is Conductance.SIMPLE and states.j is not None:
-        raise ValueError("states.j: the simple variant carries no conductance state")
-    if variant is Conductance.SIGN_PRESERVING and np.shape(states.j) != (B, N, P):
+    if plan.conductance is Conductance.SIMPLE:
+        if states.j is not None:
+            raise ValueError("states.j: the simple variant carries no conductance state")
+    elif np.shape(states.j) != (B, N, P):
         raise ValueError(f"states.j: shape {np.shape(states.j)}, expected ({B}, {N}, {P})")
     sums = np.asarray(sums, dtype=float)
     if sums.shape not in ((P,), (B, P)):
@@ -603,23 +608,6 @@ def _step_network(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
             raise ValueError(f"draws[{_component_name(c, plan.labels)}]: shape "
                              f"{np.shape(draws[c])}, expected ({B}, {N})")
     return _advance(plan, states, sums, draws, t)
-
-
-def step_network_simple(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
-                        draws: dict[int, np.ndarray], t: float) -> NeuronStates:
-    """One Euler step of the white-noise-conductance network.
-
-    `sums` holds the per-population interaction aggregates, (P,) for a
-    deterministic curve value or (B, P) for empirical means; `draws` is
-    one step's worth of raw increments as produced by `network_noise`.
-    """
-    return _step_network(config, states, sums, draws, t, Conductance.SIMPLE)
-
-
-def step_network_sign_preserving(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
-                                 draws: dict[int, np.ndarray], t: float) -> NeuronStates:
-    """One Euler step of the network with mean-reverting nonnegative conductances."""
-    return _step_network(config, states, sums, draws, t, Conductance.SIGN_PRESERVING)
 
 
 def _check_network_path_ids(path_offset: int, n_paths: int) -> None:
@@ -640,6 +628,68 @@ def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> 
         f"non-finite membrane potential at step {k} (t = {t:.6g} ms), "
         f"path {path_ids[int(b)]}, neuron {int(col)}"
     )
+
+
+class _CurveDrive:
+    """Interaction read from a fixed deterministic curve, (P, n_steps + 1)."""
+
+    def __init__(self, curve: np.ndarray):
+        self.curve = curve
+
+    def interaction(self, k: int, stats: "_NodeStats | None") -> np.ndarray:
+        return self.curve[:, k]
+
+
+def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, observers: list,
+           max_batch_cols: int, stats: "_NodeStats | None" = None) -> None:
+    """The stepping loop: one system per interaction, advanced batch by batch.
+
+    An interaction is None (the system's own empirical means: its paths
+    are network paths, whose ids must stay below `MEANFIELD_PATH_BASE`), a
+    (P, n_steps + 1) curve, or a drive whose `interaction(k, stats)` reads
+    the node statistics `stats` gathered so far (one batch only).  All
+    systems share the initial draws and every increment; systems after the
+    first read the first one's conductance paths.  After the initial draw
+    and after every step, each observer sees `observe(rows, k, states)`:
+    the batch's rows of the path axis, the node and one state per system.
+    """
+    if any(x is None for x in interactions):
+        _check_network_path_ids(path_offset, n_paths)
+    sources = []
+    for x in interactions:
+        if x is not None and not hasattr(x, "interaction"):
+            curve = np.asarray(x, dtype=float)
+            if curve.shape != (len(plan.pops), plan.n_steps + 1):
+                raise ConfigError([
+                    f"interaction curve shape {curve.shape} does not match "
+                    f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
+                ])
+            x = _CurveDrive(curve)
+        elif x is not None and (n_paths != 1 or stats is None):
+            raise ValueError("a drive reads the node statistics of the whole ensemble: "
+                             "use n_paths=1 and collect_node_stats=True")
+        sources.append(x)
+    batch = max(1, min(n_paths, max_batch_cols // max(plan.n_cols, 1)))
+    times = plan.times
+    for b0 in range(0, n_paths, batch):
+        ids = [path_offset + i for i in range(b0, min(b0 + batch, n_paths))]
+        rows = slice(b0, b0 + len(ids))
+        noise = BlockNoise(plan.seed, ids, plan.components, plan.n_cols, plan.n_steps)
+        states = [_draw_initial(plan, noise, ids)]
+        states += [replace(states[0]) for _ in sources[1:]]
+        for obs in observers:
+            obs.observe(rows, 0, states)
+        for k in range(plan.n_steps):
+            draws = noise.step(k)
+            for i, source in enumerate(sources):
+                ybar = (population_sums(states[i].y, plan.slices) if source is None
+                        else source.interaction(k, stats))
+                states[i] = _advance(plan, states[i], ybar, draws, times[k],
+                                     j=states[0].j if i else None)
+            for st in states:
+                _ensure_finite(st.v, k + 1, times[k + 1], ids)
+            for obs in observers:
+                obs.observe(rows, k + 1, states)
 
 
 # ---------------------------------------------------------------------------
@@ -667,25 +717,53 @@ class PathEnsemble:
         return self.data["v"].shape[0]
 
 
-def _store_indices(n_steps: int, thin: int) -> np.ndarray:
-    idx = list(range(0, n_steps + 1, thin))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx, dtype=int)
+class _Storage:
+    """Thinned trajectories of every path, and extremes over every node.
+
+    `w` is stored when some population is FHN and the gates when some is
+    HH; the columns of the other variant hold zeros.
+    """
+
+    def __init__(self, plan: _Plan, thin: int, n_paths: int):
+        idx = list(range(0, plan.n_steps + 1, thin))
+        if idx[-1] != plan.n_steps:
+            idx.append(plan.n_steps)
+        self.steps = np.asarray(idx, dtype=int)
+        self.slots = {k: i for i, k in enumerate(idx)}
+        names = ["v", "y"] + (["w"] if plan.any_fhn else []) + (list(GATES) if plan.any_hh else [])
+        shape = (n_paths, len(idx), plan.n_cols)
+        self.data = {name: np.empty(shape) for name in names}
+        sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
+        self.j = np.empty(shape + (len(plan.pops),)) if sign_preserving else None
+        tracked = ["y"] + (list(GATES) if plan.any_hh else []) + (["j"] if sign_preserving else [])
+        self.extremes = {name: (math.inf, -math.inf) for name in tracked}
+
+    def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
+        st = states[0]
+        for name, (lo, hi) in self.extremes.items():
+            arr = getattr(st, name)
+            self.extremes[name] = (min(lo, float(arr.min())), max(hi, float(arr.max())))
+        slot = self.slots.get(k)
+        if slot is None:
+            return
+        for name, out in self.data.items():
+            out[rows, slot] = getattr(st, name)
+        if self.j is not None:
+            self.j[rows, slot] = st.j
 
 
 class _NodeStats:
     """Online per-node block means (and SEs) of selected per-population stats."""
 
-    def __init__(self, plan: _Plan, n_nodes: int):
+    def __init__(self, plan: _Plan):
         self.plan = plan
-        P = len(plan.pops)
+        P, n_nodes = len(plan.pops), plan.n_steps + 1
         self.sums = {name: np.zeros((P, n_nodes)) for name in ("y", "s")}
         self.sumsq = {name: np.zeros((P, n_nodes)) for name in ("y", "s")}
-        self.count = np.zeros(len(plan.pops), dtype=int)
-        self._nodes_seen = 0
+        self.count = np.zeros(P, dtype=int)
 
-    def accumulate(self, st: NeuronStates, node: int) -> None:
+    def observe(self, rows: slice, node: int, states: list[NeuronStates]) -> None:
+        st = states[0]
         s = eval_sigmoid(self.plan.sigmoid, st.v)
         for a, (lo, hi) in enumerate(self.plan.slices):
             ys = st.y[:, lo:hi]
@@ -713,90 +791,33 @@ class _NodeStats:
         return means, ses
 
 
-class _CurveDrive:
-    """Interaction read from a fixed deterministic curve, (P, n_steps + 1)."""
-
-    def __init__(self, curve: np.ndarray):
-        self.curve = curve
-
-    def interaction(self, k: int, stats: "_NodeStats | None") -> np.ndarray:
-        return self.curve[:, k]
-
-
 def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
-             ybar_curve: np.ndarray | None = None, collect_node_stats: bool = False,
-             drive=None, max_batch_cols: int = 1 << 19) -> PathEnsemble:
+             interaction=None, collect_node_stats: bool = False,
+             max_batch_cols: int = 1 << 19) -> PathEnsemble:
     """Simulate `n_paths` independent realizations of the network.
 
-    With `ybar_curve` (shape (P, n_steps + 1)) the interaction reads the
-    given deterministic per-population curve instead of the empirical
-    means; that is how ensembles of independent limit copies are advanced.
-    A `drive` instead supplies the (P,) interaction of step k through
-    `drive.interaction(k, stats)`, reading the node statistics gathered so
-    far; it needs `n_paths == 1` (one batch) and `collect_node_stats`.
+    `interaction` selects what the synaptic interaction reads:
+
+    * None: the empirical per-population means of each path, as in the
+      network; path ids must then stay below `MEANFIELD_PATH_BASE`;
+    * a (P, n_steps + 1) array: a fixed deterministic curve, which is how
+      ensembles of independent limit copies are advanced;
+    * a drive, whose `interaction(k, stats)` returns the (P,) values of
+      step k from the node statistics gathered so far; it needs
+      `n_paths == 1` (one batch) and `collect_node_stats`.
+
     Each step makes one pass per run of adjacent populations that share a
     membrane variant, evaluating every field in one call over all the
     run's columns with per-column parameters; the operations are the
     elementwise ones of a population-by-population step, in the same
     order.  Results are a pure function of (config, path indices):
     batching, worker count, and buffer sizes cannot change a single bit.
-    Without a
-    curve or drive the paths are network paths, whose ids must stay below
-    `MEANFIELD_PATH_BASE`.
     """
-    if ybar_curve is None and drive is None:
-        _check_network_path_ids(path_offset, n_paths)
-    config.validate_or_raise()
     plan = _make_plan(config)
-    if ybar_curve is not None:
-        if drive is not None:
-            raise ValueError("pass either ybar_curve or drive, not both")
-        ybar_curve = np.asarray(ybar_curve, dtype=float)
-        if ybar_curve.shape != (len(plan.pops), plan.n_steps + 1):
-            raise ConfigError([
-                f"ybar_curve shape {ybar_curve.shape} does not match "
-                f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
-            ])
-        drive = _CurveDrive(ybar_curve)
-    elif drive is not None and (n_paths != 1 or not collect_node_stats):
-        raise ValueError("a drive reads the node statistics of the whole ensemble: "
-                         "use n_paths=1 and collect_node_stats=True")
-    store = _store_indices(plan.n_steps, config.thin)
-    store_set = {int(k): i for i, k in enumerate(store)}
-    n_stored = len(store)
-    N, P = plan.n_cols, len(plan.pops)
-
-    comp_names = ["v", "y"] + (["n", "m", "h"] if plan.any_hh else ["w"])
-    data = {name: np.empty((n_paths, n_stored, N)) for name in comp_names}
-    j_out = (np.empty((n_paths, n_stored, N, P))
-             if plan.conductance is Conductance.SIGN_PRESERVING else None)
-    tracked = ["y"] + (["n", "m", "h"] if plan.any_hh else []) + (
-        ["j"] if plan.conductance is Conductance.SIGN_PRESERVING else [])
-    extremes = {name: (math.inf, -math.inf) for name in tracked}
-    stats = _NodeStats(plan, plan.n_steps + 1) if collect_node_stats else None
-
-    batch = max(1, min(n_paths, max_batch_cols // max(N, 1)))
-    times = config.grid.times()
-    for b0 in range(0, n_paths, batch):
-        ids = [path_offset + i for i in range(b0, min(b0 + batch, n_paths))]
-        noise = BlockNoise(config.seed, ids, plan.components, N, plan.n_steps)
-        st = _draw_initial(plan, noise, ids)
-        _update_extremes(plan, st, extremes)
-        _record(st, data, j_out, comp_names, b0, store_set, 0)
-        if stats is not None:
-            stats.accumulate(st, 0)
-        for k in range(plan.n_steps):
-            draws = noise.step(k)
-            if drive is not None:
-                ybar = drive.interaction(k, stats)
-            else:
-                ybar = population_sums(st.y, plan.slices)
-            st = _advance(plan, st, ybar, draws, times[k])
-            _ensure_finite(st.v, k + 1, times[k + 1], ids)
-            _update_extremes(plan, st, extremes)
-            _record(st, data, j_out, comp_names, b0, store_set, k + 1)
-            if stats is not None:
-                stats.accumulate(st, k + 1)
+    store = _Storage(plan, config.thin, n_paths)
+    stats = _NodeStats(plan) if collect_node_stats else None
+    _drive(plan, n_paths, path_offset, [interaction], [store] + ([stats] if stats else []),
+           max_batch_cols, stats)
 
     from .configio import config_hash  # local import: configio builds on this module
 
@@ -804,35 +825,11 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     if stats is not None:
         block_means, block_se = stats.finalize()
     return PathEnsemble(
-        times=times[store], store_steps=store, labels=plan.labels,
-        pop_of=config.population_of(), data=data, j=j_out,
-        seed=config.seed, config_hash=config_hash(config), extremes=extremes,
+        times=plan.times[store.steps], store_steps=store.steps, labels=plan.labels,
+        pop_of=config.population_of(), data=store.data, j=store.j,
+        seed=config.seed, config_hash=config_hash(config), extremes=store.extremes,
         block_means=block_means, block_se=block_se,
     )
-
-
-def _record(st: NeuronStates, data, j_out, comp_names, b0, store_set, k) -> None:
-    slot = store_set.get(k)
-    if slot is None:
-        return
-    B = st.v.shape[0]
-    rows = slice(b0, b0 + B)
-    src = {"v": st.v, "y": st.y, "w": st.w, "n": st.n, "m": st.m, "h": st.h}
-    for name in comp_names:
-        data[name][rows, slot] = src[name]
-    if j_out is not None:
-        j_out[rows, slot] = st.j
-
-
-def _update_extremes(plan: _Plan, st: NeuronStates, extremes: dict[str, tuple[float, float]]) -> None:
-    tracked = [("y", st.y)]
-    if plan.any_hh:
-        tracked += [("n", st.n), ("m", st.m), ("h", st.h)]
-    if st.j is not None:
-        tracked.append(("j", st.j))
-    for name, arr in tracked:
-        lo, hi = extremes[name]
-        extremes[name] = (min(lo, float(arr.min())), max(hi, float(arr.max())))
 
 
 # ---------------------------------------------------------------------------
@@ -840,111 +837,69 @@ def _update_extremes(plan: _Plan, st: NeuronStates, extremes: dict[str, tuple[fl
 
 
 @dataclass
-class CoupledPaths:
-    """Per-path supremum statistics of a coupled (network, limit-copies) pair."""
+class CouplingRun:
+    """Per-path sup distances between the network and its coupled limit copies."""
 
-    sup_sq: np.ndarray                     # (n_paths,) sup_t sum_pops |state gap|^2 at representatives
-    comp_sup_sq: dict[str, np.ndarray]     # per-component sup contributions
-    representatives: list[int]
-    terminal_v: np.ndarray | None          # (n_paths, N) network side
-    terminal_v_tilde: np.ndarray | None
-    terminal_y: np.ndarray | None
-    max_gap_all: float                     # max over t, paths, ALL columns of |v gap|
+    sup_sq: np.ndarray                  # (n_paths,) sup_t sum_pops |state gap|^2 at representatives
+    comp_sup_sq: dict[str, np.ndarray]  # per-component sup contributions: v, y, w, gates, j
+    max_gap_all: float                  # max over t, paths, ALL columns of |v gap|
+
+
+class _CouplingGap:
+    """Running sups of the network-copy gap, one entry per path."""
+
+    def __init__(self, n_paths: int, reps: np.ndarray):
+        self.reps = reps
+        comps = {name: np.zeros(n_paths) for name in ("v", "y", "w", "gates", "j")}
+        self.run = CouplingRun(sup_sq=np.zeros(n_paths), comp_sup_sq=comps, max_gap_all=0.0)
+
+    def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
+        if k == 0:
+            return  # both systems start from the same draws
+        st_n, st_t = states
+        reps = self.reps
+        dv = (st_n.v[:, reps] - st_t.v[:, reps]) ** 2
+        dy = (st_n.y[:, reps] - st_t.y[:, reps]) ** 2
+        dw = (st_n.w[:, reps] - st_t.w[:, reps]) ** 2
+        dg = ((st_n.n[:, reps] - st_t.n[:, reps]) ** 2
+              + (st_n.m[:, reps] - st_t.m[:, reps]) ** 2
+              + (st_n.h[:, reps] - st_t.h[:, reps]) ** 2)
+        if st_n.j is not None:
+            dj = ((st_n.j[:, reps, :] - st_t.j[:, reps, :]) ** 2).sum(axis=-1)
+        else:
+            dj = np.zeros_like(dv)
+        contrib = {"v": dv.sum(axis=1), "y": dy.sum(axis=1), "w": dw.sum(axis=1),
+                   "gates": dg.sum(axis=1), "j": dj.sum(axis=1)}
+        sup = self.run.sup_sq[rows]
+        np.maximum(sup, sum(contrib.values()), out=sup)
+        for name, c in contrib.items():
+            sup = self.run.comp_sup_sq[name][rows]
+            np.maximum(sup, c, out=sup)
+        gap = float(np.max(np.abs(st_n.v - st_t.v)))
+        self.run.max_gap_all = max(self.run.max_gap_all, gap)
 
 
 def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_paths: int,
                            *, representatives: Sequence[int] | None = None,
-                           path_offset: int = 0, collect_terminal: bool = False,
-                           max_batch_cols: int = 1 << 19) -> CoupledPaths:
+                           path_offset: int = 0, max_batch_cols: int = 1 << 19) -> CouplingRun:
     """Advance the network and its copy system through shared noise.
 
     Both systems consume identical Brownian increments and identical
     initial draws; under the sign-preserving variant the copy system reads
     the very conductance paths of the network (one array, no re-draw).
-    The copy system's interaction follows `ybar_curve`.  Path ids must
-    stay below `MEANFIELD_PATH_BASE`.
+    The copy system's interaction follows `ybar_curve`.  The distances are
+    taken at one representative neuron per population, by default the
+    first of each.  Path ids must stay below `MEANFIELD_PATH_BASE`.
     """
-    _check_network_path_ids(path_offset, n_paths)
-    config.validate_or_raise()
     plan = _make_plan(config)
-    ybar_curve = np.asarray(ybar_curve, dtype=float)
-    if ybar_curve.shape != (len(plan.pops), plan.n_steps + 1):
-        raise ConfigError([
-            f"ybar_curve shape {ybar_curve.shape} does not match "
-            f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
-        ])
-    N, P = plan.n_cols, len(plan.pops)
     if representatives is None:
         representatives = [lo for lo, _ in plan.slices]
     reps = np.asarray(representatives, dtype=int)
-    if len(reps) != P:
+    if len(reps) != len(plan.pops):
         raise ValueError("one representative neuron per population is required")
     for a, (lo, hi) in enumerate(plan.slices):
         if not lo <= reps[a] < hi:
             raise ValueError(f"representative {reps[a]} not in population {plan.labels[a]!r}")
-
-    comp_names = ("v", "y", "w", "gates", "j")
-    sup_sq = np.zeros(n_paths)
-    comp_sup = {name: np.zeros(n_paths) for name in comp_names}
-    term_v = np.empty((n_paths, N)) if collect_terminal else None
-    term_vt = np.empty((n_paths, N)) if collect_terminal else None
-    term_y = np.empty((n_paths, N)) if collect_terminal else None
-    max_gap_all = 0.0
-
-    times = config.grid.times()
-    batch = max(1, min(n_paths, max_batch_cols // max(N, 1)))
-    for b0 in range(0, n_paths, batch):
-        ids = [path_offset + i for i in range(b0, min(b0 + batch, n_paths))]
-        rows = slice(b0, b0 + len(ids))
-        noise = BlockNoise(config.seed, ids, plan.components, N, plan.n_steps)
-        st_n = _draw_initial(plan, noise, ids)
-        st_t = st_n.copy()
-        if st_t.j is not None:
-            st_t.j = st_n.j  # pathwise-shared conductances
-        b_sup = np.zeros(len(ids))
-        b_comp = {name: np.zeros(len(ids)) for name in comp_names}
-        for k in range(plan.n_steps):
-            draws = noise.step(k)
-            ybar_emp = population_sums(st_n.y, plan.slices)
-            st_n = _advance(plan, st_n, ybar_emp, draws, times[k])
-            st_t = _advance(plan, st_t, ybar_curve[:, k], draws, times[k], update_j=False)
-            if st_t.j is not None:
-                st_t.j = st_n.j
-            _ensure_finite(st_n.v, k + 1, times[k + 1], ids)
-            _ensure_finite(st_t.v, k + 1, times[k + 1], ids)
-            contrib = _rep_distances(plan, st_n, st_t, reps)
-            total = sum(contrib.values())
-            np.maximum(b_sup, total, out=b_sup)
-            for name in comp_names:
-                np.maximum(b_comp[name], contrib[name], out=b_comp[name])
-            gap = float(np.max(np.abs(st_n.v - st_t.v)))
-            max_gap_all = max(max_gap_all, gap)
-        sup_sq[rows] = b_sup
-        for name in comp_names:
-            comp_sup[name][rows] = b_comp[name]
-        if collect_terminal:
-            term_v[rows] = st_n.v
-            term_vt[rows] = st_t.v
-            term_y[rows] = st_n.y
-    return CoupledPaths(
-        sup_sq=sup_sq, comp_sup_sq=comp_sup, representatives=reps.tolist(),
-        terminal_v=term_v, terminal_v_tilde=term_vt, terminal_y=term_y,
-        max_gap_all=max_gap_all,
-    )
-
-
-def _rep_distances(plan: _Plan, st_n: NeuronStates, st_t: NeuronStates, reps: np.ndarray) -> dict[str, np.ndarray]:
-    dv = (st_n.v[:, reps] - st_t.v[:, reps]) ** 2
-    dy = (st_n.y[:, reps] - st_t.y[:, reps]) ** 2
-    dw = (st_n.w[:, reps] - st_t.w[:, reps]) ** 2
-    dg = ((st_n.n[:, reps] - st_t.n[:, reps]) ** 2
-          + (st_n.m[:, reps] - st_t.m[:, reps]) ** 2
-          + (st_n.h[:, reps] - st_t.h[:, reps]) ** 2)
-    if st_n.j is not None:
-        dj = ((st_n.j[:, reps, :] - st_t.j[:, reps, :]) ** 2).sum(axis=-1)
-    else:
-        dj = np.zeros_like(dv)
-    return {
-        "v": dv.sum(axis=1), "y": dy.sum(axis=1), "w": dw.sum(axis=1),
-        "gates": dg.sum(axis=1), "j": dj.sum(axis=1),
-    }
+    gap = _CouplingGap(n_paths, reps)
+    _drive(plan, n_paths, path_offset, [None, ybar_curve], [gap], max_batch_cols)
+    return gap.run

@@ -7,13 +7,10 @@ This is also what lets the coupling construction hand the exact same
 Brownian increments to an interacting system and to its independent-copy
 counterpart.
 
-Two addressing schemes share one Philox key space and never collide
-(a discriminator bit in the packed key word):
-
-* scalar streams, keyed (seed, path, neuron, component), behind
-  `RngStreamKey` / `gaussian_increments`;
-* block streams, keyed (seed, path, component), which carry one value per
-  (step, column) in row-major order and feed the vectorized engine.
+One addressing scheme: a block stream, keyed (seed, path, component),
+carries one value per (step, column) in row-major order and feeds the
+vectorized engine.  The packed Philox key word also holds a fixed flag
+bit (`_BLOCK_FLAG`): every value drawn depends on it, so it stays.
 
 Successive draws from one numpy Generator concatenate exactly, so block
 buffering is free to choose any chunk size without changing a single value.
@@ -25,16 +22,12 @@ block into the other (numpy releases the interpreter lock while it fills).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .stepping import TimeGrid
-
 _MASK64 = (1 << 64) - 1
 MAX_PATH = 1 << 22
-MAX_NEURON = 1 << 24
 MAX_COMPONENT = 1 << 16
 _BLOCK_FLAG = np.uint64(1 << 62)
 
@@ -69,51 +62,15 @@ class Component(IntEnum):
         return int(Component.INIT_J_BASE) + source_index
 
 
-def _check_ids(path: int, neuron: int, component: int) -> None:
-    if not 0 <= path < MAX_PATH:
-        raise ValueError(f"path index {path} outside [0, {MAX_PATH})")
-    if not 0 <= neuron < MAX_NEURON:
-        raise ValueError(f"neuron index {neuron} outside [0, {MAX_NEURON})")
-    if not 0 <= component < MAX_COMPONENT:
-        raise ValueError(f"component tag {component} outside [0, {MAX_COMPONENT})")
-
-
-def _philox(seed: int, packed: np.uint64) -> np.random.Generator:
-    key = np.array([np.uint64(seed & _MASK64), packed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class RngStreamKey:
-    """Address of one scalar noise stream.
-
-    Distinct keys yield independent streams; the same key reproduces the
-    identical sequence on every run and under any scheduling.
-    """
-
-    seed: int
-    path: int
-    neuron: int
-    component: int
-
-    def stream(self) -> np.random.Generator:
-        _check_ids(self.path, self.neuron, self.component)
-        packed = np.uint64((self.path << 40) | (self.neuron << 16) | self.component)
-        return _philox(self.seed, packed)
-
-
 def block_stream(seed: int, path: int, component: int) -> np.random.Generator:
     """Stream feeding a whole (step, column) block; see module docstring."""
-    _check_ids(path, 0, component)
+    if not 0 <= path < MAX_PATH:
+        raise ValueError(f"path index {path} outside [0, {MAX_PATH})")
+    if not 0 <= component < MAX_COMPONENT:
+        raise ValueError(f"component tag {component} outside [0, {MAX_COMPONENT})")
     packed = _BLOCK_FLAG | np.uint64((path << 40) | component)
-    return _philox(seed, packed)
-
-
-def gaussian_increments(key: RngStreamKey, grid: TimeGrid) -> np.ndarray:
-    """The n_steps Brownian increments N(0, dt) of one scalar stream."""
-    if grid.n_steps == 0:
-        return np.empty(0, dtype=float)
-    return key.stream().standard_normal(grid.n_steps) * np.sqrt(grid.dt)
+    key = np.array([np.uint64(seed & _MASK64), packed], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class BlockNoise:

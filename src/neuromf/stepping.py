@@ -114,11 +114,3 @@ def step_cir(j: Array, p: CirParams, dt: float, dw: Array) -> Array:
     _reject_nonfinite(z, j, dw)
     return np.maximum(z, 0.0)
 
-
-def step_euler_free(v: Array, drift: Array, diffusion: Array, dt: float, dw: Array) -> Array:
-    """Plain Euler step for unconstrained components; flags non-finite results."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    z = v + drift * dt + diffusion * dw
-    _reject_nonfinite(z, v, drift, diffusion, dw)
-    return z

@@ -21,8 +21,7 @@ from neuromf.presets import fhn_two_pop, interaction_free
 
 def synthetic_run(sups) -> CouplingRun:
     sups = np.asarray(sups, dtype=float)
-    return CouplingRun(n_total=4, labels=["a"], proportions=[1.0], representatives=[0],
-                       sup_sq=sups, comp_sup_sq={"v": sups}, max_gap_all=float(sups.max()))
+    return CouplingRun(sup_sq=sups, comp_sup_sq={"v": sups}, max_gap_all=float(sups.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,9 @@ def test_causal_drive_needs_one_batch():
     cfg = fhn_two_pop(n_steps=10, t_end=0.1)
     lconf = limit_config(cfg, 4)
     with pytest.raises(ValueError):
-        simulate(lconf, n_paths=2, collect_node_stats=True, drive=_CausalDrive(cfg))
+        simulate(lconf, n_paths=2, collect_node_stats=True, interaction=_CausalDrive(cfg))
     with pytest.raises(ValueError):
-        simulate(lconf, n_paths=1, drive=_CausalDrive(cfg))
+        simulate(lconf, n_paths=1, interaction=_CausalDrive(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ from neuromf.model import (
     eval_cutoff,
     eval_gate_rates,
     eval_membrane_drift,
+    clamp_gate_voltage,
     eval_sigmoid,
-    gate_diffusion,
-    gate_drift,
+    gate_fields,
     recovery_drift,
     run_population_checks,
-    synapse_diffusion,
-    synapse_drift,
+    synapse_fields,
 )
 from neuromf.presets import fhn_two_pop, hh_two_pop
 
@@ -248,6 +247,22 @@ def test_fhn_one_sided_lipschitz_sample():
 
 # ---------------------------------------------------------------------------
 # synapse and gate fields
+
+
+def synapse_drift(pop, v, y):
+    return synapse_fields(pop, v, y)[0]
+
+
+def synapse_diffusion(pop, v, y):
+    return synapse_fields(pop, v, y)[1]
+
+
+def gate_drift(g, gate, v, x):
+    return gate_fields(g, gate, clamp_gate_voltage(g, v), x, CutoffSpec())[0]
+
+
+def gate_diffusion(g, gate, v, x, cutoff):
+    return gate_fields(g, gate, clamp_gate_voltage(g, v), x, cutoff)[1]
 
 
 def test_synapse_drift_at_boundaries():

@@ -35,8 +35,7 @@ from neuromf.network import (
     network_noise,
     population_sums,
     simulate,
-    step_network_sign_preserving,
-    step_network_simple,
+    step_network,
 )
 from neuromf.parallel import simulate_paths
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
@@ -123,6 +122,15 @@ def test_batch_size_does_not_change_results():
     a = simulate(cfg, n_paths=5)
     b = simulate(cfg, n_paths=5, max_batch_cols=16)  # forces many path batches
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
+    # the coupled pair: batches of two paths, the last one short
+    curve = np.full((2, 51), 0.15)
+    c = coupled_distance_paths(cfg, curve, 5)
+    d = coupled_distance_paths(cfg, curve, 5, max_batch_cols=32)
+    assert np.array_equal(_bits(c.sup_sq), _bits(d.sup_sq))
+    assert c.comp_sup_sq.keys() == d.comp_sup_sq.keys()
+    for name in c.comp_sup_sq:
+        assert np.array_equal(_bits(c.comp_sup_sq[name]), _bits(d.comp_sup_sq[name])), name
+    assert c.max_gap_all == d.max_gap_all and c.max_gap_all > 0.0
 
 
 def _same_value(x, y) -> bool:
@@ -249,7 +257,7 @@ def test_interaction_off_empirical_equals_curve_path():
     cfg = interaction_free(fhn_two_pop(n_steps=50, t_end=0.5))
     a = simulate(cfg, n_paths=2)
     curve = np.full((2, 51), 0.7)
-    b = simulate(cfg, n_paths=2, ybar_curve=curve)
+    b = simulate(cfg, n_paths=2, interaction=curve)
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
 
 
@@ -343,7 +351,7 @@ def test_network_path_ids_stay_below_the_limit_copies():
     assert simulate(cfg, n_paths=1, path_offset=last_ok).n_paths == 1
     # limit copies, driven by a curve, live at and above the base
     assert simulate(cfg, n_paths=1, path_offset=MEANFIELD_PATH_BASE,
-                    ybar_curve=np.zeros((2, 3))).n_paths == 1
+                    interaction=np.zeros((2, 3))).n_paths == 1
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +389,7 @@ def test_step_network_deterministic_fixed_point():
     noise = network_noise(cfg, [0])
     sums = population_sums(st.y, cfg.population_slices())
     assert np.all(sums == 0.0)
-    new = step_network_sign_preserving(cfg, st, sums, noise.step(0), 0.0)
+    new = step_network(cfg, st, sums, noise.step(0), 0.0)
     # all noise amplitudes are zero and every drift vanishes at this point
     assert np.array_equal(new.y, st.y) and np.all(new.y == 0.0)
     assert np.array_equal(new.j, st.j)
@@ -397,18 +405,23 @@ def test_step_network_matches_engine():
     times = cfg.grid.times()
     for k in range(3):
         sums = population_sums(st.y, cfg.population_slices())
-        st = step_network_sign_preserving(cfg, st, sums, noise.step(k), times[k])
+        st = step_network(cfg, st, sums, noise.step(k), times[k])
         assert np.array_equal(st.v, ens.data["v"][:, k + 1])
         assert np.array_equal(st.y, ens.data["y"][:, k + 1])
         assert np.array_equal(st.j, ens.j[:, k + 1])
 
 
 def test_step_network_variant_guard():
+    # the variant comes from the configuration; states of the other one are refused
+    from dataclasses import replace
+
     cfg = fhn_two_pop(n_steps=2, t_end=0.02)
     st = draw_initial_states(cfg, [0])
-    noise = network_noise(cfg, [0])
-    with pytest.raises(ConfigError):
-        step_network_simple(cfg, st, np.zeros(2), noise.step(0), 0.0)
+    draws = network_noise(cfg, [0]).step(0)
+    with pytest.raises(ValueError, match="states.j: the simple variant carries no conductance state"):
+        step_network(_as_simple(cfg), st, np.zeros(2), draws, 0.0)
+    with pytest.raises(ValueError, match=r"states.j: shape \(\), expected \(1, 16, 2\)"):
+        step_network(cfg, replace(st, j=None), np.zeros(2), draws, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +548,6 @@ def _engine_cases():
 
 @pytest.mark.parametrize("cfg", list(_engine_cases()))
 def test_engine_step_matches_per_population_reference(cfg):
-    step = (step_network_sign_preserving if cfg.conductance is Conductance.SIGN_PRESERVING
-            else step_network_simple)
     ids = [0, 1, 2]
     st = draw_initial_states(cfg, ids)
     noise = network_noise(cfg, ids)
@@ -545,13 +556,37 @@ def test_engine_step_matches_per_population_reference(cfg):
     for k in range(cfg.grid.n_steps):
         draws = noise.step(k)
         # a deterministic curve value, then the empirical per-path means
-        _assert_same_state(step(cfg, st, curve, draws, times[k]),
+        _assert_same_state(step_network(cfg, st, curve, draws, times[k]),
                            _reference_step(cfg, st, curve, draws, times[k]))
         sums = population_sums(st.y, cfg.population_slices())
-        got = step(cfg, st, sums, draws, times[k])
+        got = step_network(cfg, st, sums, draws, times[k])
         _assert_same_state(got, _reference_step(cfg, st, sums, draws, times[k]))
         assert np.isfinite(got.v).all()
         st = got
+
+
+def test_mixed_network_stores_every_component(tmp_path):
+    # FHN/HH/FHN: w is stored for the FHN columns and the gates for the HH
+    # ones; the columns of the other variant hold zeros
+    from neuromf.artifacts import write_ensemble_csv
+
+    cfg = _mixed_fhn_hh_fhn()
+    ids = [0, 1]
+    ens = simulate(cfg, n_paths=len(ids))
+    assert sorted(ens.data) == ["h", "m", "n", "v", "w", "y"]
+    st = draw_initial_states(cfg, ids)
+    noise = network_noise(cfg, ids)
+    times = cfg.grid.times()
+    for k in range(cfg.grid.n_steps + 1):
+        for name in ens.data:
+            assert np.array_equal(_bits(ens.data[name][:, k]), _bits(getattr(st, name))), (k, name)
+        if k < cfg.grid.n_steps:
+            sums = population_sums(st.y, cfg.population_slices())
+            st = _reference_step(cfg, st, sums, noise.step(k), times[k])
+    path = tmp_path / "ensemble.csv"
+    write_ensemble_csv(ens, path)
+    header = next(l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("# "))
+    assert header.split(",")[4:10] == ["v", "y", "w", "n", "m", "h"]
 
 
 def test_simple_variant_pair_without_conductance_noise_adds_no_term():
@@ -571,7 +606,7 @@ def test_simple_variant_pair_without_conductance_noise_adds_no_term():
         for g in range(2):
             draws[Component.j(g)][:, lo:hi] = np.nan
         sums = population_sums(st.y, cfg.population_slices())
-        got = step_network_simple(cfg, st, sums, draws, times[k])
+        got = step_network(cfg, st, sums, draws, times[k])
         _assert_same_state(got, _reference_step(cfg, st, sums, draws, times[k]))
         assert np.isfinite(got.v).all()
         st = got
@@ -586,18 +621,18 @@ def test_step_network_rejects_malformed_inputs():
     sums = population_sums(st.y, cfg.population_slices())
     broken = replace(cfg, pairs={k: p for k, p in cfg.pairs.items() if k != ("exc", "inh")})
     with pytest.raises(ConfigError, match=r"pairs\['exc'->'inh'\]"):
-        step_network_sign_preserving(broken, st, sums, draws, 0.0)
+        step_network(broken, st, sums, draws, 0.0)
     with pytest.raises(ValueError, match=r"sums: shape \(3,\), expected \(2,\)"):
-        step_network_sign_preserving(cfg, st, np.zeros(3), draws, 0.0)
+        step_network(cfg, st, np.zeros(3), draws, 0.0)
     with pytest.raises(ValueError, match=r"sums: shape \(3, 2\)"):
-        step_network_sign_preserving(cfg, st, np.zeros((3, 2)), draws, 0.0)
+        step_network(cfg, st, np.zeros((3, 2)), draws, 0.0)
     short = {c: d for c, d in draws.items() if c != Component.j(1)}
     with pytest.raises(ValueError, match="draws: missing component.*'inh'"):
-        step_network_sign_preserving(cfg, st, sums, short, 0.0)
+        step_network(cfg, st, sums, short, 0.0)
     narrow = {**draws, int(Component.Y): draws[int(Component.Y)][:, :4]}
     with pytest.raises(ValueError, match=r"draws\[1 \(Y\)\]: shape \(2, 4\), expected \(2, 6\)"):
-        step_network_sign_preserving(cfg, st, sums, narrow, 0.0)
+        step_network(cfg, st, sums, narrow, 0.0)
     with pytest.raises(ValueError, match=r"states.j: shape \(2, 6\)"):
-        step_network_sign_preserving(cfg, replace(st, j=st.j[..., 0]), sums, draws, 0.0)
+        step_network(cfg, replace(st, j=st.j[..., 0]), sums, draws, 0.0)
     # the well-formed inputs still step
-    assert step_network_sign_preserving(cfg, st, sums, draws, 0.0).v.shape == (2, 6)
+    assert step_network(cfg, st, sums, draws, 0.0).v.shape == (2, 6)

@@ -12,14 +12,8 @@ from hypothesis import strategies as st
 from neuromf.errors import SimulationDiverged
 from neuromf.network import coupled_distance_paths, simulate
 from neuromf.presets import fhn_two_pop
-from neuromf.rng import BlockNoise, Component, RngStreamKey, block_stream, gaussian_increments
-from neuromf.stepping import (
-    CirParams,
-    TimeGrid,
-    step_cir,
-    step_euler_confined,
-    step_euler_free,
-)
+from neuromf.rng import _BLOCK_FLAG, BlockNoise, Component, block_stream
+from neuromf.stepping import CirParams, TimeGrid, step_cir, step_euler_confined
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -116,79 +110,43 @@ def test_cir_ensemble_mean_tracks_relaxation_ode():
 
 
 # ---------------------------------------------------------------------------
-# free Euler step
-
-
-def test_free_identity_and_pure_drift():
-    assert step_euler_free(1.5, 0.0, 0.0, 0.1, 0.0) == 1.5
-    assert step_euler_free(0.0, 1.0, 0.0, 0.1, 0.0) == pytest.approx(0.1)
-
-
-def test_free_flags_overflow():
-    with pytest.raises(SimulationDiverged):
-        step_euler_free(1e308, 1e308, 0.0, 1.0, 0.0)
-
-
-def test_free_converges_to_cubic_ode():
-    # deterministic cubic relaxation dv = (v - v^3/3) dt, oracle by RK4 at
-    # a much finer resolution; Euler error should be O(dt)
-    def f(v):
-        return v - v ** 3 / 3.0
-
-    def rk4(v, dt, steps):
-        for _ in range(steps):
-            k1 = f(v)
-            k2 = f(v + 0.5 * dt * k1)
-            k3 = f(v + 0.5 * dt * k2)
-            k4 = f(v + dt * k3)
-            v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return v
-
-    v_ref = rk4(0.5, 1e-4, 10_000)  # t = 1
-    errs = []
-    for dt, steps in ((1e-2, 100), (5e-3, 200)):
-        v = 0.5
-        for _ in range(steps):
-            v = step_euler_free(v, f(v), 0.0, dt, 0.0)
-        errs.append(abs(v - v_ref))
-    assert errs[0] < 5e-3
-    assert errs[1] < 0.75 * errs[0]  # first-order decrease
-
-
-# ---------------------------------------------------------------------------
 # keyed streams
 
 
 GRID = TimeGrid(t_end=1.0, n_steps=1000)
 
 
+def increments(seed: int, path: int, component: int, grid: TimeGrid = GRID) -> np.ndarray:
+    """The first n_steps values of one block stream, scaled to N(0, dt)."""
+    return block_stream(seed, path, component).standard_normal(grid.n_steps) * math.sqrt(grid.dt)
+
+
 def test_increments_deterministic():
-    key = RngStreamKey(seed=99, path=3, neuron=17, component=Component.Y)
-    a = gaussian_increments(key, GRID)
-    b = gaussian_increments(key, GRID)
+    a = increments(99, 3, Component.Y)
+    b = increments(99, 3, Component.Y)
     assert np.array_equal(a, b)
 
 
 def test_increments_distinct_keys_differ():
-    a = gaussian_increments(RngStreamKey(99, 3, 17, Component.Y), GRID)
-    b = gaussian_increments(RngStreamKey(99, 3, 18, Component.Y), GRID)
-    c = gaussian_increments(RngStreamKey(99, 4, 17, Component.Y), GRID)
-    d = gaussian_increments(RngStreamKey(98, 3, 17, Component.Y), GRID)
+    a = increments(99, 3, Component.Y)
+    b = increments(99, 3, Component.V)
+    c = increments(99, 4, Component.Y)
+    d = increments(98, 3, Component.Y)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
 
 
 def test_increments_cross_correlation_small():
-    a = gaussian_increments(RngStreamKey(7, 0, 0, Component.V), GRID)
-    b = gaussian_increments(RngStreamKey(7, 0, 1, Component.V), GRID)
+    a = increments(7, 0, Component.V)
+    b = increments(7, 0, Component.Y)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 4.0 / math.sqrt(GRID.n_steps)
 
 
 def test_increments_moments():
     grid = TimeGrid(t_end=10.0, n_steps=1_000_000)
-    draws = gaussian_increments(RngStreamKey(2, 0, 0, Component.V), grid)
+    draws = increments(2, 0, Component.V, grid)
     dt = grid.dt
     n = grid.n_steps
     se_mean = math.sqrt(dt / n)
@@ -197,17 +155,24 @@ def test_increments_moments():
     assert abs(draws.var(ddof=1) - dt) < 4.0 * se_var
 
 
-def test_scalar_keys_do_not_alias_block_streams():
-    a = gaussian_increments(RngStreamKey(5, 1, 0, Component.V), GRID)
-    blk = block_stream(5, 1, Component.V).standard_normal(GRID.n_steps) * math.sqrt(GRID.dt)
-    assert not np.array_equal(a, blk)
+def test_block_streams_carry_the_block_flag():
+    # every stream's key word holds the flag bit; without it the values differ
+    def philox(packed: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=np.array([5, packed], dtype=np.uint64)))
+
+    word = (1 << 40) | int(Component.V)
+    a = block_stream(5, 1, Component.V).standard_normal(GRID.n_steps)
+    assert np.array_equal(a, philox(int(_BLOCK_FLAG) | word).standard_normal(GRID.n_steps))
+    assert not np.array_equal(a, philox(word).standard_normal(GRID.n_steps))
 
 
 def test_key_range_validation():
-    with pytest.raises(ValueError):
-        RngStreamKey(1, 1 << 22, 0, 0).stream()
-    with pytest.raises(ValueError):
-        RngStreamKey(1, 0, 1 << 24, 0).stream()
+    with pytest.raises(ValueError, match="path index 4194304 outside"):
+        block_stream(1, 1 << 22, 0)
+    with pytest.raises(ValueError, match="path index -1 outside"):
+        block_stream(1, -1, 0)
+    with pytest.raises(ValueError, match="component tag 65536 outside"):
+        block_stream(1, 0, 1 << 16)
     with pytest.raises(ValueError):
         Component.j(8)
 
