@@ -11,7 +11,6 @@ from .errors import ConfigError, SimulationDiverged, VariantMismatchError
 from .meanfield import (
     MeanCurve,
     MeanFieldSolution,
-    estimate_ms,
     simulate_limit_given_ybar,
     solve_causal,
     solve_fixed_point,
@@ -37,13 +36,9 @@ from .network import (
     Dist,
     InitialLaw,
     NetworkConfig,
-    NeuronStates,
     PathEnsemble,
-    draw_initial_states,
-    network_noise,
     population_sums,
     simulate,
-    step_network,
 )
 from .rng import Component
 from .stepping import CirParams, TimeGrid, step_cir, step_euler_confined
@@ -54,11 +49,10 @@ __all__ = [
     "CirParams", "Component", "ConfigError", "Conductance", "CouplingReport",
     "CouplingRun", "CurrentSpec", "CutoffSpec", "Dist", "FhnMembrane", "GateRates",
     "HhMembrane", "InitialLaw", "MeanCurve", "MeanFieldSolution", "NetworkConfig",
-    "NeuronStates", "PairParams", "PathEnsemble", "PopulationParams", "SigmoidParams",
-    "SimulationDiverged", "TimeGrid", "VariantMismatchError", "draw_initial_states",
-    "estimate_distance", "estimate_ms", "eval_cutoff", "eval_gate_rates",
-    "eval_membrane_drift", "eval_sigmoid", "fit_rate", "network_noise", "population_sums",
-    "run_coupled", "simulate", "simulate_limit_given_ybar", "solve_causal",
-    "solve_fixed_point", "step_cir", "step_euler_confined", "step_network", "sweep",
+    "PairParams", "PathEnsemble", "PopulationParams", "SigmoidParams",
+    "SimulationDiverged", "TimeGrid", "VariantMismatchError", "estimate_distance",
+    "eval_cutoff", "eval_gate_rates", "eval_membrane_drift", "eval_sigmoid", "fit_rate",
+    "population_sums", "run_coupled", "simulate", "simulate_limit_given_ybar",
+    "solve_causal", "solve_fixed_point", "step_cir", "step_euler_confined", "sweep",
     "wasserstein2_marginal", "ybar_from_ms",
 ]

@@ -121,12 +121,29 @@ def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
             f"{path}: config hash {meta.get('config_hash')} does not match the "
             f"current configuration ({expect_hash}); refusing to mix setups"
         ])
-    by_pop: dict[str, list[tuple[float, float, float, float]]] = {}
+    by_pop: dict[str, list[list[float]]] = {}
     with open(path, encoding="utf-8") as f:
         lines = [l for l in f if not l.startswith("# ")]
-    for row in csv.DictReader(lines):
-        by_pop.setdefault(row["population"], []).append(
-            (float(row["time_ms"]), float(row["m_s"]), float(row["y_bar"]), float(row["se"])))
+    reader = csv.DictReader(lines)
+    numeric = ("time_ms", "m_s", "y_bar", "se")
+    missing = [c for c in ("population",) + numeric if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ConfigError([f"{path}: missing column(s) {', '.join(missing)}"])
+    for i, row in enumerate(reader, start=1):
+        cells = []
+        for c in numeric:
+            try:
+                cells.append(float(row[c]))
+            except (TypeError, ValueError):
+                raise ConfigError([f"{path}: data row {i}, column {c}: "
+                                   f"{row[c]!r} is not a number"]) from None
+        by_pop.setdefault(row["population"], []).append(cells)
+    if not by_pop:
+        raise ConfigError([f"{path}: no data rows"])
+    counts = {label: len(rows) for label, rows in by_pop.items()}
+    if len(set(counts.values())) > 1:
+        raise ConfigError([f"{path}: populations have unequal node counts "
+                           + ", ".join(f"{label!r}: {n}" for label, n in counts.items())])
     labels = list(by_pop)
     times = np.asarray([r[0] for r in by_pop[labels[0]]])
     m_s = np.asarray([[r[1] for r in by_pop[l]] for l in labels])

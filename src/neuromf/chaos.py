@@ -4,7 +4,7 @@ For each Monte Carlo path the network and a bank of independent limit
 copies are driven by the same Brownian families, start from the same
 initial draws, and (sign-preserving variant) share the conductance paths
 outright.  The per-path observable is the supremum over the time grid of
-the summed squared state gap at one representative neuron per population;
+the summed squared state gap at the first neuron of each population;
 its sample mean D(N) over paths, swept across network sizes at fixed
 population proportions, carries the convergence-rate content: D(N) should
 fall with N and sqrt(N) * D(N) should stay bounded.
@@ -52,16 +52,16 @@ class CouplingReport:
         return list(zip(self.ns, self.d_hat, self.se, self.sqrtn_d))
 
 
-def run_coupled(config: NetworkConfig, ybar: MeanCurve | np.ndarray, n_paths: int,
-                *, representatives=None, path_offset: int = 0) -> CouplingRun:
+def run_coupled(config: NetworkConfig, ybar: MeanCurve | np.ndarray, n_paths: int) -> CouplingRun:
     """Simulate the coupled pair and collect per-path sup distances.
+
+    The gap is taken at the first neuron of each population.
 
     `ybar` is the converged mean-proportion curve the limit copies follow;
     any fixed-point error in it biases every network size equally and so
     cancels from the N-trend the sweep reads.
     """
-    return coupled_distance_paths(config, _ybar_on_grid(ybar, config.grid), n_paths,
-                                  representatives=representatives, path_offset=path_offset)
+    return coupled_distance_paths(config, _ybar_on_grid(ybar, config.grid), n_paths)
 
 
 def estimate_distance(run: CouplingRun) -> tuple[float, float]:
@@ -72,8 +72,8 @@ def estimate_distance(run: CouplingRun) -> tuple[float, float]:
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(sups.size))
 
 
-def fit_rate(points: list[tuple[int, float]], confidence: float = 0.95) -> RateFit:
-    """Ordinary least squares of log D on log N with a slope confidence band.
+def fit_rate(points: list[tuple[int, float]]) -> RateFit:
+    """Ordinary least squares of log D on log N with a 95% slope confidence band.
 
     Points with nonpositive distance cannot enter the log fit and are
     reported back as excluded.
@@ -92,15 +92,15 @@ def fit_rate(points: list[tuple[int, float]], confidence: float = 0.95) -> RateF
     resid = y - (intercept + slope * x)
     s2 = float(np.sum(resid ** 2) / (n - 2))
     se_slope = math.sqrt(s2 / sxx)
-    tq = float(scipy.special.stdtrit(n - 2, 0.5 + confidence / 2))  # Student t quantile
+    tq = float(scipy.special.stdtrit(n - 2, 0.975))  # Student t quantile
     half = tq * se_slope
     return RateFit(slope=slope, intercept=intercept, ci_lo=slope - half,
                    ci_hi=slope + half, used=used, excluded=excluded)
 
 
 def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
-          *, curve: MeanCurve | None = None, m_copies: int = 10_000, tol: float = 1e-3,
-          path_offset: int = 0) -> tuple[CouplingReport, list[CouplingRun], MeanFieldSolution | None]:
+          *, curve: MeanCurve | None = None, m_copies: int = 10_000,
+          tol: float = 1e-3) -> tuple[CouplingReport, list[CouplingRun], MeanFieldSolution | None]:
     """Coupled runs across network sizes at fixed population proportions.
 
     One mean curve serves every N (the limit does not depend on N): the
@@ -120,7 +120,7 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     d_hat, se = [], []
     runs = []
     for cfg in configs:
-        run = run_coupled(cfg, curve, n_paths, path_offset=path_offset)
+        run = run_coupled(cfg, curve, n_paths)
         d, s = estimate_distance(run)
         runs.append(run)
         d_hat.append(d)
@@ -142,7 +142,7 @@ class MarginalCheck:
 
 
 def marginal_chaos_check(config: NetworkConfig, k: int, n_paths: int,
-                         solution: MeanFieldSolution, *, path_offset: int = 0) -> MarginalCheck:
+                         solution: MeanFieldSolution) -> MarginalCheck:
     """Terminal-time distributional comparison of k neurons per population.
 
     For each population, the terminal-voltage sample of each of the first
@@ -157,7 +157,7 @@ def marginal_chaos_check(config: NetworkConfig, k: int, n_paths: int,
     if solution.ensemble is None:
         raise ValueError("the solution carries no limit ensemble (solution.ensemble is None); "
                          "the marginal check needs the limit copies' terminal voltages")
-    ens = simulate(config, n_paths=n_paths, path_offset=path_offset)
+    ens = simulate(config, n_paths=n_paths)
     term_v = ens.data["v"][:, -1, :]                       # (n_paths, N)
     lim = solution.ensemble
     lim_v = lim.data["v"][0, -1, :]                        # (P * M,)

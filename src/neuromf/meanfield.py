@@ -27,13 +27,11 @@ as an independent reference.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import SigmoidParams, eval_sigmoid
 from .network import MEANFIELD_PATH_BASE, NetworkConfig, PathEnsemble, simulate
 from .stepping import TimeGrid
 
@@ -106,20 +104,6 @@ def ybar_from_ms(m_s: np.ndarray, y0_mean: float, rise_rate: float, decay_rate: 
     return out
 
 
-def estimate_ms(v_paths: np.ndarray, sigmoid: SigmoidParams) -> tuple[np.ndarray, np.ndarray]:
-    """Nodewise Monte Carlo mean of S(V) with CLT standard errors.
-
-    v_paths: (M, n_nodes) independent limit-copy voltage paths.
-    """
-    v_paths = np.asarray(v_paths, dtype=float)
-    if v_paths.ndim != 2 or v_paths.shape[0] < 2:
-        raise ValueError("need at least two paths, shaped (M, n_nodes)")
-    s = np.asarray(eval_sigmoid(sigmoid, v_paths))
-    mean = s.mean(axis=0)
-    se = s.std(axis=0, ddof=1) / math.sqrt(s.shape[0])
-    return mean, se
-
-
 def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, grid: TimeGrid) -> np.ndarray:
     """The y_bar values of a curve; a `MeanCurve` must live on `grid`."""
     if not isinstance(y_bar, MeanCurve):
@@ -130,25 +114,20 @@ def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, grid: TimeGrid) -> np.ndarray:
     return y_bar.y_bar
 
 
-def limit_config(config: NetworkConfig, m_copies: int, thin: int | None = None) -> NetworkConfig:
+def limit_config(config: NetworkConfig, m_copies: int) -> NetworkConfig:
     """A copy-ensemble layout: the same populations, `m_copies` columns each."""
-    from dataclasses import replace
-
-    pops = [(p, m_copies) for p, _ in config.populations]
-    return replace(config, populations=pops, thin=config.thin if thin is None else thin)
+    return replace(config, populations=[(p, m_copies) for p, _ in config.populations])
 
 
 def simulate_limit_given_ybar(y_bar: MeanCurve | np.ndarray, config: NetworkConfig,
-                              m_copies: int, *, path_id: int = MEANFIELD_PATH_BASE,
-                              thin: int | None = None) -> PathEnsemble:
+                              m_copies: int, *, path_id: int = MEANFIELD_PATH_BASE) -> PathEnsemble:
     """M mutually independent limit copies per population, driven by y_bar.
 
     The copies are advanced by the same step kernels as the network; only
     the interaction differs, reading the deterministic curve.  The curve
     must live on the configuration's grid.
     """
-    lconf = limit_config(config, m_copies, thin)
-    return simulate(lconf, n_paths=1, path_offset=path_id,
+    return simulate(limit_config(config, m_copies), n_paths=1, path_offset=path_id,
                     interaction=_ybar_on_grid(y_bar, config.grid), collect_node_stats=True)
 
 
@@ -170,8 +149,7 @@ def _curve_from_ensemble(ens: PathEnsemble, config: NetworkConfig) -> MeanCurve:
 
 
 def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float = 1e-3,
-                      max_iter: int = 20, *, freeze_rng: bool = True,
-                      thin: int | None = None) -> MeanFieldSolution:
+                      max_iter: int = 20, *, freeze_rng: bool = True) -> MeanFieldSolution:
     """Iterate the curve map to its fixed point.
 
     Warm-starts from the interaction-free ensemble (y_bar = 0), then
@@ -190,15 +168,14 @@ def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float 
         return MEANFIELD_PATH_BASE if freeze_rng else MEANFIELD_PATH_BASE + it
 
     zero = np.zeros((P, n_nodes))
-    ens = simulate_limit_given_ybar(zero, config, m_copies, path_id=path_id(0), thin=thin)
+    ens = simulate_limit_given_ybar(zero, config, m_copies, path_id=path_id(0))
     curve = _curve_from_ensemble(ens, config)
     distances: list[float] = []
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        ens = simulate_limit_given_ybar(curve.y_bar, config, m_copies,
-                                        path_id=path_id(it), thin=thin)
+        ens = simulate_limit_given_ybar(curve.y_bar, config, m_copies, path_id=path_id(it))
         new_curve = _curve_from_ensemble(ens, config)
         d = curve.node_distance(new_curve)
         distances.append(d)
@@ -238,8 +215,7 @@ class _CausalDrive:
         return self.y_bar[:, k]
 
 
-def solve_causal(config: NetworkConfig, m_copies: int, tol: float, *,
-                 thin: int | None = None) -> MeanFieldSolution:
+def solve_causal(config: NetworkConfig, m_copies: int, tol: float) -> MeanFieldSolution:
     """The discrete fixed point of the curve map in one pass over the copies.
 
     The copies are driven by the curve the pass builds, so mapping their
@@ -253,7 +229,7 @@ def solve_causal(config: NetworkConfig, m_copies: int, tol: float, *,
         raise ValueError("tol must be > 0")
     config.validate_or_raise()
     drive = _CausalDrive(config)
-    ens = simulate(limit_config(config, m_copies, thin), n_paths=1,
+    ens = simulate(limit_config(config, m_copies), n_paths=1,
                    path_offset=MEANFIELD_PATH_BASE, interaction=drive, collect_node_stats=True)
     curve = _curve_from_ensemble(ens, config)
     # the last node drives no step; its gap is at most the one before it

@@ -555,61 +555,6 @@ def _advance(plan: _Plan, st: NeuronStates, ybar: np.ndarray, draws: dict[int, n
     return NeuronStates(**fields, j=j)
 
 
-def network_noise(config: NetworkConfig, path_ids: Sequence[int]) -> BlockNoise:
-    """The keyed increment source a step-by-step caller shares with `simulate`."""
-    plan = _make_plan(config)
-    return BlockNoise(plan.seed, list(path_ids), plan.components, plan.n_cols, plan.n_steps)
-
-
-def draw_initial_states(config: NetworkConfig, path_ids: Sequence[int]) -> NeuronStates:
-    """Initial state arrays of shape (len(path_ids), N), from the keyed laws."""
-    return _draw_initial(_make_plan(config), network_noise(config, path_ids), path_ids)
-
-
-def _component_name(c: int, labels: list[str]) -> str:
-    if c >= Component.J_BASE:
-        return f"{c} (conductance noise from source {labels[c - Component.J_BASE]!r})"
-    return f"{c} ({Component(c).name})"
-
-
-def step_network(config: NetworkConfig, states: NeuronStates, sums: np.ndarray,
-                 draws: dict[int, np.ndarray], t: float) -> NeuronStates:
-    """One Euler step of the network, in the conductance variant of `config`.
-
-    `sums` holds the per-population interaction aggregates, (P,) for a
-    deterministic curve value or (B, P) for empirical means; `draws` is
-    one step's worth of raw increments as produced by `network_noise`.
-    Inputs of the wrong shape, or states of the other variant, raise
-    `ValueError` naming the field.
-    """
-    plan = _make_plan(config)
-    N, P = plan.n_cols, len(plan.pops)
-    B = np.shape(states.v)[0] if np.ndim(states.v) == 2 else None
-    for name in ("v", "y", "w", "n", "m", "h"):
-        shape = np.shape(getattr(states, name))
-        if B is None or shape != (B, N):
-            raise ValueError(f"states.{name}: shape {shape}, expected (paths, {N}) "
-                             f"like states.v, with {N} neuron columns")
-    if plan.conductance is Conductance.SIMPLE:
-        if states.j is not None:
-            raise ValueError("states.j: the simple variant carries no conductance state")
-    elif np.shape(states.j) != (B, N, P):
-        raise ValueError(f"states.j: shape {np.shape(states.j)}, expected ({B}, {N}, {P})")
-    sums = np.asarray(sums, dtype=float)
-    if sums.shape not in ((P,), (B, P)):
-        raise ValueError(f"sums: shape {sums.shape}, expected ({P},) for one curve value "
-                         f"or ({B}, {P}) for per-path means of {P} populations")
-    missing = [c for c in plan.components if c not in draws]
-    if missing:
-        raise ValueError("draws: missing component(s) "
-                         + ", ".join(_component_name(c, plan.labels) for c in missing))
-    for c in plan.components:
-        if np.shape(draws[c]) != (B, N):
-            raise ValueError(f"draws[{_component_name(c, plan.labels)}]: shape "
-                             f"{np.shape(draws[c])}, expected ({B}, {N})")
-    return _advance(plan, states, sums, draws, t)
-
-
 def _check_network_path_ids(path_offset: int, n_paths: int) -> None:
     last = path_offset + n_paths - 1
     if last >= MEANFIELD_PATH_BASE:
@@ -721,7 +666,8 @@ class _Storage:
     """Thinned trajectories of every path, and extremes over every node.
 
     `w` is stored when some population is FHN and the gates when some is
-    HH; the columns of the other variant hold zeros.
+    HH; the columns of the other variant hold zeros, and the gate extremes
+    are taken over the HH columns only.
     """
 
     def __init__(self, plan: _Plan, thin: int, n_paths: int):
@@ -737,11 +683,15 @@ class _Storage:
         self.j = np.empty(shape + (len(plan.pops),)) if sign_preserving else None
         tracked = ["y"] + (list(GATES) if plan.any_hh else []) + (["j"] if sign_preserving else [])
         self.extremes = {name: (math.inf, -math.inf) for name in tracked}
+        self.hh_cols = slice(None) if not (plan.any_hh and plan.any_fhn) else np.concatenate(
+            [np.arange(run.lo, run.hi) for run in plan.runs if run.pop.is_hh])
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
         st = states[0]
         for name, (lo, hi) in self.extremes.items():
             arr = getattr(st, name)
+            if name in GATES:
+                arr = arr[:, self.hh_cols]
             self.extremes[name] = (min(lo, float(arr.min())), max(hi, float(arr.max())))
         slot = self.slots.get(k)
         if slot is None:
@@ -840,7 +790,7 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
 class CouplingRun:
     """Per-path sup distances between the network and its coupled limit copies."""
 
-    sup_sq: np.ndarray                  # (n_paths,) sup_t sum_pops |state gap|^2 at representatives
+    sup_sq: np.ndarray                  # (n_paths,) sup_t sum_pops |state gap|^2 at first neurons
     comp_sup_sq: dict[str, np.ndarray]  # per-component sup contributions: v, y, w, gates, j
     max_gap_all: float                  # max over t, paths, ALL columns of |v gap|
 
@@ -880,26 +830,17 @@ class _CouplingGap:
 
 
 def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_paths: int,
-                           *, representatives: Sequence[int] | None = None,
-                           path_offset: int = 0, max_batch_cols: int = 1 << 19) -> CouplingRun:
+                           *, path_offset: int = 0, max_batch_cols: int = 1 << 19) -> CouplingRun:
     """Advance the network and its copy system through shared noise.
 
     Both systems consume identical Brownian increments and identical
     initial draws; under the sign-preserving variant the copy system reads
     the very conductance paths of the network (one array, no re-draw).
     The copy system's interaction follows `ybar_curve`.  The distances are
-    taken at one representative neuron per population, by default the
-    first of each.  Path ids must stay below `MEANFIELD_PATH_BASE`.
+    taken at the first neuron of each population.  Path ids must stay
+    below `MEANFIELD_PATH_BASE`.
     """
     plan = _make_plan(config)
-    if representatives is None:
-        representatives = [lo for lo, _ in plan.slices]
-    reps = np.asarray(representatives, dtype=int)
-    if len(reps) != len(plan.pops):
-        raise ValueError("one representative neuron per population is required")
-    for a, (lo, hi) in enumerate(plan.slices):
-        if not lo <= reps[a] < hi:
-            raise ValueError(f"representative {reps[a]} not in population {plan.labels[a]!r}")
-    gap = _CouplingGap(n_paths, reps)
+    gap = _CouplingGap(n_paths, np.asarray([lo for lo, _ in plan.slices]))
     _drive(plan, n_paths, path_offset, [None, ybar_curve], [gap], max_batch_cols)
     return gap.run

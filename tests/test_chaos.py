@@ -132,23 +132,6 @@ def test_coupled_se_shrinks_with_paths():
     assert 0.25 < (se_big / se_small) ** 2 < 1.0  # variance roughly halves
 
 
-def test_coupled_representative_choice_equivalent():
-    cfg = fhn_two_pop(n_per_pop=4, n_steps=150, t_end=1.5)
-    sol = solve_fixed_point(cfg, m_copies=400, tol=5e-3, max_iter=6)
-    first = run_coupled(cfg, sol.curve, 60)
-    second = run_coupled(cfg, sol.curve, 60, representatives=[1, 5])
-    d1, s1 = estimate_distance(first)
-    d2, s2 = estimate_distance(second)
-    assert abs(d1 - d2) < 3.0 * (s1 + s2)
-
-
-def test_coupled_rejects_foreign_representative():
-    cfg = fhn_two_pop(n_per_pop=4, n_steps=20, t_end=0.2)
-    sol_curve = np.zeros((2, 21))
-    with pytest.raises(ValueError):
-        run_coupled(cfg, sol_curve, 2, representatives=[0, 2])  # 2 is in population 0
-
-
 # ---------------------------------------------------------------------------
 # sweep orchestration
 

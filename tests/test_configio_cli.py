@@ -286,6 +286,29 @@ def test_cli_refuses_mismatched_curve_hash(spec_file, tmp_path):
     assert "hash" in r2.stderr
 
 
+_CURVE_HEADER = "time_ms,population,m_s,y_bar,se\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param(_CURVE_HEADER, "no data rows", id="no_rows"),
+    pytest.param(_CURVE_HEADER + "0.0,exc,abc,0.1,0.0\n",
+                 "data row 1, column m_s: 'abc' is not a number", id="non_numeric_cell"),
+    pytest.param("time_ms,population,m_s,se\n0.0,exc,0.2,0.0\n",
+                 "missing column(s) y_bar", id="missing_column"),
+    pytest.param(_CURVE_HEADER + "0.0,exc,0.2,0.1,0.0\n0.01,exc,0.2,0.1,0.0\n0.0,inh,0.2,0.1,0.0\n",
+                 "populations have unequal node counts 'exc': 2, 'inh': 1", id="unequal_node_counts"),
+])
+def test_cli_refuses_a_malformed_curve_file(spec_file, tmp_path, body, message):
+    spec = parse_spec(spec_file.read_text())
+    curve = tmp_path / "meancurve.csv"
+    curve.write_text(f"# config_hash={config_hash(spec.config)}\n# seed={spec.config.seed}\n" + body)
+    r = run_cli(["chaos-sweep", "--spec", str(spec_file), "--out", "cs", "--curve", str(curve)],
+                tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"{curve}: {message}" in r.stderr
+
+
 def test_cli_error_reporting_is_complete(tmp_path):
     d = tiny_spec_dict()
     d["config"]["populations"][0]["decay_rate"] = -1

@@ -5,14 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuromf.errors import ConfigError
 from neuromf.meanfield import (
     MeanCurve,
-    estimate_ms,
     limit_config,
     simulate_limit_given_ybar,
     solve_causal,
@@ -20,11 +18,10 @@ from neuromf.meanfield import (
     wasserstein2_marginal,
     ybar_from_ms,
 )
-from neuromf.model import SigmoidParams, eval_sigmoid
+from neuromf.model import eval_sigmoid
 from neuromf.network import Dist, InitialLaw, simulate
 from neuromf.network import Conductance
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
-from neuromf.rng import block_stream
 from neuromf.stepping import TimeGrid
 
 
@@ -102,36 +99,19 @@ def test_ybar_stays_in_unit_interval(n_steps, rise, decay, y0, t_end, seed):
 # activation estimator
 
 
-def test_estimate_ms_identical_paths():
-    v = np.tile(np.linspace(-2, 2, 11), (5, 1))
-    sig = SigmoidParams(c_max=1.0, lam=1.0, v_half=0.0)
-    mean, se = estimate_ms(v, sig)
-    assert np.allclose(mean, eval_sigmoid(sig, v[0]))
-    assert np.all(se < 1e-15)  # exact zero up to mean-subtraction rounding dust
-
-
-def test_estimate_ms_two_sample_mean():
-    sig = SigmoidParams(c_max=1.0, lam=1.0, v_half=0.0)
-    # two paths whose sigmoid values at the node are 0.2 and 0.4
-    v = np.array([[math.log(0.2 / 0.8)], [math.log(0.4 / 0.6)]])
-    mean, _ = estimate_ms(v, sig)
-    assert mean[0] == pytest.approx(0.3, rel=1e-12)
-
-
-def test_estimate_ms_gaussian_surrogate_matches_quadrature():
-    sig = SigmoidParams(c_max=1.0, lam=1.0, v_half=0.0)
-    m = 10_000
-    v = block_stream(13, 0, 0).standard_normal((m, 1))
-    mean, se = estimate_ms(v, sig)
-    oracle, _ = scipy.integrate.quad(
-        lambda z: 1.0 / (1.0 + math.exp(-z)) * math.exp(-z * z / 2) / math.sqrt(2 * math.pi),
-        -12, 12)
-    assert abs(mean[0] - oracle) < 4.0 * se[0]
-
-
-def test_estimate_ms_needs_two_paths():
-    with pytest.raises(ValueError):
-        estimate_ms(np.zeros((1, 4)), SigmoidParams())
+@pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
+def test_limit_activation_mean_and_se_match_two_pass_estimates(preset):
+    # the engine's online m_S and its SE (the `se` column of meancurve.csv)
+    # against the two-pass mean and std(ddof=1) / sqrt(M) of S over the stored v
+    cfg = preset(n_steps=40, t_end=0.4, thin=1)
+    m = 64
+    ens = simulate_limit_given_ybar(np.full((2, 41), 0.3), cfg, m)
+    v = ens.data["v"][0]  # (nodes, P * M)
+    for a, (pop, _) in enumerate(cfg.populations):
+        s = eval_sigmoid(pop.sigmoid, v[:, a * m:(a + 1) * m])
+        np.testing.assert_allclose(ens.block_means["s"][a], s.mean(axis=1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ens.block_se["s"][a], s.std(axis=1, ddof=1) / math.sqrt(m),
+                                   rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +162,9 @@ def test_limit_single_copy_replay_simple_variant():
     from neuromf.meanfield import MEANFIELD_PATH_BASE
     from neuromf.model import eval_membrane_drift, recovery_drift, synapse_fields
 
-    cfg = fhn_two_pop(n_steps=60, t_end=0.6, conductance=Conductance.SIMPLE, sigma_j=0.3)
+    cfg = fhn_two_pop(n_steps=60, t_end=0.6, conductance=Conductance.SIMPLE, sigma_j=0.3, thin=1)
     curve = np.full((2, 61), 1.0)  # saturated interaction
-    ens = simulate_limit_given_ybar(curve, cfg, 1, thin=1)
+    ens = simulate_limit_given_ybar(curve, cfg, 1)
     lconf = limit_config(cfg, 1)
     pop = lconf.populations[0][0]
     labels = lconf.labels

@@ -31,13 +31,11 @@ from neuromf.network import (
     NetworkConfig,
     NeuronStates,
     coupled_distance_paths,
-    draw_initial_states,
-    network_noise,
     population_sums,
     simulate,
-    step_network,
 )
 from neuromf.parallel import simulate_paths
+from neuromf import network
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import BlockNoise, Component
 from neuromf.stepping import CirParams, TimeGrid, step_cir, step_euler_confined
@@ -339,6 +337,21 @@ def test_coupled_distance_positive_with_interaction():
     assert np.all(res.comp_sup_sq["j"] == 0.0)  # pathwise-shared conductances
 
 
+def test_coupled_gap_is_taken_at_the_first_neuron_of_each_population():
+    # simple variant: no conductance state, so the two systems are the network
+    # and the curve-driven copies that `simulate` runs from the same draws
+    cfg = fhn_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, conductance=Conductance.SIMPLE, thin=1)
+    curve = np.full((2, 31), 0.15)
+    run = coupled_distance_paths(cfg, curve, 3)
+    net, copies = simulate(cfg, n_paths=3), simulate(cfg, n_paths=3, interaction=curve)
+    firsts = [lo for lo, _ in cfg.population_slices()]
+    comp = {name: ((net.data[name][:, 1:, firsts] - copies.data[name][:, 1:, firsts]) ** 2).sum(axis=2)
+            for name in ("v", "y", "w")}
+    for name, c in comp.items():
+        assert np.array_equal(run.comp_sup_sq[name], c.max(axis=1)), name
+    assert np.array_equal(run.sup_sq, (comp["v"] + comp["y"] + comp["w"]).max(axis=1))
+
+
 def test_network_path_ids_stay_below_the_limit_copies():
     cfg = fhn_two_pop(n_per_pop=1, n_steps=2, t_end=0.02)
     last_ok = MEANFIELD_PATH_BASE - 1
@@ -355,7 +368,7 @@ def test_network_path_ids_stay_below_the_limit_copies():
 
 
 # ---------------------------------------------------------------------------
-# public single-step interface
+# a deterministic fixed point
 
 
 def _quiet_single_pop():
@@ -383,45 +396,16 @@ def _quiet_single_pop():
     return cfg, v_star, w_star
 
 
-def test_step_network_deterministic_fixed_point():
+def test_deterministic_fixed_point_holds_for_a_step():
     cfg, v_star, w_star = _quiet_single_pop()
-    st = draw_initial_states(cfg, [0])
-    noise = network_noise(cfg, [0])
-    sums = population_sums(st.y, cfg.population_slices())
-    assert np.all(sums == 0.0)
-    new = step_network(cfg, st, sums, noise.step(0), 0.0)
+    ens = simulate(cfg, n_paths=1)
+    y0 = ens.data["y"][:, 0]
+    assert np.all(population_sums(y0, cfg.population_slices()) == 0.0)
     # all noise amplitudes are zero and every drift vanishes at this point
-    assert np.array_equal(new.y, st.y) and np.all(new.y == 0.0)
-    assert np.array_equal(new.j, st.j)
-    assert np.allclose(new.v, v_star, rtol=0, atol=1e-14)
-    assert np.allclose(new.w, w_star, rtol=0, atol=1e-14)
-
-
-def test_step_network_matches_engine():
-    cfg = fhn_two_pop(n_steps=3, t_end=0.03, thin=1)
-    ens = simulate(cfg, n_paths=2)
-    st = draw_initial_states(cfg, [0, 1])
-    noise = network_noise(cfg, [0, 1])
-    times = cfg.grid.times()
-    for k in range(3):
-        sums = population_sums(st.y, cfg.population_slices())
-        st = step_network(cfg, st, sums, noise.step(k), times[k])
-        assert np.array_equal(st.v, ens.data["v"][:, k + 1])
-        assert np.array_equal(st.y, ens.data["y"][:, k + 1])
-        assert np.array_equal(st.j, ens.j[:, k + 1])
-
-
-def test_step_network_variant_guard():
-    # the variant comes from the configuration; states of the other one are refused
-    from dataclasses import replace
-
-    cfg = fhn_two_pop(n_steps=2, t_end=0.02)
-    st = draw_initial_states(cfg, [0])
-    draws = network_noise(cfg, [0]).step(0)
-    with pytest.raises(ValueError, match="states.j: the simple variant carries no conductance state"):
-        step_network(_as_simple(cfg), st, np.zeros(2), draws, 0.0)
-    with pytest.raises(ValueError, match=r"states.j: shape \(\), expected \(1, 16, 2\)"):
-        step_network(cfg, replace(st, j=None), np.zeros(2), draws, 0.0)
+    assert np.array_equal(ens.data["y"][:, 1], y0) and np.all(ens.data["y"][:, 1] == 0.0)
+    assert np.array_equal(ens.j[:, 1], ens.j[:, 0])
+    assert np.allclose(ens.data["v"][:, 1], v_star, rtol=0, atol=1e-14)
+    assert np.allclose(ens.data["w"][:, 1], w_star, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -538,31 +522,44 @@ def _mixed_fhn_hh_fhn() -> NetworkConfig:
 
 def _engine_cases():
     for name, cfg in (
-        ("fhn", fhn_two_pop(n_per_pop=3, n_steps=8, t_end=0.08)),
-        ("hh", hh_two_pop(n_per_pop=3, n_steps=8, t_end=0.08)),
+        ("fhn", fhn_two_pop(n_per_pop=3, n_steps=8, t_end=0.08, thin=1)),
+        ("hh", hh_two_pop(n_per_pop=3, n_steps=8, t_end=0.08, thin=1)),
         ("mixed", _mixed_fhn_hh_fhn()),
     ):
         yield pytest.param(cfg, id=f"{name}-sign_preserving")
         yield pytest.param(_as_simple(cfg), id=f"{name}-simple")
 
 
+def _stored_state(ens, k: int) -> NeuronStates:
+    """The state at stored node k; zeros for the components the run does not store."""
+    zeros = np.zeros_like(ens.data["v"][:, k])
+    return NeuronStates(**{name: ens.data[name][:, k] if name in ens.data else zeros
+                           for name in ("v", "y", "w", "n", "m", "h")},
+                        j=None if ens.j is None else ens.j[:, k])
+
+
+def _replay(cfg: NetworkConfig, ens, interaction=None, noise_cls=BlockNoise) -> None:
+    """Every step of a thin = 1 run equals `_reference_step` from the stored state before it."""
+    ids = list(range(ens.n_paths))
+    comps = [int(c) for c in (Component.V, Component.Y, Component.GATE_N, Component.GATE_M,
+                              Component.GATE_H)] + [Component.j(g) for g in range(len(cfg.populations))]
+    noise = noise_cls(cfg.seed, ids, comps, cfg.total_neurons, cfg.grid.n_steps)
+    times = cfg.grid.times()
+    assert list(ens.store_steps) == list(range(cfg.grid.n_steps + 1))
+    for k in range(cfg.grid.n_steps):
+        st = _stored_state(ens, k)
+        ybar = population_sums(st.y, cfg.population_slices()) if interaction is None else interaction[:, k]
+        want = _reference_step(cfg, st, ybar, noise.step(k), times[k])
+        _assert_same_state(_stored_state(ens, k + 1), want)
+
+
 @pytest.mark.parametrize("cfg", list(_engine_cases()))
 def test_engine_step_matches_per_population_reference(cfg):
-    ids = [0, 1, 2]
-    st = draw_initial_states(cfg, ids)
-    noise = network_noise(cfg, ids)
-    times = cfg.grid.times()
-    curve = np.linspace(0.1, 0.4, len(cfg.populations))
-    for k in range(cfg.grid.n_steps):
-        draws = noise.step(k)
-        # a deterministic curve value, then the empirical per-path means
-        _assert_same_state(step_network(cfg, st, curve, draws, times[k]),
-                           _reference_step(cfg, st, curve, draws, times[k]))
-        sums = population_sums(st.y, cfg.population_slices())
-        got = step_network(cfg, st, sums, draws, times[k])
-        _assert_same_state(got, _reference_step(cfg, st, sums, draws, times[k]))
-        assert np.isfinite(got.v).all()
-        st = got
+    # the empirical per-path means, then a deterministic curve
+    _replay(cfg, simulate(cfg, n_paths=3))
+    P, n_nodes = len(cfg.populations), cfg.grid.n_steps + 1
+    curve = np.repeat(np.linspace(0.1, 0.4, P)[:, None], n_nodes, axis=1)
+    _replay(cfg, simulate(cfg, n_paths=3, interaction=curve), interaction=curve)
 
 
 def test_mixed_network_stores_every_component(tmp_path):
@@ -571,68 +568,52 @@ def test_mixed_network_stores_every_component(tmp_path):
     from neuromf.artifacts import write_ensemble_csv
 
     cfg = _mixed_fhn_hh_fhn()
-    ids = [0, 1]
-    ens = simulate(cfg, n_paths=len(ids))
+    ens = simulate(cfg, n_paths=2)
     assert sorted(ens.data) == ["h", "m", "n", "v", "w", "y"]
-    st = draw_initial_states(cfg, ids)
-    noise = network_noise(cfg, ids)
-    times = cfg.grid.times()
-    for k in range(cfg.grid.n_steps + 1):
-        for name in ens.data:
-            assert np.array_equal(_bits(ens.data[name][:, k]), _bits(getattr(st, name))), (k, name)
-        if k < cfg.grid.n_steps:
-            sums = population_sums(st.y, cfg.population_slices())
-            st = _reference_step(cfg, st, sums, noise.step(k), times[k])
+    _replay(cfg, ens)
     path = tmp_path / "ensemble.csv"
     write_ensemble_csv(ens, path)
     header = next(l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("# "))
     assert header.split(",")[4:10] == ["v", "y", "w", "n", "m", "h"]
 
 
-def test_simple_variant_pair_without_conductance_noise_adds_no_term():
+def test_mixed_network_gate_extremes_span_the_hh_columns():
+    # the FHN columns' zeros are no gate values
+    cfg = _mixed_fhn_hh_fhn()
+    ens = simulate(cfg, n_paths=2)
+    lo, hi = cfg.population_slices()[cfg.labels.index("hh")]
+    for gate in GATES:
+        stored = ens.data[gate][:, :, lo:hi]
+        assert ens.extremes[gate] == (float(stored.min()), float(stored.max())), gate
+
+
+def test_simple_variant_pair_without_conductance_noise_adds_no_term(monkeypatch):
     # pairs into "exc" carry no conductance noise, pairs into "inh" do;
     # poisoning the conductance draws of the "exc" columns with NaN shows
     # that no term, not even 0 * NaN, reaches them
     from dataclasses import replace
-    base = fhn_two_pop(n_per_pop=3, n_steps=4, t_end=0.04, conductance=Conductance.SIMPLE)
+    base = fhn_two_pop(n_per_pop=3, n_steps=4, t_end=0.04, conductance=Conductance.SIMPLE, thin=1)
     pairs = {(a, g): replace(p, sigma_j=0.0 if a == "exc" else 0.2) for (a, g), p in base.pairs.items()}
     cfg = replace(base, pairs=pairs)
-    st = draw_initial_states(cfg, [0, 1])
-    noise = network_noise(cfg, [0, 1])
-    times = cfg.grid.times()
     lo, hi = cfg.population_slices()[0]
-    for k in range(cfg.grid.n_steps):
-        draws = {c: d.copy() for c, d in noise.step(k).items()}
-        for g in range(2):
-            draws[Component.j(g)][:, lo:hi] = np.nan
-        sums = population_sums(st.y, cfg.population_slices())
-        got = step_network(cfg, st, sums, draws, times[k])
-        _assert_same_state(got, _reference_step(cfg, st, sums, draws, times[k]))
-        assert np.isfinite(got.v).all()
-        st = got
+
+    class Poisoned(BlockNoise):
+        def step(self, k):
+            draws = {c: d.copy() for c, d in super().step(k).items()}
+            for g in range(2):
+                draws[Component.j(g)][:, lo:hi] = np.nan
+            return draws
+
+    monkeypatch.setattr(network, "BlockNoise", Poisoned)
+    ens = simulate(cfg, n_paths=2)
+    assert np.isfinite(ens.data["v"]).all()
+    _replay(cfg, ens, noise_cls=Poisoned)
 
 
-def test_step_network_rejects_malformed_inputs():
+def test_simulate_names_a_missing_pair():
     from dataclasses import replace
 
     cfg = fhn_two_pop(n_per_pop=3, n_steps=2, t_end=0.02)
-    st = draw_initial_states(cfg, [0, 1])
-    draws = network_noise(cfg, [0, 1]).step(0)
-    sums = population_sums(st.y, cfg.population_slices())
     broken = replace(cfg, pairs={k: p for k, p in cfg.pairs.items() if k != ("exc", "inh")})
     with pytest.raises(ConfigError, match=r"pairs\['exc'->'inh'\]"):
-        step_network(broken, st, sums, draws, 0.0)
-    with pytest.raises(ValueError, match=r"sums: shape \(3,\), expected \(2,\)"):
-        step_network(cfg, st, np.zeros(3), draws, 0.0)
-    with pytest.raises(ValueError, match=r"sums: shape \(3, 2\)"):
-        step_network(cfg, st, np.zeros((3, 2)), draws, 0.0)
-    short = {c: d for c, d in draws.items() if c != Component.j(1)}
-    with pytest.raises(ValueError, match="draws: missing component.*'inh'"):
-        step_network(cfg, st, sums, short, 0.0)
-    narrow = {**draws, int(Component.Y): draws[int(Component.Y)][:, :4]}
-    with pytest.raises(ValueError, match=r"draws\[1 \(Y\)\]: shape \(2, 4\), expected \(2, 6\)"):
-        step_network(cfg, st, sums, narrow, 0.0)
-    with pytest.raises(ValueError, match=r"states.j: shape \(2, 6\)"):
-        step_network(cfg, replace(st, j=st.j[..., 0]), sums, draws, 0.0)
-    # the well-formed inputs still step
-    assert step_network(cfg, st, sums, draws, 0.0).v.shape == (2, 6)
+        simulate(broken, n_paths=2)

@@ -9,8 +9,15 @@ REMOVED = {
     "neuromf.rng": ["RngStreamKey", "gaussian_increments", "MAX_NEURON"],
     "neuromf.stepping": ["step_euler_free"],
     "neuromf.model": ["synapse_drift", "synapse_diffusion", "gate_drift", "gate_diffusion"],
-    "neuromf.network": ["step_network_simple", "step_network_sign_preserving", "CoupledPaths"],
+    "neuromf.network": ["step_network_simple", "step_network_sign_preserving", "CoupledPaths",
+                        "step_network", "draw_initial_states", "network_noise"],
+    "neuromf.meanfield": ["estimate_ms"],
 }
+
+
+def test_neuron_states_are_not_exported():
+    # the engine's state record stays internal to `neuromf.network`
+    assert "NeuronStates" not in neuromf.__all__
 
 
 def test_every_exported_name_resolves_once():
