@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from neuromf import network
 from neuromf.errors import ConfigError
 from neuromf.model import (
     GATES,
@@ -35,7 +36,6 @@ from neuromf.network import (
     simulate,
 )
 from neuromf.parallel import simulate_paths
-from neuromf import network
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import BlockNoise, Component
 from neuromf.stepping import CirParams, TimeGrid, step_cir, step_euler_confined
