@@ -703,13 +703,18 @@ class _Storage:
 
 
 class _NodeStats:
-    """Online per-node block means (and SEs) of selected per-population stats."""
+    """Online per-node block means (and SEs) of selected per-population stats.
+
+    Each batch's squared deviations are taken about its own mean and merged
+    with the running sum of squares by the pairwise update, so the SE keeps
+    full precision where the spread is small against the mean.
+    """
 
     def __init__(self, plan: _Plan):
         self.plan = plan
         P, n_nodes = len(plan.pops), plan.n_steps + 1
         self.sums = {name: np.zeros((P, n_nodes)) for name in ("y", "s")}
-        self.sumsq = {name: np.zeros((P, n_nodes)) for name in ("y", "s")}
+        self.m2 = {name: np.zeros((P, n_nodes)) for name in ("y", "s")}
         self.count = np.zeros(P, dtype=int)
 
     def observe(self, rows: slice, node: int, states: list[NeuronStates]) -> None:
@@ -721,10 +726,19 @@ class _NodeStats:
             ss = np.ascontiguousarray(s[:, lo:hi])
             if node == 0:
                 self.count[a] += ys.size
-            self.sums["y"][a, node] += ys.sum()
-            self.sumsq["y"][a, node] += (ys ** 2).sum()
-            self.sums["s"][a, node] += ss.sum()
-            self.sumsq["s"][a, node] += (ss ** 2).sum()
+            seen = int(self.count[a]) - ys.size  # columns of earlier batches
+            self._merge("y", a, node, ys, seen)
+            self._merge("s", a, node, ss, seen)
+
+    def _merge(self, name: str, a: int, node: int, x: np.ndarray, seen: int) -> None:
+        total = x.sum()
+        dev = x - total / x.size
+        m2 = (dev * dev).sum()
+        if seen:
+            delta = total / x.size - self.sums[name][a, node] / seen
+            m2 += delta * delta * (seen * x.size / (seen + x.size))
+        self.sums[name][a, node] += total
+        self.m2[name][a, node] += m2
 
     def node_mean(self, name: str, node: int) -> np.ndarray:
         """Per-population mean at one node so far; `finalize`'s division."""
@@ -734,10 +748,8 @@ class _NodeStats:
         means, ses = {}, {}
         cnt = self.count[:, None].astype(float)
         for name in ("y", "s"):
-            mean = self.sums[name] / cnt
-            var = np.maximum(self.sumsq[name] / cnt - mean ** 2, 0.0)
-            ses[name] = np.sqrt(var / np.maximum(cnt - 1, 1))
-            means[name] = mean
+            means[name] = self.sums[name] / cnt
+            ses[name] = np.sqrt(self.m2[name] / (cnt * np.maximum(cnt - 1, 1)))
         return means, ses
 
 

@@ -18,7 +18,7 @@ from neuromf.meanfield import (
     wasserstein2_marginal,
     ybar_from_ms,
 )
-from neuromf.model import eval_sigmoid
+from neuromf.model import SigmoidParams, eval_sigmoid
 from neuromf.network import Dist, InitialLaw, simulate
 from neuromf.network import Conductance
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
@@ -97,6 +97,43 @@ def test_ybar_stays_in_unit_interval(n_steps, rise, decay, y0, t_end, seed):
 
 # ---------------------------------------------------------------------------
 # activation estimator
+
+
+def test_estimate_ms_identical_paths():
+    # noise-free membranes and deterministic initial data: every copy has the
+    # same v path, so m_S is S(v) of one copy and its SE vanishes
+    cfg = fhn_two_pop(n_steps=50, t_end=0.5, sigma_j=0.0, thin=1)
+    pops = [(replace(p, sigma_v=0.0), n) for p, n in cfg.populations]
+    init = {l: InitialLaw(v=Dist.const(-1.2), y=Dist.const(0.1), w=Dist.const(-0.6),
+                          j={k: Dist.const(d.p1) for k, d in law.j.items()})
+            for l, law in cfg.init.items()}
+    quiet = replace(cfg, populations=pops, init=init)
+    m = 5
+    ens = simulate_limit_given_ybar(np.full((2, 51), 0.2), quiet, m)
+    v = ens.data["v"][0]  # (nodes, P * M)
+    for a, (pop, _) in enumerate(quiet.populations):
+        assert np.allclose(ens.block_means["s"][a], eval_sigmoid(pop.sigmoid, v[:, a * m]))
+        assert np.all(ens.block_se["s"][a] < 1e-15)  # exact zero up to mean-subtraction rounding dust
+
+
+def test_estimate_ms_two_sample_mean():
+    # two batches of one copy each whose sigmoid values at the node are 0.2 and
+    # 0.4: the merged mean is 0.3 and the SE std(ddof=1) / sqrt(2) is 0.1
+    from neuromf.network import NeuronStates, _make_plan, _NodeStats
+
+    sig = SigmoidParams(c_max=1.0, lam=1.0, v_half=0.0)
+    cfg = fhn_two_pop(n_steps=4, t_end=0.04)
+    cfg = limit_config(replace(cfg, populations=[(replace(p, sigmoid=sig), n)
+                                                 for p, n in cfg.populations]), 1)
+    stats = _NodeStats(_make_plan(cfg))
+    for b, value in enumerate((0.2, 0.4)):
+        v = np.full((1, 2), math.log(value / (1.0 - value)))
+        zeros = np.zeros((1, 2))
+        st = NeuronStates(v=v, y=zeros, w=zeros, n=zeros, m=zeros, h=zeros, j=None)
+        stats.observe(slice(b, b + 1), 0, [st])
+    means, ses = stats.finalize()
+    assert means["s"][:, 0] == pytest.approx([0.3, 0.3], rel=1e-12)
+    assert ses["s"][:, 0] == pytest.approx([0.1, 0.1], rel=1e-12)
 
 
 @pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
