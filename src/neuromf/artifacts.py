@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,23 +32,205 @@ def _text_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _float_cells(values) -> list[str]:
-    """`repr` of every value as a Python float, in C order: `csv.writer`'s spelling."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+# -- float cells: `repr` of a float64, formatted a whole array at a time --------
+#
+# A value's shortest round-trip digits are found with integers.  With k such
+# that X = |x| * 10**k lies in [1e16, 1e17), the nearest integer q to X carries
+# 17 significant digits, and the nearest multiple of 10**j to X carries 17 - j
+# of them.  That multiple reads back as x when it lies within x's round-trip
+# interval, of half-width u = 2**(e - 54) * 10**k in the same units
+# (x = m * 2**e with m in [0.5, 1)).  The nearest multiple of 10**j is at
+# least as close as that of 10**(j + 1), so the fits are monotone in j and the
+# largest j that fits gives `repr`'s digits: the shortest, and of those the
+# nearest.  The rest go to `repr` itself: magnitudes outside its fixed
+# notation [1e-4, 1e16), zeros, non-finite values, power-of-two mantissas
+# (their interval is lopsided) and decisions within _MARGIN of a bound or of
+# a tie.
+
+_CELL = 24  # the longest repr of a float64: -2.2250738585072014e-308
+_MARGIN = 1e-6
+_POW10 = 10.0 ** np.arange(23)  # exact up to 10**22
+_POW10_INT = 10 ** np.arange(17)
+
+
+def _veltkamp(a):
+    """(hi, lo) with hi + lo == a and 26 significant bits or fewer in each."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# the ASCII of 0000 ... 9999, four bytes to an entry, from that of 00 ... 99
+_PAIRS = np.stack(np.divmod(np.arange(100, dtype=np.uint8), 10), axis=1) + ord("0")
+_QUADS = np.concatenate(np.broadcast_arrays(_PAIRS[:, None], _PAIRS[None, :]),
+                        axis=2).view(np.uint32).ravel()
+
+
+def _shortest_digits(x: np.ndarray):
+    """`repr`'s digits of each |x| in fixed notation, where they can be certified.
+
+    Returns (c, n_digits, point, ok): |x| reads back from the decimal
+    0.c * 10**point, c has 17 digits of which the first n_digits are
+    significant, and `ok` marks the values decided; the others hold
+    arbitrary numbers.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16)  # false for zeros, nan and inf
+    a[~ok] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    # X = a * 10**k exactly as hi + lo (Dekker's product)
+    hi = a * _POW10[k]
+    a_hi, a_lo = _veltkamp(a)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    ok &= (hi >= 1e16) & (hi < 1e17)
+    hi[~ok] = 1e16
+    whole = np.rint(lo)
+    frac = lo - whole  # X = q + frac exactly
+    q = hi.astype(np.int64) + whole.astype(np.int64)
+    mant, e = np.frexp(a)
+    u = np.ldexp(_POW10[k], e - 54)
+    ok &= (mant != 0.5) & (q >= 10 ** 16)
+    u[~ok] = 0.0  # those never fit
+    # the largest j whose nearest multiple of 10**j lies inside; j = 0 always
+    # does, since |frac| <= 1/2 < u
+    j_max = np.zeros(x.size, dtype=np.int64)
+    live, ql, fl, ul = np.arange(x.size), q, frac, u
+    for j in range(1, 17):
+        step = 10 ** j
+        r = ql - ql // step * step
+        gap = np.minimum(np.abs(r + fl), (step - r) - fl) - ul
+        ok[live[np.abs(gap) <= _MARGIN]] = False
+        fits = np.flatnonzero(gap < -_MARGIN)
+        if not fits.size:
+            break
+        live, ql, fl, ul = live[fits], ql[fits], fl[fits], ul[fits]
+        j_max[live] = j
+    step = _POW10_INT[j_max]
+    r = q % step
+    below = r + frac  # X minus the multiple of 10**j_max at or below q
+    c = q - r + ((step - r) - frac < np.abs(below)) * step
+    # a tie, or a multiple rounded up to 10**17, which moves the point
+    ok &= (np.abs(np.abs(below) - step / 2) > _MARGIN) & (c < 10 ** 17)
+    return c, 17 - j_max, 17 - k, ok
+
+
+def _certified_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of `_repr_cells` for the 1-d float64 array `x`, and which of
+    them are `repr`'s; the others hold arbitrary bytes."""
+    c, n_digits, point, ok = _shortest_digits(x)
+    # repr's fixed notation: 0.000ddd, ddd.ddd or ddd000.0
+    neg = np.signbit(x)
+    lengths = neg + np.maximum(point, 1) + 1 + np.maximum(n_digits - point, 1)
+    # cells of one sign and point (-3 ... 16) are placed together, as one slab
+    layout = np.where(ok, neg * 20 + point + 3, 40).astype(np.uint8)
+    order = np.argsort(layout, kind="stable")
+    digits = _digits(c[order])
+    placed = np.empty((x.size, _CELL), dtype=np.uint8)
+    start = 0
+    for key, count in enumerate(np.bincount(layout, minlength=41)[:40].tolist()):
+        if count:
+            sign, point_key = divmod(key, 20)
+            _place(digits[start:start + count], sign, point_key - 3, placed[start:start + count])
+            start += count
+    cells = np.empty_like(placed)
+    cells.view(f"V{_CELL}")[order] = placed.view(f"V{_CELL}")
+    return cells, lengths, ok
+
+
+def _digits(c: np.ndarray) -> np.ndarray:
+    """The ASCII of each integer below 10**17, zero-padded to 20 digits."""
+    top = c // 10 ** 8
+    bottom = (c - top * 10 ** 8).astype(np.int32)
+    top = top.astype(np.int32)
+    groups = np.empty((len(c), 5), dtype=np.int32)
+    groups[:, 0] = top // 10 ** 8
+    top -= groups[:, 0] * 10 ** 8
+    groups[:, 1] = top // 10 ** 4
+    groups[:, 2] = top - groups[:, 1] * 10 ** 4
+    groups[:, 3] = bottom // 10 ** 4
+    groups[:, 4] = bottom - groups[:, 3] * 10 ** 4
+    return _QUADS.take(groups).view(np.uint8)
+
+
+def _place(digits: np.ndarray, neg: int, point: int, cells: np.ndarray) -> None:
+    """Write into `cells` the 20-digit rows `digits` in fixed notation, the
+    decimal point after digit `point` of their last 17 and a minus sign when
+    `neg`; each cell runs on past its length."""
+    cells[:, 0] = ord("-")
+    if point > 0:
+        cells[:, neg:neg + point] = digits[:, 3:3 + point]
+    else:
+        cells[:, neg] = ord("0")
+    at = neg + max(point, 1)
+    cells[:, at] = ord(".")
+    cells[:, at + 1:at + 18 - point] = digits[:, 3 + point:]
+
+
+def _repr_cells(values) -> tuple[np.ndarray, np.ndarray]:
+    """`repr` of every value as a float64, in C order, as ASCII bytes.
+
+    Returns an (n, 24) uint8 matrix whose row i begins with the cell of
+    value i, and the n cell lengths.
+    """
+    x = np.ascontiguousarray(values, dtype=float).ravel()
+    cells, lengths, ok = _certified_cells(x)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = [repr(v).encode() for v in x[bad].tolist()]
+        cells[bad] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+        lengths[bad] = list(map(len, text))
+    return cells, lengths
+
+
+def _utf8_cells(texts) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each str, as `_repr_cells` returns cells."""
+    encoded = [t.encode("utf-8") for t in texts]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    width = max(1, int(lengths.max(initial=0)))
+    cells = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    return cells, lengths
+
+
+def _rows(columns) -> np.ndarray:
+    """The bytes of the rows whose cells `columns` hold, in order.
+
+    Cells are joined by commas and rows end in a newline.  Each column is a
+    (cells, lengths) pair as `_repr_cells` returns it; a column of one row
+    stands for every row.  The rows are laid out side by side in one byte
+    matrix, and the bytes past each cell's length are dropped.
+    """
+    n = max(len(lengths) for _, lengths in columns)
+    width = sum(cells.shape[1] + 1 for cells, _ in columns)
+    row = np.empty((n, width), dtype=np.uint8)
+    keep = np.empty((n, width), dtype=bool)
+    start = 0
+    for cells, lengths in columns:
+        w = cells.shape[1]
+        end = start + w
+        row[:, start:end] = cells
+        # row L of this table keeps a cell's first L bytes
+        keep[:, start:end] = (np.arange(w) < np.arange(w + 1)[:, None])[lengths]
+        row[:, end], keep[:, end] = ord(","), True
+        start = end + 1
+    row[:, -1] = ord("\n")
+    return row[keep]
 
 
 def _write_table(path: Path, meta: dict[str, object], header: list[str], blocks) -> None:
     """Write `# key=value` lines, the header row, then each block's rows.
 
-    A block is a list of equally long columns of formatted cells; its rows
-    are the columns zipped, so cells are formatted a column at a time and
-    only one block is held in memory.
+    A block is a list of columns as `_rows` takes them, so cells are
+    formatted a column at a time and only one block is held in memory.
     """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(f"# {k}={v}\n" for k, v in meta.items()))
-        csv.writer(f, lineterminator="\n").writerow(header)
+    head = io.StringIO()
+    head.write("".join(f"# {k}={v}\n" for k, v in meta.items()))
+    csv.writer(head, lineterminator="\n").writerow(header)
+    with open(path, "wb") as f:
+        f.write(head.getvalue().encode("utf-8"))
         for columns in blocks:
-            f.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+            f.write(_rows(columns))
 
 
 def read_meta(path: Path) -> dict[str, str]:
@@ -64,8 +247,8 @@ def read_meta(path: Path) -> dict[str, str]:
 def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
     """One row per (path, stored time, neuron); columns are the components.
 
-    The file is written path by path; within a path each component is
-    formatted in one pass over its (stored time, neuron) slab.
+    The file is written path by path; within a path every component is
+    formatted in one numpy pass over its (stored time, neuron) slabs.
     """
     comp_names = [c for c in ("v", "y", "w", "n", "m", "h") if c in ens.data]
     j_cols = [f"j_{l}" for l in ens.labels] if ens.j is not None else []
@@ -74,15 +257,16 @@ def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
     # time_ms,neuron,population does not depend on the path
     labels = [_text_cell(l) for l in ens.labels]
     neurons = [f"{i},{labels[a]}" for i, a in enumerate(ens.pop_of.tolist())]
-    shared = [f"{t:.6g},{cell}" for t in ens.times.tolist() for cell in neurons]
+    shared = _utf8_cells([f"{t:.6g},{cell}" for t in ens.times.tolist() for cell in neurons])
 
     def blocks():
         for p in range(n_paths):
-            columns = [[f"{p},{cell}" for cell in shared]]
-            columns += [_float_cells(ens.data[c][p]) for c in comp_names]
+            slabs = [ens.data[c][p] for c in comp_names]
             if ens.j is not None:
-                columns += [_float_cells(ens.j[p, ..., a]) for a in range(len(ens.labels))]
-            yield columns
+                slabs += list(np.moveaxis(ens.j[p], -1, 0))
+            cells, lengths = _repr_cells(np.stack(slabs))
+            yield [_utf8_cells([str(p)]), shared, *zip(
+                cells.reshape(len(slabs), -1, _CELL), lengths.reshape(len(slabs), -1))]
 
     _write_table(path, {"config_hash": ens.config_hash, "seed": ens.seed,
                         "n_paths": n_paths}, header, blocks())
@@ -105,11 +289,11 @@ def write_meancurve_csv(curve: MeanCurve, config_hash: str, seed: int, path: Pat
     header = ["time_ms", "population", "m_s", "y_bar", "se"]
     n_nodes = len(curve.times)
     columns = [
-        _float_cells(curve.times) * len(curve.labels),
-        [cell for cell in map(_text_cell, curve.labels) for _ in range(n_nodes)],
-        _float_cells(curve.m_s),
-        _float_cells(curve.y_bar),
-        _float_cells(curve.se) if curve.se is not None else [repr(0.0)] * curve.m_s.size,
+        _repr_cells(np.tile(curve.times, len(curve.labels))),
+        _utf8_cells([cell for cell in map(_text_cell, curve.labels) for _ in range(n_nodes)]),
+        _repr_cells(curve.m_s),
+        _repr_cells(curve.y_bar),
+        _repr_cells(curve.se if curve.se is not None else np.zeros(curve.m_s.shape)),
     ]
     _write_table(path, {"config_hash": config_hash, "seed": seed}, header, [columns])
 
@@ -121,7 +305,7 @@ def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
             f"{path}: config hash {meta.get('config_hash')} does not match the "
             f"current configuration ({expect_hash}); refusing to mix setups"
         ])
-    by_pop: dict[str, list[list[float]]] = {}
+    by_pop: dict[str, list[tuple[int, list[float]]]] = {}  # label -> (data row, cells)
     with open(path, encoding="utf-8") as f:
         lines = [l for l in f if not l.startswith("# ")]
     reader = csv.DictReader(lines)
@@ -133,11 +317,15 @@ def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
         cells = []
         for c in numeric:
             try:
-                cells.append(float(row[c]))
+                value = float(row[c])
             except (TypeError, ValueError):
                 raise ConfigError([f"{path}: data row {i}, column {c}: "
                                    f"{row[c]!r} is not a number"]) from None
-        by_pop.setdefault(row["population"], []).append(cells)
+            if not math.isfinite(value):
+                raise ConfigError([f"{path}: data row {i}, column {c}: "
+                                   f"{row[c]!r} is not finite"])
+            cells.append(value)
+        by_pop.setdefault(row["population"], []).append((i, cells))
     if not by_pop:
         raise ConfigError([f"{path}: no data rows"])
     counts = {label: len(rows) for label, rows in by_pop.items()}
@@ -145,18 +333,23 @@ def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
         raise ConfigError([f"{path}: populations have unequal node counts "
                            + ", ".join(f"{label!r}: {n}" for label, n in counts.items())])
     labels = list(by_pop)
-    times = np.asarray([r[0] for r in by_pop[labels[0]]])
-    m_s = np.asarray([[r[1] for r in by_pop[l]] for l in labels])
-    y_bar = np.asarray([[r[2] for r in by_pop[l]] for l in labels])
-    se = np.asarray([[r[3] for r in by_pop[l]] for l in labels])
-    return MeanCurve(times=times, labels=labels, m_s=m_s, y_bar=y_bar, se=se)
+    time_ms, m_s, y_bar, se = np.ascontiguousarray(np.moveaxis(
+        np.asarray([[cells for _, cells in by_pop[l]] for l in labels]), -1, 0))
+    for a in range(1, len(labels)):
+        differs = np.flatnonzero(time_ms[a] != time_ms[0])
+        if differs.size:
+            node = differs[0]
+            raise ConfigError([f"{path}: population {labels[a]!r}: time_ms at data row "
+                               f"{by_pop[labels[a]][node][0]} is {time_ms[a, node]}, not "
+                               f"{time_ms[0, node]} as in population {labels[0]!r}"])
+    return MeanCurve(times=time_ms[0], labels=labels, m_s=m_s, y_bar=y_bar, se=se)
 
 
 def write_chaos_report(report: CouplingReport, config_hash: str, seed: int,
                        csv_path: Path, json_path: Path) -> None:
     header = ["N", "D_hat", "SE", "sqrtN_times_D"]
-    columns = [list(map(str, report.ns)), _float_cells(report.d_hat),
-               _float_cells(report.se), _float_cells(report.sqrtn_d)]
+    columns = [_utf8_cells(list(map(str, report.ns))), _repr_cells(report.d_hat),
+               _repr_cells(report.se), _repr_cells(report.sqrtn_d)]
     _write_table(csv_path, {"config_hash": config_hash, "seed": seed,
                             "n_paths": report.n_paths}, header, [columns])
     summary = {

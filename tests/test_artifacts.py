@@ -10,8 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import package_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuromf.artifacts import (
+    _certified_cells,
+    _repr_cells,
     read_meancurve_csv,
     write_chaos_report,
     write_ensemble_csv,
@@ -147,6 +151,80 @@ def test_chaos_report_csv_matches_row_by_row_reference(tmp_path):
     write_chaos_report(report, "abc123", 9, tmp_path / "new.csv", tmp_path / "new.json")
     reference_chaos_csv(report, "abc123", 9, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_ensemble_csv_keeps_every_byte_of_a_label(ensembles, tmp_path):
+    # cells are cut by their lengths: a label may end in NUL or blank bytes
+    ens = replace(ensembles["fhn_sign_preserving"], labels=["e\x00", "i "])
+    write_ensemble_csv(ens, tmp_path / "new.csv")
+    reference_ensemble_csv(ens, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# float cells against repr, cell by cell
+
+
+def cell_texts(cells, lengths):
+    return [bytes(cell[:n]).decode("ascii") for cell, n in zip(cells, lengths)]
+
+
+def assert_cells_are_repr(values):
+    x = np.asarray(values, dtype=float).ravel()
+    assert cell_texts(*_repr_cells(x)) == [repr(v) for v in x.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_repr_cells_of_raw_bit_patterns(bits):
+    assert_cells_are_repr(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_repr_cells_of_any_floats(values):
+    assert_cells_are_repr(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1, max_size=50), st.booleans())
+def test_repr_cells_of_fixed_notation_floats(values, negate):
+    # the magnitudes the numpy path formats itself
+    assert_cells_are_repr(-np.array(values) if negate else values)
+
+
+def significant_digit_values():
+    """1 to 17 significant digits, with the decimal point in each of repr's forms."""
+    values = [0.4, 123.0, 0.1 + 0.2]
+    for n in range(1, 18):
+        digits = "98765432123456789"[:n]
+        values += [float(f"{digits}e{shift}") for shift in (-n - 4, -n - 3, -n, -1, 0, 16 - n, 17 - n)]
+    return values
+
+
+EDGE_VALUES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+    *np.nextafter(1e-4, [0.0, np.inf]), 1e-4, *np.nextafter(1e16, [0.0, np.inf]), 1e16,
+    *(2.0 ** np.arange(-20, 61)), *(-(2.0 ** np.arange(-20, 61))),
+    *significant_digit_values(), *(-np.array(significant_digit_values())),
+    747514207680215.75, 72412708878651.875,  # two shortest spellings lie equally near
+]
+
+
+def test_repr_cells_of_edge_values():
+    assert_cells_are_repr(EDGE_VALUES)
+    assert_cells_are_repr(np.array(EDGE_VALUES).reshape(-1, 1)[::-1])  # any shape, any order
+    assert _repr_cells(np.zeros(0))[0].shape == (0, 24)
+
+
+def test_numpy_path_certifies_nearly_every_simulated_value():
+    # membrane potentials and proportions: were the numpy path to hand them to
+    # repr, this fails rather than only slowing the writers
+    rng = np.random.default_rng(20)
+    x = np.concatenate([rng.normal(-60.0, 10.0, 50_000), rng.uniform(0.0, 1.0, 50_000)])
+    cells, lengths, certified = _certified_cells(x)
+    assert certified.mean() >= 0.99
+    assert cell_texts(cells[certified], lengths[certified]) == [repr(v) for v in x[certified].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,12 @@ _CURVE_HEADER = "time_ms,population,m_s,y_bar,se\n"
                  "missing column(s) y_bar", id="missing_column"),
     pytest.param(_CURVE_HEADER + "0.0,exc,0.2,0.1,0.0\n0.01,exc,0.2,0.1,0.0\n0.0,inh,0.2,0.1,0.0\n",
                  "populations have unequal node counts 'exc': 2, 'inh': 1", id="unequal_node_counts"),
+    pytest.param(_CURVE_HEADER + "0.0,exc,0.2,0.1,0.0\n0.0,inh,0.2,nan,0.0\n",
+                 "data row 2, column y_bar: 'nan' is not finite", id="non_finite_cell"),
+    pytest.param(_CURVE_HEADER + "0.0,exc,0.2,0.1,0.0\n0.01,exc,0.2,0.1,0.0\n"
+                 "0.5,inh,0.2,0.1,0.0\n0.51,inh,0.2,0.1,0.0\n",
+                 "population 'inh': time_ms at data row 3 is 0.5, not 0.0 as in population 'exc'",
+                 id="shifted_population_times"),
 ])
 def test_cli_refuses_a_malformed_curve_file(spec_file, tmp_path, body, message):
     spec = parse_spec(spec_file.read_text())
@@ -351,7 +357,6 @@ def read_csv_table(path: Path):
     return header, rows
 
 
-@pytest.mark.skipif(not GOLDEN.exists(), reason="golden files not generated")
 def test_golden_ensemble_schema(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text((GOLDEN / "spec.json").read_text())
@@ -367,7 +372,6 @@ def test_golden_ensemble_schema(tmp_path):
                                    [float(x) for x in w[4:]], rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.skipif(not GOLDEN.exists(), reason="golden files not generated")
 def test_golden_meancurve(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text((GOLDEN / "spec.json").read_text())
@@ -380,7 +384,6 @@ def test_golden_meancurve(tmp_path):
     np.testing.assert_allclose(got.m_s, want.m_s, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.skipif(not GOLDEN.exists(), reason="golden files not generated")
 def test_golden_chaos_report(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text((GOLDEN / "spec.json").read_text())
