@@ -193,44 +193,56 @@ def _utf8_cells(texts) -> tuple[np.ndarray, np.ndarray]:
     return cells, lengths
 
 
-def _rows(columns) -> np.ndarray:
-    """The bytes of the rows whose cells `columns` hold, in order.
+class _RowMatrix:
+    """The rows of one block as a byte matrix, written column by column.
 
-    Cells are joined by commas and rows end in a newline.  Each column is a
+    Cells are joined by commas and rows end in a newline.  A column is a
     (cells, lengths) pair as `_repr_cells` returns it; a column of one row
-    stands for every row.  The rows are laid out side by side in one byte
-    matrix, and the bytes past each cell's length are dropped.
+    stands for every row.  Each row keeps a cell's first `length` bytes and
+    drops the rest, so a column can be rewritten in place and the others
+    reused, as long as its cells keep their width.
     """
-    n = max(len(lengths) for _, lengths in columns)
-    width = sum(cells.shape[1] + 1 for cells, _ in columns)
-    row = np.empty((n, width), dtype=np.uint8)
-    keep = np.empty((n, width), dtype=bool)
-    start = 0
-    for cells, lengths in columns:
-        w = cells.shape[1]
-        end = start + w
-        row[:, start:end] = cells
+
+    def __init__(self, n: int, widths: list[int]):
+        self.starts = np.cumsum([0] + [w + 1 for w in widths[:-1]]).tolist()
+        self.row = np.empty((n, sum(w + 1 for w in widths)), dtype=np.uint8)
+        self.keep = np.ones(self.row.shape, dtype=bool)
+        for start, w in zip(self.starts, widths):
+            self.row[:, start + w] = ord(",")
+        self.row[:, -1] = ord("\n")
+
+    def put(self, i: int, cells: np.ndarray, lengths: np.ndarray) -> None:
+        """Write column i."""
+        start, w = self.starts[i], cells.shape[1]
+        self.row[:, start:start + w] = cells
         # row L of this table keeps a cell's first L bytes
-        keep[:, start:end] = (np.arange(w) < np.arange(w + 1)[:, None])[lengths]
-        row[:, end], keep[:, end] = ord(","), True
-        start = end + 1
-    row[:, -1] = ord("\n")
-    return row[keep]
+        self.keep[:, start:start + w] = (np.arange(w) < np.arange(w + 1)[:, None])[lengths]
+
+    def bytes(self) -> np.ndarray:
+        return self.row[self.keep]
+
+
+def _rows(columns) -> np.ndarray:
+    """The bytes of the rows whose cells `columns` hold, in order."""
+    matrix = _RowMatrix(max(len(lengths) for _, lengths in columns),
+                        [cells.shape[1] for cells, _ in columns])
+    for i, column in enumerate(columns):
+        matrix.put(i, *column)
+    return matrix.bytes()
 
 
 def _write_table(path: Path, meta: dict[str, object], header: list[str], blocks) -> None:
-    """Write `# key=value` lines, the header row, then each block's rows.
+    """Write `# key=value` lines, the header row, then each block of row bytes.
 
-    A block is a list of columns as `_rows` takes them, so cells are
-    formatted a column at a time and only one block is held in memory.
+    Blocks are written as they come, so only one is held in memory.
     """
     head = io.StringIO()
     head.write("".join(f"# {k}={v}\n" for k, v in meta.items()))
     csv.writer(head, lineterminator="\n").writerow(header)
     with open(path, "wb") as f:
         f.write(head.getvalue().encode("utf-8"))
-        for columns in blocks:
-            f.write(_rows(columns))
+        for block in blocks:
+            f.write(block)
 
 
 def read_meta(path: Path) -> dict[str, str]:
@@ -254,10 +266,15 @@ def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
     j_cols = [f"j_{l}" for l in ens.labels] if ens.j is not None else []
     header = ["path", "time_ms", "neuron", "population"] + comp_names + j_cols
     n_paths = ens.data["v"].shape[0]
-    # time_ms,neuron,population does not depend on the path
+    n_comp = len(comp_names) + len(j_cols)
+    # one row matrix serves every path: time_ms,neuron,population is written
+    # once, the path and the float cells are rewritten per path
     labels = [_text_cell(l) for l in ens.labels]
     neurons = [f"{i},{labels[a]}" for i, a in enumerate(ens.pop_of.tolist())]
     shared = _utf8_cells([f"{t:.6g},{cell}" for t in ens.times.tolist() for cell in neurons])
+    path_cells, path_lengths = _utf8_cells([str(p) for p in range(n_paths)])
+    matrix = _RowMatrix(len(shared[1]), [path_cells.shape[1], shared[0].shape[1]] + [_CELL] * n_comp)
+    matrix.put(1, *shared)
 
     def blocks():
         for p in range(n_paths):
@@ -265,8 +282,11 @@ def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
             if ens.j is not None:
                 slabs += list(np.moveaxis(ens.j[p], -1, 0))
             cells, lengths = _repr_cells(np.stack(slabs))
-            yield [_utf8_cells([str(p)]), shared, *zip(
-                cells.reshape(len(slabs), -1, _CELL), lengths.reshape(len(slabs), -1))]
+            matrix.put(0, path_cells[p:p + 1], path_lengths[p:p + 1])
+            for k, column in enumerate(zip(cells.reshape(n_comp, -1, _CELL),
+                                           lengths.reshape(n_comp, -1))):
+                matrix.put(2 + k, *column)
+            yield matrix.bytes()
 
     _write_table(path, {"config_hash": ens.config_hash, "seed": ens.seed,
                         "n_paths": n_paths}, header, blocks())
@@ -295,7 +315,7 @@ def write_meancurve_csv(curve: MeanCurve, config_hash: str, seed: int, path: Pat
         _repr_cells(curve.y_bar),
         _repr_cells(curve.se if curve.se is not None else np.zeros(curve.m_s.shape)),
     ]
-    _write_table(path, {"config_hash": config_hash, "seed": seed}, header, [columns])
+    _write_table(path, {"config_hash": config_hash, "seed": seed}, header, [_rows(columns)])
 
 
 def read_meancurve_csv(path: Path, expect_hash: str | None = None) -> MeanCurve:
@@ -351,7 +371,7 @@ def write_chaos_report(report: CouplingReport, config_hash: str, seed: int,
     columns = [_utf8_cells(list(map(str, report.ns))), _repr_cells(report.d_hat),
                _repr_cells(report.se), _repr_cells(report.sqrtn_d)]
     _write_table(csv_path, {"config_hash": config_hash, "seed": seed,
-                            "n_paths": report.n_paths}, header, [columns])
+                            "n_paths": report.n_paths}, header, [_rows(columns)])
     summary = {
         "config_hash": config_hash,
         "seed": seed,

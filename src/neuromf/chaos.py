@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import ConfigError
 from .meanfield import (
@@ -27,6 +26,20 @@ from .meanfield import (
     wasserstein2_marginal,
 )
 from .network import CouplingRun, NetworkConfig, coupled_distance_paths, simulate
+
+
+# scipy.special.stdtrit(df, 0.975) for df = 1 ... 30, the two-sided 95% Student t
+# quantile: a table keeps scipy off the import path of every command
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
 
 
 @dataclass
@@ -84,15 +97,20 @@ def fit_rate(points: list[tuple[int, float]]) -> RateFit:
         raise ValueError("need at least three positive points to fit a rate")
     x = np.log(np.asarray([n for n, _ in used], dtype=float))
     y = np.log(np.asarray([d for _, d in used], dtype=float))
-    n = len(used)
+    df = len(used) - 2
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = float(ym - slope * xm)
     resid = y - (intercept + slope * x)
-    s2 = float(np.sum(resid ** 2) / (n - 2))
+    s2 = float(np.sum(resid ** 2) / df)
     se_slope = math.sqrt(s2 / sxx)
-    tq = float(scipy.special.stdtrit(n - 2, 0.975))  # Student t quantile
+    if df <= len(_T975):
+        tq = _T975[df - 1]  # Student t quantile
+    else:  # more than 32 sizes
+        from scipy.special import stdtrit
+
+        tq = float(stdtrit(df, 0.975))
     half = tq * se_slope
     return RateFit(slope=slope, intercept=intercept, ci_lo=slope - half,
                    ci_hi=slope + half, used=used, excluded=excluded)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import VariantMismatchError
 
@@ -201,9 +200,22 @@ class PairParams:
 # scalar / vectorized coefficient evaluations
 
 
+def _logistic(x: Array) -> Array:
+    """1 / (1 + exp(-x)): exactly 0.0 as x -> -inf, where exp overflows silently.
+
+    Every pass writes into one buffer: on wide arrays a fresh temporary per
+    pass costs more than the arithmetic.
+    """
+    e = np.negative(x, out=np.empty(np.shape(x)))
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
+
+
 def eval_sigmoid(p: SigmoidParams, v: Array) -> Array:
     """S(v), strictly increasing, valued in (0, c_max)."""
-    return p.c_max * expit(p.lam * (np.asarray(v, dtype=float) - p.v_half))
+    return p.c_max * _logistic(p.lam * (np.asarray(v, dtype=float) - p.v_half))
 
 
 def eval_cutoff(c: CutoffSpec, x: Array) -> Array:
@@ -211,7 +223,7 @@ def eval_cutoff(c: CutoffSpec, x: Array) -> Array:
     x = np.asarray(x, dtype=float)
     up = (x - c.support_lo) / c.ramp
     down = (c.support_hi - x) / c.ramp
-    return np.clip(np.minimum(np.minimum(up, down), 1.0), 0.0, 1.0)
+    return np.maximum(0.0, np.minimum(np.minimum(up, down), 1.0))
 
 
 def _vtrap(x: Array, scale: float) -> Array:
@@ -230,7 +242,7 @@ def _raw_gate_rates(gate: str, v: Array) -> tuple[Array, Array]:
     if gate == "m":
         return 0.1 * _vtrap(v + 40.0, 10.0), 4.0 * np.exp(-(v + 65.0) / 18.0)
     if gate == "h":
-        return 0.07 * np.exp(-(v + 65.0) / 20.0), expit((v + 35.0) / 10.0)
+        return 0.07 * np.exp(-(v + 65.0) / 20.0), _logistic((v + 35.0) / 10.0)
     raise ValueError(f"unknown gate {gate!r}; expected one of {GATES}")
 
 
@@ -242,14 +254,15 @@ def clamp_gate_voltage(g: GateRates, v: Array) -> Array:
     overflow in the exponentials).  One clamped potential serves all three
     gates.
     """
-    return np.clip(np.asarray(v, dtype=float), -g.clamp_v, g.clamp_v)
+    # np.clip bit for bit (bounds first: see stepping.step_euler_confined)
+    return np.minimum(g.clamp_v, np.maximum(-g.clamp_v, np.asarray(v, dtype=float)))
 
 
 def _clipped_gate_rates(g: GateRates, gate: str, v_eff: Array) -> tuple[Array, Array]:
     rho, zeta = _raw_gate_rates(gate, v_eff)
     return (
-        np.clip(rho, g.clamp_lo, g.clamp_hi),
-        np.clip(zeta, g.clamp_lo, g.clamp_hi),
+        np.minimum(g.clamp_hi, np.maximum(g.clamp_lo, rho)),
+        np.minimum(g.clamp_hi, np.maximum(g.clamp_lo, zeta)),
     )
 
 

@@ -10,7 +10,6 @@ NEUROMF_WORKERS environment variable (default 1).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +43,8 @@ def simulate_paths(config: NetworkConfig, n_paths: int, workers: int | None = No
     workers = min(workers, n_paths)
     if workers == 1:
         return simulate(config, n_paths=n_paths)
+    from concurrent.futures import ProcessPoolExecutor  # a single worker never needs it
+
     ranges = _chunk_ranges(n_paths, workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_simulate_chunk, [config] * len(ranges),

@@ -97,7 +97,9 @@ def step_euler_confined(x: Array, drift: Array, diffusion: Array, dt: float, dw:
         raise ValueError("dt must be > 0")
     z = x + drift * dt + diffusion * dw
     _reject_nonfinite(z, x, drift, diffusion, dw)
-    return np.clip(z, 0.0, 1.0)
+    # np.clip bit for bit, -0.0 included: the bounds go first, as numpy's
+    # maximum and minimum return their second operand on a tie
+    return np.minimum(1.0, np.maximum(0.0, z))
 
 
 def step_cir(j: Array, p: CirParams, dt: float, dw: Array) -> Array:

@@ -86,6 +86,31 @@ def test_fit_rate_interval_uses_the_student_t_quantile():
     assert fit.ci_lo == fit.slope - half and fit.ci_hi == fit.slope + half
 
 
+def test_t_quantile_table_is_scipys():
+    import scipy.special
+
+    from neuromf.chaos import _T975
+
+    assert len(_T975) == 30
+    for df, q in enumerate(_T975, start=1):
+        assert q == float(scipy.special.stdtrit(df, 0.975))
+
+
+def test_fit_rate_beyond_the_table_uses_scipys_quantile():
+    import scipy.special
+
+    gen = np.random.Generator(np.random.Philox(key=np.array([9, 10], dtype=np.uint64)))
+    pts = [(16 * (k + 1), (16 * (k + 1)) ** -0.5 * (1.0 + 0.1 * gen.standard_normal()))
+           for k in range(33)]
+    fit = fit_rate(pts)
+    x = np.log([n for n, _ in pts])
+    y = np.log([d for _, d in pts])
+    resid = y - (fit.intercept + fit.slope * x)
+    se = math.sqrt(float(np.sum(resid ** 2) / 31) / float(np.sum((x - x.mean()) ** 2)))
+    half = float(scipy.special.stdtrit(31, 0.975)) * se
+    assert fit.ci_lo == fit.slope - half and fit.ci_hi == fit.slope + half
+
+
 def test_fit_rate_excludes_nonpositive():
     fit = fit_rate([(16, 0.5), (64, 0.25), (256, 0.125), (1024, 0.0)])
     assert fit.excluded == [(1024, 0.0)]

@@ -273,6 +273,18 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
     assert res.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_scipy(tmp_path):
+    # nor does a rate fit of up to 32 sizes, which reads the tabulated t quantile
+    code = ("import sys, neuromf.cli\n"
+            "from neuromf.chaos import fit_rate\n"
+            "fit_rate([(n, n ** -0.5) for n in range(3, 35)])\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=package_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_cli_refuses_mismatched_curve_hash(spec_file, tmp_path):
     r = run_cli(["meanfield", "--spec", str(spec_file), "--out", "mf"], tmp_path)
     assert r.returncode == 0

@@ -1,5 +1,7 @@
 """Coefficient functions: frozen examples, invariants, property tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from neuromf.model import (
     SigmoidParams,
     check_fhn_one_sided_lipschitz,
     check_gate_coercivity,
+    check_sigmoid_monotone,
     eval_cutoff,
     eval_gate_rates,
     eval_membrane_drift,
@@ -59,6 +62,31 @@ def test_sigmoid_shifted_midpoint():
     expected = 1.0 / (1.0 + np.exp(-0.5 * (-40.0 - (-40.0))))
     assert eval_sigmoid(p, -40.0) == pytest.approx(expected)
     assert expected == 0.5
+
+
+def test_sigmoid_logistic_agrees_with_scipy_expit():
+    from scipy.special import expit
+
+    # c_max = lam = 1 and v_half = 0 leave S(v) the bare logistic of v
+    p = SigmoidParams(c_max=1.0, lam=1.0, v_half=0.0)
+    v = np.concatenate([np.linspace(-800.0, 800.0, 320_001), [-np.inf, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_sigmoid(p, v)
+        tails = eval_sigmoid(p, np.array([-800.0, -710.0, -np.inf, 40.0, 800.0, np.inf]))
+        nan = eval_sigmoid(p, np.nan)
+    want = expit(v)
+    # both lie in [0, 1], so the int64 views differ by the distance in ulps
+    assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 4
+    assert tails.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert np.isnan(nan)
+
+
+def test_validate_sigmoid_check_is_silent_on_a_steep_sigmoid():
+    # lam * 120 mV overflows exp on the wide grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_sigmoid_monotone(SigmoidParams(c_max=1.0, lam=10.0, v_half=0.0)).passed
 
 
 @given(st.floats(-500, 500), st.floats(-500, 500))
@@ -115,6 +143,16 @@ def test_cutoff_range_and_support(x):
 def test_cutoff_lipschitz(x1, x2):
     v1, v2 = float(eval_cutoff(CUT, x1)), float(eval_cutoff(CUT, x2))
     assert abs(v1 - v2) <= abs(x1 - x2) / CUT.ramp + 1e-12
+
+
+def test_cutoff_and_gate_clamps_match_np_clip_bit_for_bit():
+    x = np.concatenate([np.linspace(-0.5, 1.5, 4001), [-0.0, 0.0, np.nan, np.inf, -np.inf]])
+    want = np.clip(np.minimum(np.minimum((x - CUT.support_lo) / CUT.ramp,
+                                         (CUT.support_hi - x) / CUT.ramp), 1.0), 0.0, 1.0)
+    assert eval_cutoff(CUT, x).tobytes() == want.tobytes()
+    g = GateRates()
+    v = np.concatenate([np.linspace(-300.0, 300.0, 6001), [-0.0, 0.0, np.nan, np.inf, -np.inf]])
+    assert clamp_gate_voltage(g, v).tobytes() == np.clip(v, -g.clamp_v, g.clamp_v).tobytes()
 
 
 def test_cutoff_validation():

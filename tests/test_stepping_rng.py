@@ -61,6 +61,14 @@ def test_confined_always_in_unit_interval(x, drift, diffusion, dt, dw):
     assert 0.0 <= out <= 1.0
 
 
+def test_confined_projection_matches_np_clip_bit_for_bit():
+    # drift -0.0 and diffusion * dw = -0.0 leave z = x, signed zeros included
+    x = np.array([-0.0, 0.0, 1.0, -0.5, 1.5, 0.25, -1e-300, 1.0 + 2e-16] * 5)
+    out = step_euler_confined(x, -0.0, 0.0, 0.01, -1.0)
+    assert out.tobytes() == np.clip(x, 0.0, 1.0).tobytes()
+    assert np.signbit(out[0])
+
+
 def test_confined_rejects_nonfinite():
     with pytest.raises(SimulationDiverged):
         step_euler_confined(np.array([0.5, np.nan]), 0.0, 0.0, 0.01, 0.0)
