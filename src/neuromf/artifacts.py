@@ -256,6 +256,15 @@ def read_meta(path: Path) -> dict[str, str]:
     return meta
 
 
+def _time_cells(times: list[float]) -> list[str]:
+    """Times at 6 significant digits, or at the fewest (up to 17) that keep adjacent ones apart."""
+    for digits in range(6, 18):
+        cells = [f"{t:.{digits}g}" for t in times]
+        if all(a != b for a, b in zip(cells, cells[1:])):
+            break
+    return cells
+
+
 def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
     """One row per (path, stored time, neuron); columns are the components.
 
@@ -271,7 +280,7 @@ def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
     # once, the path and the float cells are rewritten per path
     labels = [_text_cell(l) for l in ens.labels]
     neurons = [f"{i},{labels[a]}" for i, a in enumerate(ens.pop_of.tolist())]
-    shared = _utf8_cells([f"{t:.6g},{cell}" for t in ens.times.tolist() for cell in neurons])
+    shared = _utf8_cells([f"{t},{cell}" for t in _time_cells(ens.times.tolist()) for cell in neurons])
     path_cells, path_lengths = _utf8_cells([str(p) for p in range(n_paths)])
     matrix = _RowMatrix(len(shared[1]), [path_cells.shape[1], shared[0].shape[1]] + [_CELL] * n_comp)
     matrix.put(1, *shared)

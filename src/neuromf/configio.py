@@ -48,7 +48,6 @@ class ExperimentSpec:
     m_copies: int
     tol: float
     max_iter: int
-    out_dir: str | None = None
 
 
 _REQUIRED = object()

@@ -34,14 +34,13 @@ from .model import (
     GATES,
     PairParams,
     PopulationParams,
-    clamp_gate_voltage,
     eval_membrane_drift,
     eval_sigmoid,
-    gate_fields,
+    proportion_fields,
+    proportion_rates,
     recovery_drift,
-    synapse_fields,
 )
-from .rng import BlockNoise, Component
+from .rng import BlockNoise, Component, StepDraws
 from .stepping import TimeGrid, step_cir, step_euler_confined
 
 # Network paths take ids below this base; limit-copy ensembles draw from
@@ -310,13 +309,20 @@ def _columns(items: Sequence, sizes: Sequence[int], names: Sequence[str]) -> Sim
 
 
 class _ColumnCurrent:
-    """The applied currents of a run's HH populations, one column vector per time."""
+    """The applied currents of a run's HH populations, one column vector per time.
+
+    Every call refills and returns the same vector.
+    """
 
     def __init__(self, specs: list, sizes: list[int]):
-        self.specs, self.sizes = specs, sizes
+        self.specs = specs
+        self.bounds = [(sum(sizes[:i]), sum(sizes[:i + 1])) for i in range(len(sizes))]
+        self.values = np.empty(sum(sizes))
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.repeat(np.array([spec(t) for spec in self.specs], dtype=float), self.sizes)
+        for spec, (lo, hi) in zip(self.specs, self.bounds):
+            self.values[lo:hi] = spec(t)
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -351,6 +357,15 @@ class _Run:
     # of the run, each with the mask of those columns (None: all of them);
     # a column with sigma_j = 0 gets no term at all, not a signed zero
     j_noise: dict[int, np.ndarray | None]
+
+    @property
+    def cols(self) -> slice:
+        return slice(self.lo, self.hi)
+
+    @property
+    def k(self) -> int:
+        """The number of proportions the run steps: y, and the gates when HH."""
+        return 4 if self.pop.is_hh else 1
 
 
 def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
@@ -398,15 +413,22 @@ class _Plan:
     conductance: Conductance
     runs: list[_Run]
     sigmoid: SimpleNamespace   # every column's sigmoid parameters
+    cir: SimpleNamespace | None  # sign-preserving: theta, j_mean, sigma_j, each (P, 1, n_cols)
     any_hh: bool
     any_fhn: bool
-    components: list[int]
+    k: int                     # proportions per column: y, and the gates when some population is HH
+    components: list[int]      # V, Y, the gates when some population is HH, then J(g)
     init_laws: list[InitialLaw]
     seed: int
     times: np.ndarray
     dt: float
     sqrt_dt: float
     n_steps: int
+
+    @property
+    def j_rows(self) -> slice:
+        """The conductance noise of every source: rows of `StepDraws.stack`."""
+        return slice(1 + self.k, len(self.components))
 
 
 def _make_plan(config: NetworkConfig) -> _Plan:
@@ -417,10 +439,18 @@ def _make_plan(config: NetworkConfig) -> _Plan:
     runs = [_make_run(config, list(members))
             for _, members in groupby(range(P), key=lambda a: pops[a].is_hh)]
     any_hh = any(p.is_hh for p in pops)
+    # V first, then the proportions next to each other: one slice per step
     comps = [int(Component.V), int(Component.Y)]
     if any_hh:
         comps += [int(Component.GATE_N), int(Component.GATE_M), int(Component.GATE_H)]
     comps += [Component.j(g) for g in range(P)]
+    cir = None
+    if config.conductance is Conductance.SIGN_PRESERVING:
+        cir = SimpleNamespace(**{
+            name: np.stack([np.concatenate([getattr(run.pairs[g], name) for run in runs])
+                            for g in range(P)])[:, None, :]
+            for name in ("theta", "j_mean", "sigma_j")
+        })
     return _Plan(
         pops=pops,
         labels=config.labels,
@@ -429,8 +459,10 @@ def _make_plan(config: NetworkConfig) -> _Plan:
         conductance=config.conductance,
         runs=runs,
         sigmoid=_columns([p.sigmoid for p in pops], config.sizes, ("c_max", "lam", "v_half")),
+        cir=cir,
         any_hh=any_hh,
         any_fhn=not all(p.is_hh for p in pops),
+        k=4 if any_hh else 1,
         components=comps,
         init_laws=[config.init[l] for l in config.labels],
         seed=config.seed,
@@ -443,22 +475,47 @@ def _make_plan(config: NetworkConfig) -> _Plan:
 
 @dataclass
 class NeuronStates:
+    """One system's state at one node, for B paths over the network's columns.
+
+    v and w are (B, n).  x stacks the proportions, (K, B, n): y alone
+    (K = 1), or y and the gates n, m, h (K = 4) when some population is HH.
+    j holds the sign-preserving conductances, (P, B, n), one contiguous
+    slab per source; None in the simple variant.  The columns of a
+    population that lacks a component hold zeros in it.
+    """
+
     v: np.ndarray
-    y: np.ndarray
     w: np.ndarray
-    n: np.ndarray
-    m: np.ndarray
-    h: np.ndarray
-    j: np.ndarray | None  # (B, n_cols, P)
+    x: np.ndarray
+    j: np.ndarray | None
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.x[0]
+
+    @property
+    def n(self) -> np.ndarray:
+        return self.x[1]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.x[2]
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.x[3]
 
 
-def _draw_initial(plan: _Plan, noise: BlockNoise, path_ids: Sequence[int]) -> NeuronStates:
-    B, N, P = len(path_ids), plan.n_cols, len(plan.pops)
-    st = NeuronStates(
-        v=np.zeros((B, N)), y=np.zeros((B, N)), w=np.zeros((B, N)),
-        n=np.zeros((B, N)), m=np.zeros((B, N)), h=np.zeros((B, N)),
-        j=np.zeros((B, N, P)) if plan.conductance is Conductance.SIGN_PRESERVING else None,
-    )
+def _zero_states(plan: _Plan, n_paths: int, j: np.ndarray | None = None) -> NeuronStates:
+    """A state of zeros; `j` given, the conductances are that array itself."""
+    B, N, P = n_paths, plan.n_cols, len(plan.pops)
+    if j is None and plan.conductance is Conductance.SIGN_PRESERVING:
+        j = np.zeros((P, B, N))
+    return NeuronStates(v=np.zeros((B, N)), w=np.zeros((B, N)), x=np.zeros((plan.k, B, N)), j=j)
+
+
+def _draw_initial(plan: _Plan, noise: BlockNoise, path_ids: Sequence[int], st: NeuronStates) -> None:
+    P = len(plan.pops)
     for b, pid in enumerate(path_ids):
         gens = {c: noise.init_stream(pid, c) for c in (
             Component.INIT_V, Component.INIT_Y, Component.INIT_W,
@@ -478,81 +535,84 @@ def _draw_initial(plan: _Plan, noise: BlockNoise, path_ids: Sequence[int]) -> Ne
                 st.w[b, lo:hi] = law.w.sample(gens[Component.INIT_W], size)
             if st.j is not None:
                 for g, lg in enumerate(plan.labels):
-                    st.j[b, lo:hi, g] = law.j[lg].sample(jgens[g], size)
-    return st
+                    st.j[g, b, lo:hi] = law.j[lg].sample(jgens[g], size)
 
 
-_GATE_COMPONENTS = (Component.GATE_N, Component.GATE_M, Component.GATE_H)
+def _workspace(plan: _Plan, n_paths: int) -> SimpleNamespace:
+    """The scratch of one batch: every intermediate of a step is written here."""
+    B = n_paths
+    runs = []
+    for run in plan.runs:
+        w, k = run.hi - run.lo, run.k
+        runs.append(SimpleNamespace(
+            drift_v=np.empty((B, w)), noise_v=np.empty((B, w)),
+            rates=np.empty((2, k, B, w)), fields=np.empty((2, k, B, w)),
+            work=np.empty((2, k, B, w)),
+            gates=np.empty((2, 3, B, w)) if run.pop.is_hh else None,
+        ))
+    cir = None
+    if plan.cir is not None:
+        cir = np.empty((2, len(plan.pops), B, plan.n_cols))
+    return SimpleNamespace(runs=runs, cir=cir)
 
 
-def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, ybars: list, draws: dict[int, np.ndarray],
-                 t: float) -> dict[str, np.ndarray]:
-    """The run's new v, y and w or gates: one model call per field over all its columns."""
+def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, ybars: list,
+                 draws: np.ndarray, t: float, ws: SimpleNamespace) -> None:
+    """The run's new v, proportions and w into `new`: one model call per field over all its columns."""
     dt, sqrt_dt = plan.dt, plan.sqrt_dt
-    lo, hi, pop = run.lo, run.hi, run.pop
-    vs = st.v[:, lo:hi]
-    ys = st.y[:, lo:hi]
-    if pop.is_hh:
-        q = (st.n[:, lo:hi], st.m[:, lo:hi], st.h[:, lo:hi])
-    else:
-        q = st.w[:, lo:hi]
-    drift_v = eval_membrane_drift(pop, t, vs, q)
-    noise_v = pop.sigma_v * draws[int(Component.V)][:, lo:hi]
+    pop, cols, k = run.pop, run.cols, run.k
+    vs = st.v[:, cols]
+    xs = st.x[:k, :, cols]
+    q = (xs[1], xs[2], xs[3]) if pop.is_hh else st.w[:, cols]
+    drift_v = eval_membrane_drift(pop, t, vs, q, out=ws.drift_v, work=ws.work[:, 0])
+    noise_v = np.multiply(pop.sigma_v, draws[0][:, cols], out=ws.noise_v)
+    term, dv = ws.work[0, 0], ws.work[1, 0]
+    j_draws = draws[plan.j_rows]
     for g, pair in enumerate(run.pairs):
-        dv = vs - pair.v_rev
-        if plan.conductance is Conductance.SIGN_PRESERVING:
-            drift_v -= dv * st.j[:, lo:hi, g] * ybars[g]
-        else:
-            drift_v -= dv * pair.j_mean * ybars[g]
-            if g in run.j_noise:
-                noised = noise_v - dv * pair.sigma_j * ybars[g] * draws[Component.j(g)][:, lo:hi]
-                mask = run.j_noise[g]
-                noise_v = noised if mask is None else np.where(mask, noised, noise_v)
-    out = {"v": vs + drift_v * dt + noise_v * sqrt_dt}
+        np.subtract(vs, pair.v_rev, out=dv)
+        np.multiply(dv, pair.j_mean if st.j is None else st.j[g][:, cols], out=term)
+        np.multiply(term, ybars[g], out=term)
+        np.subtract(drift_v, term, out=drift_v)
+        if g in run.j_noise:
+            np.multiply(dv, pair.sigma_j, out=term)
+            np.multiply(term, ybars[g], out=term)
+            np.multiply(term, j_draws[g][:, cols], out=term)
+            mask = run.j_noise[g]
+            np.subtract(noise_v, term, out=noise_v, where=True if mask is None else mask)
+    new_v = new.v[:, cols]
+    np.multiply(drift_v, dt, out=drift_v)
+    np.add(vs, drift_v, out=new_v)
+    np.multiply(noise_v, sqrt_dt, out=noise_v)
+    np.add(new_v, noise_v, out=new_v)
 
-    dy, sy = synapse_fields(pop, vs, ys)
-    out["y"] = step_euler_confined(ys, dy, sy, dt, draws[int(Component.Y)][:, lo:hi] * sqrt_dt)
+    rho, zeta = proportion_rates(pop, vs, out=ws.rates, work=ws.gates)
+    drift, diffusion = proportion_fields(rho, zeta, xs, pop.cutoff, out=ws.fields, work=ws.work)
+    dw = np.multiply(draws[1:1 + k, :, cols], sqrt_dt, out=ws.work[0])
+    step_euler_confined(xs, drift, diffusion, dt, dw, out=new.x[:k, :, cols], work=ws.work[1])
 
-    if pop.is_hh:
-        v_eff = clamp_gate_voltage(pop.gates, vs)
-        for gate, comp, xs in zip(GATES, _GATE_COMPONENTS, q):
-            dx, sx = gate_fields(pop.gates, gate, v_eff, xs, pop.cutoff)
-            out[gate] = step_euler_confined(xs, dx, sx, dt, draws[int(comp)][:, lo:hi] * sqrt_dt)
-    else:
-        out["w"] = q + recovery_drift(pop.membrane, vs, q) * dt
-    return out
+    if not pop.is_hh:
+        rd = recovery_drift(pop.membrane, vs, q, out=ws.work[0, 0], work=ws.work[1, 0])
+        np.multiply(rd, dt, out=rd)
+        np.add(q, rd, out=new.w[:, cols])
 
 
-def _advance(plan: _Plan, st: NeuronStates, ybar: np.ndarray, draws: dict[int, np.ndarray],
-             t: float, j: np.ndarray | None = None) -> NeuronStates:
-    """One Euler step of every column, one pass per run of same-variant populations.
+def _advance(plan: _Plan, st: NeuronStates, new: NeuronStates, ybar: np.ndarray, draws: StepDraws,
+             t: float, ws: SimpleNamespace, step_j: bool) -> None:
+    """One Euler step of every column from `st` into `new`, one pass per run of same-variant populations.
 
     ybar holds the interaction aggregates, shape (P,) for a deterministic
     curve or (B, P) for empirical per-path means; it broadcasts against
-    the (B, block) state slices either way.  A given `j` becomes the new
-    conductance state in place of a step of the old one: the limit copies
-    read the network's conductance paths.
+    the (B, block) state slices either way.  Without `step_j` the
+    conductances are not stepped: the limit copies read the network's
+    conductance paths, which `new.j` already is.
     """
     ybar = np.asarray(ybar)
     ybars = [ybar[..., g, None] if ybar.ndim == 2 else ybar[g] for g in range(len(plan.pops))]
-    parts = [_advance_run(plan, run, st, ybars, draws, t) for run in plan.runs]
-    fields = {}
-    for name in ("v", "y", "w", "n", "m", "h"):
-        if len(parts) == 1:
-            fields[name] = parts[0].get(name, getattr(st, name))
-        else:
-            # columns of a run without this component keep their values
-            fields[name] = np.concatenate(
-                [part.get(name, getattr(st, name)[:, run.lo:run.hi])
-                 for run, part in zip(plan.runs, parts)], axis=1)
-    if j is None and st.j is not None:
-        j = np.empty_like(st.j)
-        for run in plan.runs:
-            lo, hi = run.lo, run.hi
-            for g, pair in enumerate(run.pairs):
-                j[:, lo:hi, g] = step_cir(st.j[:, lo:hi, g], pair, plan.dt,
-                                          draws[Component.j(g)][:, lo:hi] * plan.sqrt_dt)
-    return NeuronStates(**fields, j=j)
+    for run, run_ws in zip(plan.runs, ws.runs):
+        _advance_run(plan, run, st, new, ybars, draws.stack, t, run_ws)
+    if step_j and st.j is not None:
+        dw = np.multiply(draws.stack[plan.j_rows], plan.sqrt_dt, out=ws.cir[0])
+        step_cir(st.j, plan.cir, plan.dt, dw, out=new.j, work=ws.cir[1])
 
 
 def _check_network_path_ids(path_offset: int, n_paths: int) -> None:
@@ -566,7 +626,8 @@ def _check_network_path_ids(path_offset: int, n_paths: int) -> None:
 
 
 def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> None:
-    if np.isfinite(v).all():
+    # one pass, as in stepping: the exact test runs only when the sum is not finite
+    if math.isfinite(v.sum()) or np.isfinite(v).all():
         return
     b, col = np.argwhere(~np.isfinite(v))[0]
     raise SimulationDiverged(
@@ -597,6 +658,10 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
     first read the first one's conductance paths.  After the initial draw
     and after every step, each observer sees `observe(rows, k, states)`:
     the batch's rows of the path axis, the node and one state per system.
+
+    Each system owns two states per batch and steps from one into the
+    other in turn, so the arrays an observer sees at node k are
+    overwritten at node k + 2.
     """
     if any(x is None for x in interactions):
         _check_network_path_ids(path_offset, n_paths)
@@ -620,19 +685,30 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
         ids = [path_offset + i for i in range(b0, min(b0 + batch, n_paths))]
         rows = slice(b0, b0 + len(ids))
         noise = BlockNoise(plan.seed, ids, plan.components, plan.n_cols, plan.n_steps)
-        states = [_draw_initial(plan, noise, ids)]
-        states += [replace(states[0]) for _ in sources[1:]]
+        ws = _workspace(plan, len(ids))
+        # the copy systems' conductances are the network's own arrays
+        pairs = [[_zero_states(plan, len(ids)) for _ in range(2)]]
+        pairs += [[_zero_states(plan, len(ids), j=net.j) for net in pairs[0]] for _ in sources[1:]]
+        first = pairs[0][0]
+        _draw_initial(plan, noise, ids, first)
+        for pair in pairs[1:]:
+            for name in ("v", "w", "x"):
+                np.copyto(getattr(pair[0], name), getattr(first, name))
+        states = [pair[0] for pair in pairs]
         for obs in observers:
             obs.observe(rows, 0, states)
         for k in range(plan.n_steps):
             draws = noise.step(k)
+            new = [pair[(k + 1) % 2] for pair in pairs]
+            # the network steps first: the copies then read its conductances
+            # at node k, which it keeps in the other state
             for i, source in enumerate(sources):
                 ybar = (population_sums(states[i].y, plan.slices) if source is None
                         else source.interaction(k, stats))
-                states[i] = _advance(plan, states[i], ybar, draws, times[k],
-                                     j=states[0].j if i else None)
-            for st in states:
+                _advance(plan, states[i], new[i], ybar, draws, times[k], ws, step_j=i == 0)
+            for st in new:
                 _ensure_finite(st.v, k + 1, times[k + 1], ids)
+            states = new
             for obs in observers:
                 obs.observe(rows, k + 1, states)
 
@@ -676,6 +752,7 @@ class _Storage:
             idx.append(plan.n_steps)
         self.steps = np.asarray(idx, dtype=int)
         self.slots = {k: i for i, k in enumerate(idx)}
+        self.last = plan.n_steps
         names = ["v", "y"] + (["w"] if plan.any_fhn else []) + (list(GATES) if plan.any_hh else [])
         shape = (n_paths, len(idx), plan.n_cols)
         self.data = {name: np.empty(shape) for name in names}
@@ -685,21 +762,39 @@ class _Storage:
         self.extremes = {name: (math.inf, -math.inf) for name in tracked}
         self.hh_cols = slice(None) if not (plan.any_hh and plan.any_fhn) else np.concatenate(
             [np.arange(run.lo, run.hi) for run in plan.runs if run.pop.is_hh])
+        self._bounds: list[tuple[np.ndarray, np.ndarray]] = []
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
         st = states[0]
-        for name, (lo, hi) in self.extremes.items():
-            arr = getattr(st, name)
-            if name in GATES:
-                arr = arr[:, self.hh_cols]
-            self.extremes[name] = (min(lo, float(arr.min())), max(hi, float(arr.max())))
+        # elementwise running extremes over the batch's nodes, reduced once per batch
+        tracked = [st.x] + ([st.j] if self.j is not None else [])
+        if k == 0:
+            self._bounds = [(a.copy(), a.copy()) for a in tracked]
+        else:
+            for a, (lo, hi) in zip(tracked, self._bounds):
+                np.minimum(lo, a, out=lo)
+                np.maximum(hi, a, out=hi)
+        if k == self.last:
+            self._reduce_bounds()
         slot = self.slots.get(k)
         if slot is None:
             return
         for name, out in self.data.items():
             out[rows, slot] = getattr(st, name)
         if self.j is not None:
-            self.j[rows, slot] = st.j
+            self.j[rows, slot] = np.moveaxis(st.j, 0, -1)
+
+    def _reduce_bounds(self) -> None:
+        (x_lo, x_hi), *j_bounds = self._bounds
+        for name, (lo, hi) in self.extremes.items():
+            if name == "j":
+                b_lo, b_hi = j_bounds[0]
+            else:
+                row = 0 if name == "y" else 1 + GATES.index(name)
+                b_lo, b_hi = x_lo[row], x_hi[row]
+                if name in GATES:
+                    b_lo, b_hi = b_lo[:, self.hh_cols], b_hi[:, self.hh_cols]
+            self.extremes[name] = (min(lo, float(b_lo.min())), max(hi, float(b_hi.max())))
 
 
 class _NodeStats:
@@ -821,13 +916,14 @@ class _CouplingGap:
         st_n, st_t = states
         reps = self.reps
         dv = (st_n.v[:, reps] - st_t.v[:, reps]) ** 2
-        dy = (st_n.y[:, reps] - st_t.y[:, reps]) ** 2
+        dx = (st_n.x[..., reps] - st_t.x[..., reps]) ** 2
+        dy = dx[0]
         dw = (st_n.w[:, reps] - st_t.w[:, reps]) ** 2
-        dg = ((st_n.n[:, reps] - st_t.n[:, reps]) ** 2
-              + (st_n.m[:, reps] - st_t.m[:, reps]) ** 2
-              + (st_n.h[:, reps] - st_t.h[:, reps]) ** 2)
+        dg = (dx[1] + dx[2]) + dx[3] if len(dx) > 1 else np.zeros_like(dv)
         if st_n.j is not None:
-            dj = ((st_n.j[:, reps, :] - st_t.j[:, reps, :]) ** 2).sum(axis=-1)
+            # summed over sources in (path, neuron, source) order, as stored
+            gap = np.moveaxis(st_n.j[..., reps] - st_t.j[..., reps], 0, -1)
+            dj = (np.ascontiguousarray(gap) ** 2).sum(axis=-1)
         else:
             dj = np.zeros_like(dv)
         contrib = {"v": dv.sum(axis=1), "y": dy.sum(axis=1), "w": dw.sum(axis=1),

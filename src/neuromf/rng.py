@@ -22,6 +22,7 @@ block into the other (numpy releases the interpreter lock while it fills).
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator, Mapping
 from enum import IntEnum
 
 import numpy as np
@@ -73,13 +74,36 @@ def block_stream(seed: int, path: int, component: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class StepDraws(Mapping):
+    """The raw normal draws of one step: component -> (n_paths, n_cols) array.
+
+    `stack` is the (n_components, n_paths, n_cols) array they are views
+    of, in the order of `BlockNoise.components`, so components listed next
+    to each other are one slice of it.
+    """
+
+    def __init__(self, stack: np.ndarray, rows: dict[int, int]):
+        self.stack = stack
+        self._rows = rows
+
+    def __getitem__(self, component: int) -> np.ndarray:
+        return self.stack[self._rows[component]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 class BlockNoise:
     """Buffered per-(path, component) increment source for the engine.
 
     Serves, at each step k, a raw-normal array of shape (n_paths, n_cols)
     per component; entry [b, i] is element (k * n_cols + i) of the block
     stream (seed, path_ids[b], component).  Values are independent of the
-    block length, which is chosen from a memory budget.
+    block length, which is chosen from a memory budget.  Each buffer set is
+    one (block, n_components, n_paths, n_cols) array.
 
     The budget holds two buffer sets of `block` steps.  While the engine
     steps through the block in one set, one helper thread fills the next
@@ -107,8 +131,9 @@ class BlockNoise:
             (p, c): block_stream(self.seed, p, c)
             for p in self.path_ids for c in self.components
         }
+        self._rows = {c: i for i, c in enumerate(self.components)}
         self._sets = [
-            {c: np.empty((self.block, len(self.path_ids), self.n_cols)) for c in self.components}
+            np.empty((self.block, len(self.components), len(self.path_ids), self.n_cols))
             for _ in range(n_sets)
         ]
         self._buf = self._sets[0]
@@ -137,21 +162,20 @@ class BlockNoise:
             thread.start()
             self._pending = (thread, failure)
 
-    def _fill(self, bufs: dict[int, np.ndarray], k0: int) -> None:
+    def _fill(self, buf: np.ndarray, k0: int) -> None:
         count = min(self.block, self.n_steps - k0)
-        for c in self.components:
-            buf = bufs[c]
+        for i, c in enumerate(self.components):
             for b, p in enumerate(self.path_ids):
-                buf[:count, b, :] = self._gens[(p, c)].standard_normal((count, self.n_cols))
+                buf[:count, i, b, :] = self._gens[(p, c)].standard_normal((count, self.n_cols))
 
-    def _fill_ahead(self, bufs: dict[int, np.ndarray], k0: int,
+    def _fill_ahead(self, buf: np.ndarray, k0: int,
                     failure: list[BaseException]) -> None:
         try:
-            self._fill(bufs, k0)
+            self._fill(buf, k0)
         except BaseException as e:  # raised by every step that needs this block
             failure.append(e)
 
-    def step(self, k: int) -> dict[int, np.ndarray]:
+    def step(self, k: int) -> StepDraws:
         """Raw N(0, 1) draws for step k, one (n_paths, n_cols) array per component.
 
         The arrays are valid until `step` leaves the block that holds k.
@@ -162,7 +186,7 @@ class BlockNoise:
             if self._hi not in (-1, k):
                 raise IndexError("BlockNoise must be consumed in step order")
             self._refill(k)
-        return {c: self._buf[c][k - self._lo] for c in self.components}
+        return StepDraws(self._buf[k - self._lo], self._rows)
 
     def init_stream(self, path: int, component: int) -> np.random.Generator:
         """Fresh generator for the initial-condition draws of one path."""

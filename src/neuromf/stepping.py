@@ -73,8 +73,11 @@ class CirParams:
             raise ValueError("cir.sigma_j must be >= 0")
 
 
-def _reject_nonfinite(z: Array, *inputs: Array) -> None:
-    if np.all(np.isfinite(z)):
+def _reject_nonfinite(z: np.ndarray, *inputs: Array) -> None:
+    # one pass: a sum is finite only if every entry is; when it is not, the
+    # exact test tells a sum of finite entries that overflowed (numpy warns
+    # of that overflow) from a non-finite entry
+    if math.isfinite(z.sum()) or np.isfinite(z).all():
         return
     for idx, arr in enumerate(inputs):
         bad = ~np.isfinite(np.asarray(arr, dtype=float))
@@ -86,33 +89,51 @@ def _reject_nonfinite(z: Array, *inputs: Array) -> None:
     raise SimulationDiverged("step kernel overflowed to a non-finite value")
 
 
-def step_euler_confined(x: Array, drift: Array, diffusion: Array, dt: float, dw: Array) -> Array:
+def _empty(*arrays: Array) -> np.ndarray:
+    return np.empty(np.broadcast_shapes(*(np.shape(a) for a in arrays)))
+
+
+def step_euler_confined(x: Array, drift: Array, diffusion: Array, dt: float, dw: Array, *,
+                        out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """One Euler step projected onto [0, 1].
 
     Returns exactly 0.0 or 1.0 at the boundary, never a value outside.
     Non-finite inputs are rejected with a diagnostic; they signal an
-    upstream instability, not a projection case.
+    upstream instability, not a projection case.  `out` receives the new
+    state and `work` the noise term, both of the broadcast shape and
+    allocated when omitted; neither may share memory with an input.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    z = x + drift * dt + diffusion * dw
+    z = np.multiply(drift, dt, out=_empty(x, drift, diffusion, dw) if out is None else out)
+    np.add(x, z, out=z)
+    np.add(z, np.multiply(diffusion, dw, out=_empty(diffusion, dw) if work is None else work), out=z)
     _reject_nonfinite(z, x, drift, diffusion, dw)
     # np.clip bit for bit, -0.0 included: the bounds go first, as numpy's
     # maximum and minimum return their second operand on a tie
-    return np.minimum(1.0, np.maximum(0.0, z))
+    np.maximum(0.0, z, out=z)
+    return np.minimum(1.0, z, out=z)
 
 
-def step_cir(j: Array, p: CirParams, dt: float, dw: Array) -> Array:
+def step_cir(j: Array, p: CirParams, dt: float, dw: Array, *,
+             out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Full-truncation Euler step of the square-root mean-reverting SDE.
 
     j' = j + theta * (j_mean - j+) dt + sigma_j * sqrt(j+) dW, then
     projected onto [0, inf).  The diffusion vanishes at 0, so truncation
-    only trims O(dt) overshoot.
+    only trims O(dt) overshoot.  The parameters may be arrays that
+    broadcast against j; `out` and `work` are as in `step_euler_confined`.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    jp = np.maximum(j, 0.0)
-    z = j + p.theta * (p.j_mean - jp) * dt + p.sigma_j * np.sqrt(jp) * dw
+    jp = np.maximum(j, 0.0, out=_empty(j, dw) if work is None else work)
+    z = np.subtract(p.j_mean, jp, out=_empty(j, dw) if out is None else out)
+    np.multiply(p.theta, z, out=z)
+    np.multiply(z, dt, out=z)
+    np.add(j, z, out=z)
+    np.sqrt(jp, out=jp)
+    np.multiply(p.sigma_j, jp, out=jp)
+    np.multiply(jp, dw, out=jp)
+    np.add(z, jp, out=z)
     _reject_nonfinite(z, j, dw)
-    return np.maximum(z, 0.0)
-
+    return np.maximum(z, 0.0, out=z)

@@ -45,13 +45,16 @@ def reference_ensemble_csv(ens, path):
     j_cols = [f"j_{l}" for l in ens.labels] if ens.j is not None else []
     columns = ["path", "time_ms", "neuron", "population"] + comp_names + j_cols
     n_paths, n_stored, n_cols = ens.data["v"].shape
+    # 6 significant digits, or the fewest up to 17 that keep adjacent times apart
+    digits = next(d for d in range(6, 18)
+                  if len({f"{t:.{d}g}" for t in ens.times}) == n_stored or d == 17)
 
     def rows():
         for p in range(n_paths):
             for s in range(n_stored):
                 t = ens.times[s]
                 for i in range(n_cols):
-                    row = [p, f"{t:.6g}", i, ens.labels[ens.pop_of[i]]]
+                    row = [p, f"{t:.{digits}g}", i, ens.labels[ens.pop_of[i]]]
                     row += [repr(float(ens.data[c][p, s, i])) for c in comp_names]
                     if ens.j is not None:
                         row += [repr(float(x)) for x in ens.j[p, s, i]]
@@ -118,6 +121,22 @@ def test_ensemble_csv_matches_row_by_row_reference(ensembles, kind, extra_column
     assert got == (tmp_path / "ref.csv").read_bytes()
     if labels is None:
         assert got.decode("utf-8").splitlines()[3] == header
+
+
+def test_ensemble_csv_keeps_times_apart_past_six_digits(ensembles, tmp_path):
+    # the grid of t_end = 20000 ms at dt = 0.01 ms: at 6 significant digits
+    # these four times all read 10000
+    ens = ensembles["hh"]
+    times = np.array([10000.0, 10000.01, 10000.02, 10000.03])
+    data = {name: arr[:1, :4] for name, arr in ens.data.items()}
+    ens = replace(ens, times=times, store_steps=np.arange(4), data=data, j=ens.j[:1, :4])
+    write_ensemble_csv(ens, tmp_path / "new.csv")
+    reference_ensemble_csv(ens, tmp_path / "ref.csv")
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    rows = list(csv.reader(io.StringIO(got.decode("utf-8").split("\n", 3)[3])))
+    n_cols = ens.data["v"].shape[2]
+    assert [rows[1 + s * n_cols][1] for s in range(4)] == ["10000", "10000.01", "10000.02", "10000.03"]
 
 
 def awkward_values(rng, shape):

@@ -129,7 +129,7 @@ def test_estimate_ms_two_sample_mean():
     for b, value in enumerate((0.2, 0.4)):
         v = np.full((1, 2), math.log(value / (1.0 - value)))
         zeros = np.zeros((1, 2))
-        st = NeuronStates(v=v, y=zeros, w=zeros, n=zeros, m=zeros, h=zeros, j=None)
+        st = NeuronStates(v=v, w=zeros, x=zeros[None], j=None)
         stats.observe(slice(b, b + 1), 0, [st])
     means, ses = stats.finalize()
     assert means["s"][:, 0] == pytest.approx([0.3, 0.3], rel=1e-12)

@@ -129,6 +129,15 @@ def test_batch_size_does_not_change_results():
     for name in c.comp_sup_sq:
         assert np.array_equal(_bits(c.comp_sup_sq[name]), _bits(d.comp_sup_sq[name])), name
     assert c.max_gap_all == d.max_gap_all and c.max_gap_all > 0.0
+    # HH, batches of two paths and a short last one
+    cfg = hh_two_pop(n_per_pop=4, n_steps=20, t_end=0.2)
+    curve = np.full((2, 21), 0.15)
+    c = coupled_distance_paths(cfg, curve, 5)
+    d = coupled_distance_paths(cfg, curve, 5, max_batch_cols=16)
+    assert np.array_equal(_bits(c.sup_sq), _bits(d.sup_sq))
+    for name in c.comp_sup_sq:
+        assert np.array_equal(_bits(c.comp_sup_sq[name]), _bits(d.comp_sup_sq[name])), name
+    assert c.max_gap_all == d.max_gap_all and c.comp_sup_sq["gates"].any()
 
 
 def _same_value(x, y) -> bool:
@@ -338,18 +347,30 @@ def test_coupled_distance_positive_with_interaction():
 
 
 def test_coupled_gap_is_taken_at_the_first_neuron_of_each_population():
-    # simple variant: no conductance state, so the two systems are the network
-    # and the curve-driven copies that `simulate` runs from the same draws
-    cfg = fhn_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, conductance=Conductance.SIMPLE, thin=1)
+    # the two systems are the network and the curve-driven copies that
+    # `simulate` runs from the same draws.  Under the sign-preserving variant
+    # those copies step their own conductances, which equal the network's:
+    # the same initial draws and increments, and a conductance path reads
+    # neither v nor y.  So a coupled copy that read the network's conductances
+    # of the wrong node would show here.
     curve = np.full((2, 31), 0.15)
-    run = coupled_distance_paths(cfg, curve, 3)
-    net, copies = simulate(cfg, n_paths=3), simulate(cfg, n_paths=3, interaction=curve)
-    firsts = [lo for lo, _ in cfg.population_slices()]
-    comp = {name: ((net.data[name][:, 1:, firsts] - copies.data[name][:, 1:, firsts]) ** 2).sum(axis=2)
-            for name in ("v", "y", "w")}
-    for name, c in comp.items():
-        assert np.array_equal(run.comp_sup_sq[name], c.max(axis=1)), name
-    assert np.array_equal(run.sup_sq, (comp["v"] + comp["y"] + comp["w"]).max(axis=1))
+    for cfg in (fhn_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, conductance=Conductance.SIMPLE, thin=1),
+                fhn_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, thin=1),
+                hh_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, thin=1)):
+        run = coupled_distance_paths(cfg, curve, 3)
+        net, copies = simulate(cfg, n_paths=3), simulate(cfg, n_paths=3, interaction=curve)
+        firsts = [lo for lo, _ in cfg.population_slices()]
+
+        def gap(name):
+            return (net.data[name][:, 1:, firsts] - copies.data[name][:, 1:, firsts]) ** 2
+
+        comp = {name: gap(name).sum(axis=2) for name in ("v", "y", "w") if name in net.data}
+        if "n" in net.data:
+            comp["gates"] = ((gap("n") + gap("m")) + gap("h")).sum(axis=2)
+        for name, c in comp.items():
+            assert np.array_equal(run.comp_sup_sq[name], c.max(axis=1)), name
+        assert not run.comp_sup_sq["j"].any()
+        assert np.array_equal(run.sup_sq, sum(comp.values()).max(axis=1))
 
 
 def test_network_path_ids_stay_below_the_limit_copies():
@@ -422,7 +443,7 @@ def _reference_step(cfg: NetworkConfig, st: NeuronStates, ybar, draws, t: float)
     sqrt_dt = math.sqrt(dt)
     sign_preserving = cfg.conductance is Conductance.SIGN_PRESERVING
     out = {name: getattr(st, name).copy() for name in ("v", "y", "w", "n", "m", "h")}
-    j = None if st.j is None else st.j.copy()
+    j = None if st.j is None else st.j.copy()  # (P, B, N)
     ybar = np.asarray(ybar)
     gate_comps = (Component.GATE_N, Component.GATE_M, Component.GATE_H)
     for a, ((pop, _), (lo, hi)) in enumerate(zip(cfg.populations, cfg.population_slices())):
@@ -435,7 +456,7 @@ def _reference_step(cfg: NetworkConfig, st: NeuronStates, ybar, draws, t: float)
             ybg = ybar[..., g, None] if ybar.ndim == 2 else ybar[g]
             dv = vs - pair.v_rev
             if sign_preserving:
-                drift_v -= dv * st.j[:, lo:hi, g] * ybg
+                drift_v -= dv * st.j[g, :, lo:hi] * ybg
             else:
                 drift_v -= dv * pair.j_mean * ybg
                 if pair.sigma_j != 0.0:
@@ -456,8 +477,8 @@ def _reference_step(cfg: NetworkConfig, st: NeuronStates, ybar, draws, t: float)
             for g, lg in enumerate(cfg.labels):
                 pair = cfg.pairs[(pop.label, lg)]
                 cir = CirParams(theta=pair.theta, j_mean=pair.j_mean, sigma_j=pair.sigma_j)
-                j[:, lo:hi, g] = step_cir(st.j[:, lo:hi, g], cir, dt, draws[Component.j(g)][:, lo:hi] * sqrt_dt)
-    return NeuronStates(**out, j=j)
+                j[g, :, lo:hi] = step_cir(st.j[g, :, lo:hi], cir, dt, draws[Component.j(g)][:, lo:hi] * sqrt_dt)
+    return _states(out, j)
 
 
 def _bits(x: np.ndarray) -> np.ndarray:
@@ -530,12 +551,18 @@ def _engine_cases():
         yield pytest.param(_as_simple(cfg), id=f"{name}-simple")
 
 
+def _states(fields: dict, j) -> NeuronStates:
+    """NeuronStates from per-component (B, N) arrays, the proportions stacked (y, n, m, h)."""
+    return NeuronStates(v=fields["v"], w=fields["w"],
+                        x=np.stack([fields[name] for name in ("y", "n", "m", "h")]), j=j)
+
+
 def _stored_state(ens, k: int) -> NeuronStates:
     """The state at stored node k; zeros for the components the run does not store."""
     zeros = np.zeros_like(ens.data["v"][:, k])
-    return NeuronStates(**{name: ens.data[name][:, k] if name in ens.data else zeros
-                           for name in ("v", "y", "w", "n", "m", "h")},
-                        j=None if ens.j is None else ens.j[:, k])
+    return _states({name: ens.data[name][:, k] if name in ens.data else zeros
+                    for name in ("v", "y", "w", "n", "m", "h")},
+                   j=None if ens.j is None else np.moveaxis(ens.j[:, k], -1, 0))
 
 
 def _replay(cfg: NetworkConfig, ens, interaction=None, noise_cls=BlockNoise) -> None:
@@ -599,7 +626,8 @@ def test_simple_variant_pair_without_conductance_noise_adds_no_term(monkeypatch)
 
     class Poisoned(BlockNoise):
         def step(self, k):
-            draws = {c: d.copy() for c, d in super().step(k).items()}
+            # the served arrays are this step's own buffer rows
+            draws = super().step(k)
             for g in range(2):
                 draws[Component.j(g)][:, lo:hi] = np.nan
             return draws

@@ -1,6 +1,7 @@
 """Step kernels and the keyed noise streams."""
 
 import math
+import re
 import sys
 import threading
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuromf.errors import SimulationDiverged
+from neuromf import network
 from neuromf.network import coupled_distance_paths, simulate
 from neuromf.presets import fhn_two_pop
 from neuromf.rng import _BLOCK_FLAG, BlockNoise, Component, block_stream
@@ -72,6 +74,50 @@ def test_confined_projection_matches_np_clip_bit_for_bit():
 def test_confined_rejects_nonfinite():
     with pytest.raises(SimulationDiverged):
         step_euler_confined(np.array([0.5, np.nan]), 0.0, 0.0, 0.01, 0.0)
+
+
+# every kind of non-finite entry: one pass of a sum sees each of them
+NONFINITE = {"nan": [np.nan], "pos_inf": [np.inf], "neg_inf": [-np.inf], "both_infs": [np.inf, -np.inf]}
+
+
+# numpy warns of the invalid operations these inputs make on their way to the diagnostic
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", NONFINITE.values(), ids=NONFINITE.keys())
+def test_step_kernels_name_the_nonfinite_input(bad):
+    values = np.array([0.5, 0.25] + bad)
+    where = [[i] for i in range(2, len(values))]
+    zeros = np.zeros_like(values)
+
+    def raises(idx, kernel, *args):
+        msg = f"non-finite input #{idx} to step kernel at flat indices {where}"
+        with pytest.raises(SimulationDiverged, match=re.escape(msg) + "$"):
+            kernel(*args)
+
+    raises(0, step_euler_confined, values, 0.0, 0.0, 0.01, 0.0)
+    raises(1, step_euler_confined, zeros, values, 0.0, 0.01, 0.0)
+    raises(2, step_euler_confined, zeros, 0.0, values, 0.01, 1.0)
+    raises(3, step_euler_confined, zeros, 0.0, 0.0, 0.01, values)
+    raises(0, step_cir, values, CIR, 0.01, 0.0)
+    raises(1, step_cir, np.ones_like(values), CIR, 0.01, values)
+
+
+# numpy warns of the invalid operations these inputs make on their way to the diagnostic
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", NONFINITE.values(), ids=NONFINITE.keys())
+def test_membrane_check_names_path_and_neuron(bad):
+    v = np.zeros((3, 4))
+    v[2, 4 - len(bad):] = bad
+    msg = "non-finite membrane potential at step 7 (t = 0.07 ms), path 12, neuron " + str(4 - len(bad))
+    with pytest.raises(SimulationDiverged, match=re.escape(msg) + "$"):
+        network._ensure_finite(v, 7, 0.07, [10, 11, 12])
+
+
+def test_finite_checks_pass_finite_inputs_whose_sum_overflows():
+    big = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):  # the one-pass sum overflows to inf
+        assert step_euler_confined(big, 0.0, 0.0, 0.01, 0.0).tolist() == [1.0, 1.0]
+        assert np.all(step_cir(big, CIR, 0.01, 0.0) > 1e307)
+        network._ensure_finite(big[None, :], 1, 0.01, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +361,7 @@ def test_block_noise_buffers_stay_within_one_single_buffer(n_paths, n_comps, n_c
     bn = BlockNoise(seed=1, path_ids=list(range(n_paths)), components=list(range(n_comps)),
                     n_cols=n_cols, n_steps=n_steps)
     assert len(bn._sets) == 2
-    assert sum(buf.nbytes for bufs in bn._sets for buf in bufs.values()) <= single
+    assert sum(buf.nbytes for buf in bn._sets) <= single
 
 
 def test_generator_draw_concatenation():
