@@ -14,7 +14,6 @@ from .meanfield import (
     simulate_limit_given_ybar,
     solve_causal,
     solve_fixed_point,
-    wasserstein2_marginal,
     ybar_from_ms,
 )
 from .model import (
@@ -54,5 +53,5 @@ __all__ = [
     "eval_cutoff", "eval_gate_rates", "eval_membrane_drift", "eval_sigmoid", "fit_rate",
     "population_sums", "run_coupled", "simulate", "simulate_limit_given_ybar",
     "solve_causal", "solve_fixed_point", "step_cir", "step_euler_confined", "sweep",
-    "wasserstein2_marginal", "ybar_from_ms",
+    "ybar_from_ms",
 ]

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .meanfield import (
-    MeanCurve,
-    MeanFieldSolution,
-    _ybar_on_grid,
-    solve_causal,
-    wasserstein2_marginal,
-)
-from .network import CouplingRun, NetworkConfig, coupled_distance_paths, simulate
+from .meanfield import MeanCurve, MeanFieldSolution, _ybar_on_grid, solve_causal
+from .network import CouplingRun, NetworkConfig, coupled_distance_paths
 
 
 # scipy.special.stdtrit(df, 0.975) for df = 1 ... 30, the two-sided 95% Student t
@@ -148,49 +142,3 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     report = CouplingReport(ns=list(ns), d_hat=d_hat, se=se, sqrtn_d=sqrtn_d,
                             fit=fit, n_paths=n_paths)
     return report, runs, solution
-
-
-@dataclass
-class MarginalCheck:
-    labels: list[str]
-    w2: dict[str, list[float]]          # per population, one W2 per inspected neuron
-    w2_floor: dict[str, float]          # self-distance of two independent limit halves
-    cross_corr: dict[str, float]        # corr of two same-population terminal voltages
-    cross_corr_se: dict[str, float]
-
-
-def marginal_chaos_check(config: NetworkConfig, k: int, n_paths: int,
-                         solution: MeanFieldSolution) -> MarginalCheck:
-    """Terminal-time distributional comparison of k neurons per population.
-
-    For each population, the terminal-voltage sample of each of the first
-    k neurons (across paths) is compared by quadratic transport distance
-    with the limit-copy ensemble's terminal marginal; the noise floor is
-    the distance between two halves of the limit ensemble itself.  The
-    independence proxy is the cross-path correlation of the first two
-    same-population neurons.
-    """
-    if k < 1 or k > min(config.sizes):
-        raise ValueError("k must be between 1 and the smallest population size")
-    if solution.ensemble is None:
-        raise ValueError("the solution carries no limit ensemble (solution.ensemble is None); "
-                         "the marginal check needs the limit copies' terminal voltages")
-    ens = simulate(config, n_paths=n_paths)
-    term_v = ens.data["v"][:, -1, :]                       # (n_paths, N)
-    lim = solution.ensemble
-    lim_v = lim.data["v"][0, -1, :]                        # (P * M,)
-    m = lim_v.size // len(config.populations)
-    w2, floor, corr, corr_se = {}, {}, {}, {}
-    for a, (label, (lo, hi)) in enumerate(zip(config.labels, config.population_slices())):
-        lim_a = lim_v[a * m:(a + 1) * m]
-        half = m // 2
-        floor[label] = wasserstein2_marginal(lim_a[:half], lim_a[half:])
-        w2[label] = [
-            wasserstein2_marginal(term_v[:, lo + i], lim_a) for i in range(k)
-        ]
-        x1, x2 = term_v[:, lo], term_v[:, lo + 1] if hi - lo > 1 else term_v[:, lo]
-        r = float(np.corrcoef(x1, x2)[0, 1]) if hi - lo > 1 else 0.0
-        corr[label] = r
-        corr_se[label] = 1.0 / math.sqrt(max(n_paths - 3, 1))
-    return MarginalCheck(labels=config.labels, w2=w2, w2_floor=floor,
-                         cross_corr=corr, cross_corr_se=corr_se)

@@ -14,7 +14,7 @@ an ensemble of independent limit copies driven by the current ybar,
 re-estimate m_S by Monte Carlo, map it through the closed form, repeat.
 With common random numbers across sweeps the loop is a deterministic map
 and its iterates contract; with fresh noise it would stall at the Monte
-Carlo floor, which is why frozen streams are the default.
+Carlo floor, so every sweep draws the same streams.
 
 On the time grid that map is causal: y_bar at node k+1 needs m_S only at
 nodes <= k+1, and m_S at node k+1 depends only on y_bar at nodes <= k.
@@ -120,14 +120,14 @@ def limit_config(config: NetworkConfig, m_copies: int) -> NetworkConfig:
 
 
 def simulate_limit_given_ybar(y_bar: MeanCurve | np.ndarray, config: NetworkConfig,
-                              m_copies: int, *, path_id: int = MEANFIELD_PATH_BASE) -> PathEnsemble:
+                              m_copies: int) -> PathEnsemble:
     """M mutually independent limit copies per population, driven by y_bar.
 
     The copies are advanced by the same step kernels as the network; only
     the interaction differs, reading the deterministic curve.  The curve
     must live on the configuration's grid.
     """
-    return simulate(limit_config(config, m_copies), n_paths=1, path_offset=path_id,
+    return simulate(limit_config(config, m_copies), n_paths=1, path_offset=MEANFIELD_PATH_BASE,
                     interaction=_ybar_on_grid(y_bar, config.grid), collect_node_stats=True)
 
 
@@ -149,7 +149,7 @@ def _curve_from_ensemble(ens: PathEnsemble, config: NetworkConfig) -> MeanCurve:
 
 
 def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float = 1e-3,
-                      max_iter: int = 20, *, freeze_rng: bool = True) -> MeanFieldSolution:
+                      max_iter: int = 20) -> MeanFieldSolution:
     """Iterate the curve map to its fixed point.
 
     Warm-starts from the interaction-free ensemble (y_bar = 0), then
@@ -163,19 +163,15 @@ def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float 
     config.validate_or_raise()
     P = len(config.populations)
     n_nodes = config.grid.n_steps + 1
-
-    def path_id(it: int) -> int:
-        return MEANFIELD_PATH_BASE if freeze_rng else MEANFIELD_PATH_BASE + it
-
     zero = np.zeros((P, n_nodes))
-    ens = simulate_limit_given_ybar(zero, config, m_copies, path_id=path_id(0))
+    ens = simulate_limit_given_ybar(zero, config, m_copies)
     curve = _curve_from_ensemble(ens, config)
     distances: list[float] = []
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        ens = simulate_limit_given_ybar(curve.y_bar, config, m_copies, path_id=path_id(it))
+        ens = simulate_limit_given_ybar(curve.y_bar, config, m_copies)
         new_curve = _curve_from_ensemble(ens, config)
         d = curve.node_distance(new_curve)
         distances.append(d)
@@ -236,23 +232,3 @@ def solve_causal(config: NetworkConfig, m_copies: int, tol: float) -> MeanFieldS
     r = float(np.max(np.abs(curve.y_bar[:, :-1] - drive.y_bar), initial=0.0))
     return MeanFieldSolution(curve=curve, ensemble=ens, distances=[r], converged=r < tol,
                              iterations=1, tol=tol, m_copies=m_copies)
-
-
-def wasserstein2_marginal(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
-    """Quadratic-cost transport distance between two 1-D samples.
-
-    Equal sizes pair order statistics directly; unequal sizes interpolate
-    both quantile functions on a common midpoint grid.  Symmetric,
-    nonnegative, zero exactly for equal multisets.
-    """
-    a = np.sort(np.asarray(sample_a, dtype=float).ravel())
-    b = np.sort(np.asarray(sample_b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ValueError("samples must be nonempty")
-    if a.size == b.size:
-        return float(np.sqrt(np.mean((a - b) ** 2)))
-    k = max(a.size, b.size)
-    ps = (np.arange(k) + 0.5) / k
-    qa = np.quantile(a, ps, method="inverted_cdf")
-    qb = np.quantile(b, ps, method="inverted_cdf")
-    return float(np.sqrt(np.mean((qa - qb) ** 2)))

@@ -156,8 +156,8 @@ class PopulationParams:
     sigma_v: float            # mV/sqrt(ms), membrane noise
     rise_rate: float          # 1/ms, transmitter binding rate
     decay_rate: float         # 1/ms, transmitter unbinding rate
-    sigmoid: SigmoidParams
-    cutoff: CutoffSpec
+    sigmoid: SigmoidParams = SigmoidParams()
+    cutoff: CutoffSpec = CutoffSpec()
     gates: GateRates | None = None  # required for HH populations
 
     def __post_init__(self):

@@ -1,7 +1,6 @@
-"""Coupling statistics: distance estimator, rate fit, sweeps, marginals."""
+"""Coupling statistics: distance estimator, rate fit, sweeps."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from neuromf.chaos import (
     CouplingRun,
     estimate_distance,
     fit_rate,
-    marginal_chaos_check,
     run_coupled,
     sweep,
 )
@@ -189,41 +187,3 @@ def test_sweep_shapes_and_reuse():
                for n, d, q in zip(report.ns, report.d_hat, report.sqrtn_d))
     report2, _, _ = sweep(cfg, [8, 16, 32], 12, curve=sol.curve)
     assert report2.d_hat == report.d_hat  # solution reuse is deterministic
-
-
-# ---------------------------------------------------------------------------
-# marginal checks
-
-
-def test_marginal_no_interaction_floor_and_independence():
-    cfg = interaction_free(fhn_two_pop(n_per_pop=4, n_steps=100, t_end=1.0, thin=100))
-    sol = solve_fixed_point(cfg, m_copies=1000, tol=1e-2, max_iter=3)
-    chk = marginal_chaos_check(cfg, k=2, n_paths=150, solution=sol)
-    for label in chk.labels:
-        # same law: the particle marginal sits at the sampling noise floor
-        assert all(w < 6.0 * max(chk.w2_floor[label], 0.02) for w in chk.w2[label])
-        assert abs(chk.cross_corr[label]) < 4.0 * chk.cross_corr_se[label]
-
-
-def test_marginal_correlation_decays_with_size():
-    base = fhn_two_pop(n_steps=150, t_end=1.5, thin=150, j_scale=2.0)
-    sol = solve_fixed_point(base, m_copies=300, tol=1e-2, max_iter=4)
-    small = marginal_chaos_check(base.with_total_neurons(4), k=2, n_paths=250, solution=sol)
-    large = marginal_chaos_check(base.with_total_neurons(256), k=2, n_paths=250, solution=sol)
-    mean_small = np.mean([abs(small.cross_corr[l]) for l in small.labels])
-    mean_large = np.mean([abs(large.cross_corr[l]) for l in large.labels])
-    assert mean_large < mean_small
-
-
-def test_marginal_k_bounds():
-    cfg = fhn_two_pop(n_per_pop=2, n_steps=20, t_end=0.2)
-    sol = solve_fixed_point(cfg, m_copies=100, tol=1e-1, max_iter=2)
-    with pytest.raises(ValueError):
-        marginal_chaos_check(cfg, k=3, n_paths=10, solution=sol)
-
-
-def test_marginal_requires_limit_ensemble():
-    cfg = fhn_two_pop(n_per_pop=2, n_steps=20, t_end=0.2)
-    sol = solve_fixed_point(cfg, m_copies=50, tol=1e-1, max_iter=2)
-    with pytest.raises(ValueError, match="limit ensemble"):
-        marginal_chaos_check(cfg, k=1, n_paths=4, solution=replace(sol, ensemble=None))

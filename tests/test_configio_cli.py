@@ -1,9 +1,10 @@
 """Spec parsing, serialization round trips, CLI commands, artifact contracts."""
 
 import json
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +13,30 @@ from conftest import package_env
 
 from neuromf.artifacts import read_meancurve_csv, read_meta
 from neuromf.configio import (
+    _DIST_FIELDS,
+    ExperimentSpec,
     config_from_dict,
     config_hash,
     config_to_dict,
     parse_spec,
 )
 from neuromf.errors import ConfigError
+from neuromf.model import (
+    CurrentSpec,
+    CutoffSpec,
+    FhnMembrane,
+    GateRates,
+    HhMembrane,
+    PairParams,
+    PopulationParams,
+    SigmoidParams,
+)
+from neuromf.network import InitialLaw, NetworkConfig
 from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop
+from neuromf.stepping import TimeGrid
 
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 
 
 def tiny_spec_dict(**overrides) -> dict:
@@ -84,6 +100,24 @@ def test_minimal_spec_fills_documented_defaults():
     assert spec.tol == 1e-3 and spec.max_iter == 20
 
 
+def test_omitted_keys_take_the_dataclass_defaults():
+    fhn = json.loads(json.dumps(MINIMAL_SINGLE_POP))
+    pop = fhn["config"]["populations"][0]
+    pop["membrane"] = {"kind": "fhn"}
+    del pop["sigmoid"]
+    parsed = parse_spec(json.dumps(fhn)).config.populations[0][0]
+    assert parsed.membrane == FhnMembrane() and parsed.sigmoid == SigmoidParams()
+    assert parsed.gates is None
+    hh = config_to_dict(hh_two_pop(n_per_pop=2, n_steps=10, t_end=0.1))
+    for pop in hh["populations"]:
+        pop["membrane"] = {"kind": "hh"}
+        for key in ("sigmoid", "cutoff", "gates"):
+            del pop[key]
+    for pop, _ in config_from_dict(hh).populations:
+        assert pop.membrane == HhMembrane() and pop.membrane.i_ext == CurrentSpec()
+        assert (pop.sigmoid, pop.cutoff, pop.gates) == (SigmoidParams(), CutoffSpec(), GateRates())
+
+
 def test_negative_decay_rate_named_in_error():
     d = tiny_spec_dict()
     d["config"]["populations"][1]["decay_rate"] = -1.0
@@ -102,6 +136,33 @@ def test_unknown_keys_rejected_with_paths():
     msg = str(exc.value)
     assert "populations[0].mystery: unknown key" in msg
     assert "grid.step_size: unknown key" in msg
+
+
+def test_unknown_init_keys_reported_beside_a_bad_conductance_law():
+    d = json.loads(json.dumps(MINIMAL_SINGLE_POP))
+    init = d["config"]["populations"][0]["init"]
+    init["mystery"] = 1
+    init["j"] = {"solo": {"kind": "nope"}}
+    with pytest.raises(ConfigError) as exc:
+        parse_spec(json.dumps(d))
+    assert "config.populations[0].init.mystery: unknown key" in exc.value.errors
+    assert ("config.populations[0].init.j['solo'].kind: unknown distribution kind 'nope'"
+            in exc.value.errors)
+
+
+@pytest.mark.parametrize("keys", [("membrane",), ("init", "v"), ("init", "y")],
+                         ids=["membrane", "init.v", "init.y"])
+def test_missing_required_object_reported_once(keys):
+    d = json.loads(json.dumps(MINIMAL_SINGLE_POP))
+    parent = d["config"]["populations"][0]
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    path = ".".join(("config.populations[0]",) + keys)
+    with pytest.raises(ConfigError) as exc:
+        parse_spec(json.dumps(d))
+    assert [e for e in exc.value.errors if e.startswith(path + ":")] == [
+        f"{path}: required field is missing"]
 
 
 def test_sweep_proportion_validation():
@@ -177,6 +238,50 @@ def test_command_cross_check():
 def test_non_json_rejected():
     with pytest.raises(ConfigError):
         parse_spec("not json {")
+
+
+# ---------------------------------------------------------------------------
+# the schema document
+
+# every dataclass a spec is read into; each field is a key (NetworkConfig.init
+# is written per population)
+SCHEMA = (ExperimentSpec, NetworkConfig, TimeGrid, PopulationParams, SigmoidParams, CutoffSpec,
+          GateRates, FhnMembrane, HhMembrane, CurrentSpec, PairParams, InitialLaw)
+
+
+def documented_defaults(doc: str) -> dict[str, list[str]]:
+    """key -> the default cell of every table row that starts with that key."""
+    out: dict[str, list[str]] = {}
+    for line in doc.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 4 and re.fullmatch(r"`\w+`", cells[0]):
+            out.setdefault(cells[0].strip("`"), []).append(cells[2])
+    return out
+
+
+def shows(cell: str, default) -> bool:
+    if default is None:
+        return "none" in cell
+    if is_dataclass(default):  # an object whose every key takes its own default
+        return "`{}`" in cell
+    if isinstance(default, str):
+        return f"`{default}`" in cell
+    return any(float(x) == default for x in re.findall(r"-?\d+(?:\.\d+)?(?:e-?\d+)?", cell))
+
+
+def test_schema_doc_names_every_key_and_default():
+    doc = SCHEMA_DOC.read_text(encoding="utf-8")
+    # a distribution's and a membrane's `kind` and a distribution's parameters are named
+    # by the reader, not by a field
+    keys = {f.name for cls in SCHEMA for f in fields(cls)} | {"kind"}
+    keys |= {name for names in _DIST_FIELDS.values() for name in names}
+    missing = sorted(k for k in keys if f"`{k}`" not in doc)
+    assert not missing, f"keys the parser accepts but the schema doc never names: {missing}"
+    documented = documented_defaults(doc)
+    wrong = [f"{cls.__name__}.{f.name} = {f.default!r}" for cls in SCHEMA for f in fields(cls)
+             if f.default is not MISSING
+             and not any(shows(cell, f.default) for cell in documented.get(f.name, ()))]
+    assert not wrong, f"defaults the schema doc does not give beside their key: {wrong}"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from neuromf.meanfield import (
     simulate_limit_given_ybar,
     solve_causal,
     solve_fixed_point,
-    wasserstein2_marginal,
     ybar_from_ms,
 )
 from neuromf.model import SigmoidParams, eval_sigmoid
@@ -336,56 +335,3 @@ def test_causal_drive_needs_one_batch():
         simulate(lconf, n_paths=2, collect_node_stats=True, interaction=_CausalDrive(cfg))
     with pytest.raises(ValueError):
         simulate(lconf, n_paths=1, interaction=_CausalDrive(cfg))
-
-
-# ---------------------------------------------------------------------------
-# transport distance
-
-
-def test_w2_identical_samples():
-    a = np.array([0.3, -1.0, 2.0])
-    assert wasserstein2_marginal(a, a) == 0.0
-
-
-def test_w2_unit_shift():
-    assert wasserstein2_marginal([0.0, 0.0], [1.0, 1.0]) == pytest.approx(1.0)
-
-
-def test_w2_order_statistics_pairing():
-    assert wasserstein2_marginal([0.0, 1.0], [0.0, 3.0]) == pytest.approx(math.sqrt(2.0))
-
-
-def test_w2_empty_rejected():
-    with pytest.raises(ValueError):
-        wasserstein2_marginal([], [1.0])
-
-
-def test_w2_unequal_sizes_consistent():
-    a = np.array([0.0, 1.0, 2.0, 3.0])
-    b = np.array([0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0])
-    assert wasserstein2_marginal(a, b) == pytest.approx(0.0, abs=1e-12)
-
-
-@given(st.lists(st.floats(-50, 50), min_size=2, max_size=30),
-       st.lists(st.floats(-50, 50), min_size=2, max_size=30),
-       st.floats(-10, 10))
-@settings(max_examples=150)
-def test_w2_symmetry_shift(a, b, c):
-    a, b = np.asarray(a), np.asarray(b)
-    d_ab = wasserstein2_marginal(a, b)
-    assert d_ab >= 0.0
-    assert d_ab == pytest.approx(wasserstein2_marginal(b, a), rel=1e-12, abs=1e-12)
-    assert wasserstein2_marginal(a, a + c) == pytest.approx(abs(c), rel=1e-9, abs=1e-12)
-
-
-def test_fixed_point_fresh_rng_reaches_noise_floor():
-    # fresh streams each sweep: the iteration is stochastic and stalls at
-    # the Monte Carlo floor instead of contracting to machine-small gaps
-    cfg = fhn_two_pop(n_steps=150, t_end=1.5)
-    frozen = solve_fixed_point(cfg, m_copies=800, tol=5e-3, max_iter=8, freeze_rng=True)
-    fresh = solve_fixed_point(cfg, m_copies=800, tol=5e-3, max_iter=8, freeze_rng=False)
-    assert frozen.converged
-    assert fresh.distances != frozen.distances
-    # both land on statistically indistinguishable curves
-    gap = float(np.max(np.abs(fresh.curve.y_bar - frozen.curve.y_bar)))
-    assert gap < 0.05

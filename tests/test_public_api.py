@@ -11,7 +11,8 @@ REMOVED = {
     "neuromf.model": ["synapse_drift", "synapse_diffusion", "gate_drift", "gate_diffusion"],
     "neuromf.network": ["step_network_simple", "step_network_sign_preserving", "CoupledPaths",
                         "step_network", "draw_initial_states", "network_noise"],
-    "neuromf.meanfield": ["estimate_ms"],
+    "neuromf.meanfield": ["estimate_ms", "wasserstein2_marginal"],
+    "neuromf.chaos": ["marginal_chaos_check", "MarginalCheck"],
 }
 
 
