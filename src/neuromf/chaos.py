@@ -68,7 +68,7 @@ def run_coupled(config: NetworkConfig, ybar: MeanCurve | np.ndarray, n_paths: in
     any fixed-point error in it biases every network size equally and so
     cancels from the N-trend the sweep reads.
     """
-    return coupled_distance_paths(config, _ybar_on_grid(ybar, config.grid), n_paths)
+    return coupled_distance_paths(config, _ybar_on_grid(ybar, config), n_paths)
 
 
 def estimate_distance(run: CouplingRun) -> tuple[float, float]:

@@ -1,10 +1,13 @@
 """JSON-tree serialization of configurations and experiment specs.
 
-Parsing is strict and total: unknown keys, wrong types, and every
-violated invariant are reported together with a path to the offending
-field, so one pass over the error list fixes a config file.  The
-canonical serialized form (sorted keys, no whitespace) is also what the
-config hash is computed from.
+Parsing is strict: unknown keys, wrong types and violated invariants
+are reported with a path to the offending field, in the spec's own form
+(`config.pairs['exc->inh'].theta`).  They come in two rounds.  The first
+reports every problem of the fields themselves; only when there is none
+does the second run `NetworkConfig.validate`, whose checks across objects
+(every pair and initial law against the population labels) need every
+population parsed.  The canonical serialized form (sorted keys, no
+whitespace) is also what the config hash is computed from.
 
 The dataclasses are the schema: each field is one key, read as its type
 hint says.  A key is required exactly when its field has no default, a
@@ -213,7 +216,7 @@ def _read_config(r: _Reader, path: str, d: dict) -> NetworkConfig | None:
         return None
     config = NetworkConfig(**kwargs)
     problems = config.validate()
-    r.errors.extend(problems)
+    r.errors.extend(f"{path}.{p}" for p in problems)
     return None if problems else config
 
 
@@ -287,7 +290,8 @@ def config_hash(config: NetworkConfig) -> str:
 def parse_spec(text: str, command: str | None = None) -> ExperimentSpec:
     """Parse and fully validate an experiment spec.
 
-    Raises ConfigError carrying every problem found, not just the first.
+    Raises ConfigError carrying every problem of the round that found one
+    (see the module docstring), not just the first.
     """
     try:
         raw = json.loads(text)

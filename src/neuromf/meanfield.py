@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .network import MEANFIELD_PATH_BASE, NetworkConfig, PathEnsemble, simulate
+from .network import (MEANFIELD_PATH_BASE, NetworkConfig, PathEnsemble, _drive, _make_plan,
+                      _NodeStats, simulate)
 from .stepping import TimeGrid
 
 
@@ -57,7 +58,6 @@ class MeanCurve:
 @dataclass
 class MeanFieldSolution:
     curve: MeanCurve
-    ensemble: PathEnsemble | None   # thinned limit-copy trajectories
     distances: list[float]          # curve-map gaps, the last one against tol
     converged: bool
     iterations: int
@@ -104,13 +104,18 @@ def ybar_from_ms(m_s: np.ndarray, y0_mean: float, rise_rate: float, decay_rate: 
     return out
 
 
-def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The y_bar values of a curve; a `MeanCurve` must live on `grid`."""
+def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, config: NetworkConfig) -> np.ndarray:
+    """The y_bar values of a curve; a `MeanCurve` must live on the
+    configuration's grid and hold its populations, in its order."""
     if not isinstance(y_bar, MeanCurve):
         return y_bar
+    grid = config.grid
     if len(y_bar.times) != grid.n_steps + 1 or not np.allclose(
             y_bar.times, grid.times(), rtol=0, atol=1e-12):
         raise ConfigError(["mean curve grid does not match the configuration grid"])
+    if list(y_bar.labels) != config.labels:
+        raise ConfigError([f"mean curve populations {list(y_bar.labels)} do not match "
+                           f"the configuration's populations {config.labels}"])
     return y_bar.y_bar
 
 
@@ -128,16 +133,30 @@ def simulate_limit_given_ybar(y_bar: MeanCurve | np.ndarray, config: NetworkConf
     must live on the configuration's grid.
     """
     return simulate(limit_config(config, m_copies), n_paths=1, path_offset=MEANFIELD_PATH_BASE,
-                    interaction=_ybar_on_grid(y_bar, config.grid), collect_node_stats=True)
+                    interaction=_ybar_on_grid(y_bar, config), collect_node_stats=True)
 
 
 def _y0_means(config: NetworkConfig) -> np.ndarray:
     return np.asarray([config.init[l].y.mean() for l in config.labels])
 
 
-def _curve_from_ensemble(ens: PathEnsemble, config: NetworkConfig) -> MeanCurve:
-    m_s = ens.block_means["s"]
-    se = ens.block_se["s"]
+def _copy_stats(config: NetworkConfig, m_copies: int, y_bar: np.ndarray | None) -> tuple:
+    """m_S, its SE and the driving y_bar of `m_copies` limit copies per population.
+
+    The copies follow the (P, n_steps + 1) curve `y_bar`, or, when it is None,
+    the causal drive's curve; only their node statistics are kept.
+    """
+    plan = _make_plan(limit_config(config, m_copies))
+    stats = _NodeStats(plan)
+    drive = _CausalDrive(config, stats) if y_bar is None else y_bar
+    # one path, so one batch: the causal drive reads every copy at node k
+    _drive(plan, 1, MEANFIELD_PATH_BASE, [drive], [stats], max_batch_cols=plan.n_cols)
+    means, ses = stats.finalize()
+    return means["s"], ses["s"], drive.y_bar if y_bar is None else y_bar
+
+
+def _curve_from_stats(config: NetworkConfig, m_s: np.ndarray, se: np.ndarray) -> MeanCurve:
+    """The curve map: m_S through the closed form, population by population."""
     y0 = _y0_means(config)
     pops = [p for p, _ in config.populations]
     y_bar = np.stack([
@@ -161,28 +180,19 @@ def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float 
     if tol <= 0:
         raise ValueError("tol must be > 0")
     config.validate_or_raise()
-    P = len(config.populations)
-    n_nodes = config.grid.n_steps + 1
-    zero = np.zeros((P, n_nodes))
-    ens = simulate_limit_given_ybar(zero, config, m_copies)
-    curve = _curve_from_ensemble(ens, config)
+    zero = np.zeros((len(config.labels), config.grid.n_steps + 1))
+    m_s, se, _ = _copy_stats(config, m_copies, zero)
+    curve = _curve_from_stats(config, m_s, se)
     distances: list[float] = []
     converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        ens = simulate_limit_given_ybar(curve.y_bar, config, m_copies)
-        new_curve = _curve_from_ensemble(ens, config)
-        d = curve.node_distance(new_curve)
-        distances.append(d)
+    while not converged and len(distances) < max_iter:
+        m_s, se, _ = _copy_stats(config, m_copies, curve.y_bar)
+        new_curve = _curve_from_stats(config, m_s, se)
+        distances.append(curve.node_distance(new_curve))
+        converged = distances[-1] < tol
         curve = new_curve
-        if d < tol:
-            converged = True
-            break
-    return MeanFieldSolution(
-        curve=curve, ensemble=ens, distances=distances, converged=converged,
-        iterations=iterations, tol=tol, m_copies=m_copies,
-    )
+    return MeanFieldSolution(curve=curve, distances=distances, converged=converged,
+                             iterations=len(distances), tol=tol, m_copies=m_copies)
 
 
 class _CausalDrive:
@@ -193,7 +203,8 @@ class _CausalDrive:
     in the same floating-point order, as `ybar_from_ms`.
     """
 
-    def __init__(self, config: NetworkConfig):
+    def __init__(self, config: NetworkConfig, stats: _NodeStats):
+        self.stats = stats
         pops = [p for p, _ in config.populations]
         self.rise = np.asarray([p.rise_rate for p in pops])
         self.decay = np.asarray([p.decay_rate for p in pops])
@@ -202,9 +213,9 @@ class _CausalDrive:
         if config.grid.n_steps:
             self.y_bar[:, 0] = _y0_means(config)
 
-    def interaction(self, k: int, stats) -> np.ndarray:
+    def interaction(self, k: int) -> np.ndarray:
         if k > 0:
-            rate = self.rise * 0.5 * (stats.node_mean("s", k - 1) + stats.node_mean("s", k))
+            rate = self.rise * 0.5 * (self.stats.node_mean("s", k - 1) + self.stats.node_mean("s", k))
             lam = rate + self.decay
             y_star = rate / lam
             self.y_bar[:, k] = y_star + (self.y_bar[:, k - 1] - y_star) * np.exp(-lam * self.dt)
@@ -224,11 +235,9 @@ def solve_causal(config: NetworkConfig, m_copies: int, tol: float) -> MeanFieldS
     if tol <= 0:
         raise ValueError("tol must be > 0")
     config.validate_or_raise()
-    drive = _CausalDrive(config)
-    ens = simulate(limit_config(config, m_copies), n_paths=1,
-                   path_offset=MEANFIELD_PATH_BASE, interaction=drive, collect_node_stats=True)
-    curve = _curve_from_ensemble(ens, config)
+    m_s, se, y_bar = _copy_stats(config, m_copies, None)
+    curve = _curve_from_stats(config, m_s, se)
     # the last node drives no step; its gap is at most the one before it
-    r = float(np.max(np.abs(curve.y_bar[:, :-1] - drive.y_bar), initial=0.0))
-    return MeanFieldSolution(curve=curve, ensemble=ens, distances=[r], converged=r < tol,
+    r = float(np.max(np.abs(curve.y_bar[:, :-1] - y_bar), initial=0.0))
+    return MeanFieldSolution(curve=curve, distances=[r], converged=r < tol,
                              iterations=1, tol=tol, m_copies=m_copies)

@@ -220,30 +220,36 @@ class NetworkConfig:
         for i, label in enumerate(labels):
             if any(ch < " " or ch == "\x7f" for ch in label):
                 errs.append(f"populations[{i}].label: {label!r} holds a control character")
-        for pop, n in self.populations:
+        for i, (_, n) in enumerate(self.populations):
             if n < 1:
-                errs.append(f"populations[{pop.label!r}].n: population must have at least one neuron")
+                errs.append(f"populations[{i}].n: population must have at least one neuron")
         for a in labels:
             for g in labels:
+                key = f"pairs[{f'{a}->{g}'!r}]"
                 if (a, g) not in self.pairs:
-                    errs.append(f"pairs[{a!r}->{g!r}]: missing synaptic parameters")
+                    errs.append(f"{key}: missing synaptic parameters")
                 elif self.conductance is Conductance.SIGN_PRESERVING and self.pairs[(a, g)].theta <= 0:
-                    errs.append(f"pairs[{a!r}->{g!r}].theta: must be > 0 for the sign-preserving variant")
+                    errs.append(f"{key}.theta: must be > 0 for the sign-preserving variant")
+        for a, g in self.pairs:
+            unknown = sorted({a, g} - set(labels))
+            if unknown:
+                errs.append(f"pairs[{f'{a}->{g}'!r}]: no population is labelled "
+                            + " or ".join(map(repr, unknown)))
         if not 0 <= self.seed < (1 << 63):
             errs.append("seed: must be a nonnegative 63-bit integer")
         if self.thin < 1:
             errs.append("thin: must be >= 1")
-        for pop, _ in self.populations:
+        for i, (pop, _) in enumerate(self.populations):
             law = self.init.get(pop.label)
             if law is None:
-                errs.append(f"init[{pop.label!r}]: missing initial law")
+                errs.append(f"populations[{i}].init: missing initial law")
                 continue
-            errs.extend(self._check_law(pop, law, labels))
+            errs.extend(self._check_law(f"populations[{i}].init", pop, law, labels))
         return errs
 
-    def _check_law(self, pop: PopulationParams, law: InitialLaw, labels: list[str]) -> list[str]:
+    def _check_law(self, pre: str, pop: PopulationParams, law: InitialLaw,
+                   labels: list[str]) -> list[str]:
         errs = []
-        pre = f"init[{pop.label!r}]"
 
         def support_in(d: Dist, lo: float, hi: float) -> bool:
             slo, shi = d.support()
@@ -276,6 +282,8 @@ class NetworkConfig:
                         errs.append(f"{pre}.j[{g!r}]: missing conductance initial law")
                     elif not support_in(d, 0.0, math.inf):
                         errs.append(f"{pre}.j[{g!r}]: support must be nonnegative")
+                errs.extend(f"{pre}.j[{g!r}]: no population is labelled {g!r}"
+                            for g in law.j if g not in labels)
         elif law.j is not None:
             errs.append(f"{pre}.j: the simple variant carries no conductance state")
         return errs
@@ -642,22 +650,22 @@ class _CurveDrive:
     def __init__(self, curve: np.ndarray):
         self.curve = curve
 
-    def interaction(self, k: int, stats: "_NodeStats | None") -> np.ndarray:
+    def interaction(self, k: int) -> np.ndarray:
         return self.curve[:, k]
 
 
 def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, observers: list,
-           max_batch_cols: int, stats: "_NodeStats | None" = None) -> None:
+           max_batch_cols: int) -> None:
     """The stepping loop: one system per interaction, advanced batch by batch.
 
     An interaction is None (the system's own empirical means: its paths
     are network paths, whose ids must stay below `MEANFIELD_PATH_BASE`), a
-    (P, n_steps + 1) curve, or a drive whose `interaction(k, stats)` reads
-    the node statistics `stats` gathered so far (one batch only).  All
-    systems share the initial draws and every increment; systems after the
-    first read the first one's conductance paths.  After the initial draw
-    and after every step, each observer sees `observe(rows, k, states)`:
-    the batch's rows of the path axis, the node and one state per system.
+    (P, n_steps + 1) curve, or a drive whose `interaction(k)` returns the
+    (P,) values of step k.  All systems share the initial draws and every
+    increment; systems after the first read the first one's conductance
+    paths.  After the initial draw and after every step, each observer sees
+    `observe(rows, k, states)`: the batch's rows of the path axis, the node
+    and one state per system.
 
     Each system owns two states per batch and steps from one into the
     other in turn, so the arrays an observer sees at node k are
@@ -675,9 +683,6 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
                     f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
                 ])
             x = _CurveDrive(curve)
-        elif x is not None and (n_paths != 1 or stats is None):
-            raise ValueError("a drive reads the node statistics of the whole ensemble: "
-                             "use n_paths=1 and collect_node_stats=True")
         sources.append(x)
     batch = max(1, min(n_paths, max_batch_cols // max(plan.n_cols, 1)))
     times = plan.times
@@ -704,7 +709,7 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
             # at node k, which it keeps in the other state
             for i, source in enumerate(sources):
                 ybar = (population_sums(states[i].y, plan.slices) if source is None
-                        else source.interaction(k, stats))
+                        else source.interaction(k))
                 _advance(plan, states[i], new[i], ybar, draws, times[k], ws, step_j=i == 0)
             for st in new:
                 _ensure_finite(st.v, k + 1, times[k + 1], ids)
@@ -858,10 +863,7 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     * None: the empirical per-population means of each path, as in the
       network; path ids must then stay below `MEANFIELD_PATH_BASE`;
     * a (P, n_steps + 1) array: a fixed deterministic curve, which is how
-      ensembles of independent limit copies are advanced;
-    * a drive, whose `interaction(k, stats)` returns the (P,) values of
-      step k from the node statistics gathered so far; it needs
-      `n_paths == 1` (one batch) and `collect_node_stats`.
+      ensembles of independent limit copies are advanced.
 
     Each step makes one pass per run of adjacent populations that share a
     membrane variant, evaluating every field in one call over all the
@@ -874,7 +876,7 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     store = _Storage(plan, config.thin, n_paths)
     stats = _NodeStats(plan) if collect_node_stats else None
     _drive(plan, n_paths, path_offset, [interaction], [store] + ([stats] if stats else []),
-           max_batch_cols, stats)
+           max_batch_cols)
 
     from .configio import config_hash  # local import: configio builds on this module
 

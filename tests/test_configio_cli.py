@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import package_env
 
-from neuromf.artifacts import read_meancurve_csv, read_meta
+from neuromf.artifacts import read_meancurve_csv, read_meta, write_meancurve_csv
 from neuromf.configio import (
     _DIST_FIELDS,
     ExperimentSpec,
@@ -21,6 +21,7 @@ from neuromf.configio import (
     parse_spec,
 )
 from neuromf.errors import ConfigError
+from neuromf.meanfield import MeanCurve
 from neuromf.model import (
     CurrentSpec,
     CutoffSpec,
@@ -195,7 +196,7 @@ def relabel_minimal(label):
 def test_control_characters_in_labels_rejected(label):
     with pytest.raises(ConfigError) as exc:
         parse_spec(json.dumps(relabel_minimal(label)))
-    assert f"populations[0].label: {label!r} holds a control character" in exc.value.errors
+    assert f"config.populations[0].label: {label!r} holds a control character" in exc.value.errors
     config = parse_spec(json.dumps(MINIMAL_SINGLE_POP)).config
     pop, n = config.populations[0]
     bad = replace(config, populations=[(replace(pop, label=label), n)],
@@ -204,6 +205,32 @@ def test_control_characters_in_labels_rejected(label):
     with pytest.raises(ConfigError) as exc:
         bad.validate_or_raise()
     assert any(e.startswith("populations[0].label:") for e in exc.value.errors)
+
+
+def test_labels_of_no_population_rejected_with_their_paths():
+    base = config_to_dict(fhn_two_pop())
+    pair = json.loads(json.dumps(base))
+    pair["pairs"]["exc->bogus"] = pair["pairs"]["exc->inh"]
+    law = json.loads(json.dumps(base))
+    law["populations"][0]["init"]["j"]["bogus"] = law["populations"][0]["init"]["j"]["inh"]
+    for d, error in ((pair, "config.pairs['exc->bogus']: no population is labelled 'bogus'"),
+                     (law, "config.populations[0].init.j['bogus']: "
+                           "no population is labelled 'bogus'")):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(d)
+        assert exc.value.errors == [error]
+
+
+def test_validate_errors_use_the_spec_paths():
+    d = config_to_dict(fhn_two_pop())
+    d["seed"] = -3
+    d["pairs"]["exc->inh"]["theta"] = 0.0
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(d)
+    assert sorted(exc.value.errors) == [
+        "config.pairs['exc->inh'].theta: must be > 0 for the sign-preserving variant",
+        "config.seed: must be a nonnegative 63-bit integer",
+    ]
 
 
 def test_printable_labels_accepted():
@@ -430,6 +457,22 @@ def test_cli_refuses_a_malformed_curve_file(spec_file, tmp_path, body, message):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert f"{curve}: {message}" in r.stderr
+
+
+def test_cli_refuses_a_curve_of_other_populations(spec_file, tmp_path):
+    # the right hash and grid, but the rows of 'exc' renamed
+    cfg = parse_spec(spec_file.read_text()).config
+    n_nodes = cfg.grid.n_steps + 1
+    curve = MeanCurve(times=cfg.grid.times(), labels=["nobody", "inh"],
+                      m_s=np.full((2, n_nodes), 0.2), y_bar=np.full((2, n_nodes), 0.1))
+    path = tmp_path / "meancurve.csv"
+    write_meancurve_csv(curve, config_hash(cfg), cfg.seed, path)
+    r = run_cli(["chaos-sweep", "--spec", str(spec_file), "--out", "cs", "--curve", str(path)],
+                tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert ("mean curve populations ['nobody', 'inh'] do not match "
+            "the configuration's populations ['exc', 'inh']") in r.stderr
 
 
 def test_cli_error_reporting_is_complete(tmp_path):

@@ -18,7 +18,7 @@ from neuromf.meanfield import (
     ybar_from_ms,
 )
 from neuromf.model import SigmoidParams, eval_sigmoid
-from neuromf.network import Dist, InitialLaw, simulate
+from neuromf.network import Dist, InitialLaw
 from neuromf.network import Conductance
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.stepping import TimeGrid
@@ -306,7 +306,6 @@ def test_causal_solve_is_a_fixed_point_of_the_curve_map(cfg):
     assert gap <= 1e-12
     assert abs(sol.distances[0] - gap) <= 1e-12
     assert sol.converged
-    assert sol.ensemble.data["v"].shape[0] == 1
 
 
 def test_causal_solve_agrees_with_picard():
@@ -325,13 +324,3 @@ def test_causal_solve_without_interaction_matches_zero_curve():
     assert np.array_equal(sol.curve.m_s, ens.block_means["s"])
     assert sol.distances == [0.0]
 
-
-def test_causal_drive_needs_one_batch():
-    from neuromf.meanfield import _CausalDrive
-
-    cfg = fhn_two_pop(n_steps=10, t_end=0.1)
-    lconf = limit_config(cfg, 4)
-    with pytest.raises(ValueError):
-        simulate(lconf, n_paths=2, collect_node_stats=True, interaction=_CausalDrive(cfg))
-    with pytest.raises(ValueError):
-        simulate(lconf, n_paths=1, interaction=_CausalDrive(cfg))

@@ -75,7 +75,20 @@ def test_validation_reports_all_errors():
     del cfg.pairs[("exc", "inh")]
     errs = cfg.validate()
     assert any("at least one neuron" in e for e in errs)
-    assert any("pairs['exc'->'inh']" in e for e in errs)
+    assert "pairs['exc->inh']: missing synaptic parameters" in errs
+
+
+def test_validation_names_pair_and_conductance_labels_of_no_population():
+    cfg = fhn_two_pop(n_steps=10, t_end=0.1)
+    cfg.pairs[("exc", "bogus")] = cfg.pairs[("exc", "inh")]
+    cfg.pairs[("nobody", "bogus")] = cfg.pairs[("exc", "inh")]
+    law = cfg.init["inh"]
+    cfg.init["inh"] = InitialLaw(v=law.v, y=law.y, w=law.w, j={**law.j, "bogus": law.j["exc"]})
+    assert cfg.validate() == [
+        "pairs['exc->bogus']: no population is labelled 'bogus'",
+        "pairs['nobody->bogus']: no population is labelled 'bogus' or 'nobody'",
+        "populations[1].init.j['bogus']: no population is labelled 'bogus'",
+    ]
 
 
 def test_sign_preserving_needs_positive_theta():
@@ -643,5 +656,5 @@ def test_simulate_names_a_missing_pair():
 
     cfg = fhn_two_pop(n_per_pop=3, n_steps=2, t_end=0.02)
     broken = replace(cfg, pairs={k: p for k, p in cfg.pairs.items() if k != ("exc", "inh")})
-    with pytest.raises(ConfigError, match=r"pairs\['exc'->'inh'\]"):
+    with pytest.raises(ConfigError, match=r"pairs\['exc->inh'\]"):
         simulate(broken, n_paths=2)

@@ -1,8 +1,12 @@
 """The package's public surface."""
 
 import importlib
+import inspect
+import pkgutil
+from dataclasses import fields
 
 import neuromf
+from neuromf.meanfield import MeanFieldSolution
 
 # names that left the API, by the module that held them
 REMOVED = {
@@ -14,6 +18,45 @@ REMOVED = {
     "neuromf.meanfield": ["estimate_ms", "wasserstein2_marginal"],
     "neuromf.chaos": ["marginal_chaos_check", "MarginalCheck"],
 }
+
+
+def public_surface() -> tuple[int, int]:
+    """Public functions over `neuromf.*` and their settable parameters.
+
+    A function is a public module-level function, or a public method
+    (classmethods and staticmethods included, properties and dunders not)
+    of a public class, each counted in the module that defines it.  Its
+    parameters are those of its signature, less the bound `self` or `cls`.
+    """
+    functions = parameters = 0
+    for info in pkgutil.iter_modules(neuromf.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"neuromf.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [m for key, m in vars(obj).items() if not key.startswith("_")]
+            else:
+                members = [obj]
+            for m in members:
+                fn = getattr(m, "__func__", m)  # a classmethod's or staticmethod's function
+                if inspect.isfunction(fn):
+                    bound = m is not obj and not isinstance(m, staticmethod)
+                    functions += 1
+                    parameters += len(inspect.signature(fn).parameters) - bound
+    return functions, parameters
+
+
+def test_public_surface_count():
+    # retired or added surface moves these numbers; change them on purpose only
+    assert public_surface() == (72, 189)
+
+
+def test_solutions_keep_no_copy_trajectories():
+    # the solvers keep the copies' node statistics only
+    assert "ensemble" not in {f.name for f in fields(MeanFieldSolution)}
 
 
 def test_neuron_states_are_not_exported():
