@@ -26,7 +26,6 @@ from .model import (
     PopulationParams,
     SigmoidParams,
     eval_cutoff,
-    eval_gate_rates,
     eval_membrane_drift,
     eval_sigmoid,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "HhMembrane", "InitialLaw", "MeanCurve", "MeanFieldSolution", "NetworkConfig",
     "PairParams", "PathEnsemble", "PopulationParams", "SigmoidParams",
     "SimulationDiverged", "TimeGrid", "VariantMismatchError", "estimate_distance",
-    "eval_cutoff", "eval_gate_rates", "eval_membrane_drift", "eval_sigmoid", "fit_rate",
+    "eval_cutoff", "eval_membrane_drift", "eval_sigmoid", "fit_rate",
     "population_sums", "run_coupled", "simulate", "simulate_limit_given_ybar",
     "solve_causal", "solve_fixed_point", "step_cir", "step_euler_confined", "sweep",
     "ybar_from_ms",

@@ -64,9 +64,11 @@ def run_coupled(config: NetworkConfig, ybar: MeanCurve | np.ndarray, n_paths: in
 
     The gap is taken at the first neuron of each population.
 
-    `ybar` is the converged mean-proportion curve the limit copies follow;
-    any fixed-point error in it biases every network size equally and so
-    cancels from the N-trend the sweep reads.
+    `ybar` is the converged mean-proportion curve the limit copies follow.
+    Its error does not cancel from the N-trend the sweep reads: it biases
+    D(N) at first order, through the cross term of the curve error with
+    the path gap.  In a paired probe at the `chaos_sweep_fhn` shape, D(1024)
+    moved by about -4% between curves from 1000 and 64,000 copies.
     """
     return coupled_distance_paths(config, _ybar_on_grid(ybar, config), n_paths)
 

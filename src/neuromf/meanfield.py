@@ -147,7 +147,7 @@ def _copy_stats(config: NetworkConfig, m_copies: int, y_bar: np.ndarray | None) 
     the causal drive's curve; only their node statistics are kept.
     """
     plan = _make_plan(limit_config(config, m_copies))
-    stats = _NodeStats(plan)
+    stats = _NodeStats(plan, ("s",))
     drive = _CausalDrive(config, stats) if y_bar is None else y_bar
     # one path, so one batch: the causal drive reads every copy at node k
     _drive(plan, 1, MEANFIELD_PATH_BASE, [drive], [stats], max_batch_cols=plan.n_cols)

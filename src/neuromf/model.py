@@ -246,12 +246,6 @@ def eval_cutoff(c: CutoffSpec, x: Array, *, out: np.ndarray | None = None,
     return np.maximum(0.0, up, out=up)
 
 
-def _gate_index(gate: str) -> int:
-    if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}; expected one of {GATES}")
-    return GATES.index(gate)
-
-
 # per-row constants of the rate families: the shifts and factors of the
 # x / (1 - exp(-x / 10)) terms rho_n, rho_m, and the scales and factors of
 # the exp(-(v + 65) / s) terms rho_h, zeta_n, zeta_m
@@ -317,13 +311,6 @@ def gate_rates(g: GateRates, v_eff: Array, *, out: np.ndarray | None = None) -> 
     return out
 
 
-def eval_gate_rates(g: GateRates, gate: str, v: Array) -> tuple[Array, Array]:
-    """(opening, closing) rate pair, frozen outside |v| <= clamp_v and clipped."""
-    i = _gate_index(gate)
-    rates = gate_rates(g, clamp_gate_voltage(g, v))
-    return rates[0, i, ...], rates[1, i, ...]
-
-
 def eval_membrane_drift(pop: PopulationParams, t: float, v: Array, q, *,
                         out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Membrane drift F(t, v, q) in mV/ms.
@@ -372,20 +359,21 @@ def recovery_drift(m: FhnMembrane, v: Array, w: Array, *, out: np.ndarray | None
     return np.multiply(m.c, out, out=out)
 
 
-def proportion_rates(pop: PopulationParams, v: Array, *, out: np.ndarray | None = None,
+def proportion_rates(pop: PopulationParams, v: Array, s: Array, *, out: np.ndarray | None = None,
                      work: np.ndarray | None = None) -> np.ndarray:
     """Opening and closing rates (rho, zeta) of every proportion of a population.
 
-    The result has shape (2, K) + v.shape: row 0 holds rho, row 1 zeta, and
-    the K proportions are y alone for FHN, (y, n, m, h) for HH.  For y,
-    rho = rise * S(v) and zeta = decay; the gates take `gate_rates` at
-    the clamped potential, which needs `work` of shape (2, 3) + v.shape.
+    s is the activation `eval_sigmoid(pop.sigmoid, v)`, which the caller
+    evaluates once and reads elsewhere too.  The result has shape
+    (2, K) + v.shape: row 0 holds rho, row 1 zeta, and the K proportions
+    are y alone for FHN, (y, n, m, h) for HH.  For y, rho = rise * s and
+    zeta = decay; the gates take `gate_rates` at the clamped potential,
+    which needs `work` of shape (2, 3) + v.shape.
     """
     k = 4 if pop.is_hh else 1
     if out is None:
         out = np.empty((2, k) + np.shape(v))
-    rho_y = eval_sigmoid(pop.sigmoid, v, out=out[0, 0, ...])
-    np.multiply(pop.rise_rate, rho_y, out=rho_y)
+    np.multiply(pop.rise_rate, s, out=out[0, 0, ...])
     np.copyto(out[1, 0, ...], pop.decay_rate)
     if pop.is_hh:
         # the clamped potential waits in rho_n's slot until the rates land
@@ -426,13 +414,6 @@ def synapse_fields(pop: PopulationParams, v: Array, y: Array) -> tuple[Array, Ar
     return proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v), pop.decay_rate, y, pop.cutoff)
 
 
-def gate_fields(g: GateRates, gate: str, v_eff: Array, x: Array, cutoff: CutoffSpec) -> tuple[Array, Array]:
-    """(drift, diffusion) of one gate proportion at the clamped potential v_eff."""
-    i = _gate_index(gate)
-    rates = gate_rates(g, v_eff)
-    return proportion_fields(rates[0, i, ...], rates[1, i, ...], x, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # invariant checks (shared by the test suite and the CLI `validate` command)
 
@@ -451,7 +432,8 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 def check_boundary_drift_signs(pop: PopulationParams, v_lo: float = -120.0, v_hi: float = 120.0,
                                n_v: int = 241) -> CheckResult:
     """Inward drift at the proportion boundaries for synapse and gate fields."""
-    rho, zeta = proportion_rates(pop, _grid(v_lo, v_hi, n_v)[:, None])
+    v = _grid(v_lo, v_hi, n_v)[:, None]
+    rho, zeta = proportion_rates(pop, v, eval_sigmoid(pop.sigmoid, v))
     below = np.array([-0.5, -1e-9, 0.0])[None, :]
     above = np.array([1.0, 1.0 + 1e-9, 1.5])[None, :]
     ok = bool(np.all(proportion_fields(rho, zeta, below, pop.cutoff)[0] >= 0.0)
@@ -462,7 +444,8 @@ def check_boundary_drift_signs(pop: PopulationParams, v_lo: float = -120.0, v_hi
 def check_diffusion_support(pop: PopulationParams, v_lo: float = -120.0, v_hi: float = 120.0,
                             n_v: int = 241) -> CheckResult:
     """Diffusion vanishes identically for proportion state outside (0, 1)."""
-    rho, zeta = proportion_rates(pop, _grid(v_lo, v_hi, n_v)[:, None])
+    v = _grid(v_lo, v_hi, n_v)[:, None]
+    rho, zeta = proportion_rates(pop, v, eval_sigmoid(pop.sigmoid, v))
     outside = np.array([-1.0, -1e-12, 0.0, pop.cutoff.support_lo, pop.cutoff.support_hi, 1.0, 1.0 + 1e-12, 2.0])[None, :]
     ok = bool(np.all(proportion_fields(rho, zeta, outside, pop.cutoff)[1] == 0.0))
     return CheckResult("diffusion-support", ok, f"population {pop.label!r}")

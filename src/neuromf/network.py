@@ -21,6 +21,7 @@ conductance paths themselves.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import groupby
@@ -294,14 +295,20 @@ class NetworkConfig:
             raise ConfigError(errs)
 
 
-def population_sums(y: np.ndarray, slices: Sequence[tuple[int, int]]) -> np.ndarray:
+def population_sums(y: np.ndarray, slices: Sequence[tuple[int, int]], *,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Per-population mean of y over the neuron axis (the last one), O(N).
 
-    Returns an array of shape y.shape[:-1] + (n_populations,); every entry
-    lies in [0, 1] whenever y does.
+    Returns an array of shape y.shape[:-1] + (n_populations,), into `out`
+    when given; every entry lies in [0, 1] whenever y does.  Each mean is
+    the sum `mean` takes, in its pairwise order, then the same division.
     """
-    parts = [y[..., lo:hi].mean(axis=-1) for lo, hi in slices]
-    return np.stack(parts, axis=-1)
+    if out is None:
+        out = np.empty(y.shape[:-1] + (len(slices),))
+    for a, (lo, hi) in enumerate(slices):
+        np.add.reduce(y[..., lo:hi], axis=-1, out=out[..., a])
+        np.divide(out[..., a], hi - lo, out=out[..., a])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +496,16 @@ class NeuronStates:
     (K = 1), or y and the gates n, m, h (K = 4) when some population is HH.
     j holds the sign-preserving conductances, (P, B, n), one contiguous
     slab per source; None in the simple variant.  The columns of a
-    population that lacks a component hold zeros in it.
+    population that lacks a component hold zeros in it.  s holds the
+    activation S(v), (B, n); the two states of a system share one such
+    buffer, which the driver fills for the node the system has reached.
     """
 
     v: np.ndarray
     w: np.ndarray
     x: np.ndarray
     j: np.ndarray | None
+    s: np.ndarray | None = None
 
     @property
     def y(self) -> np.ndarray:
@@ -514,22 +524,23 @@ class NeuronStates:
         return self.x[3]
 
 
-def _zero_states(plan: _Plan, n_paths: int, j: np.ndarray | None = None) -> NeuronStates:
-    """A state of zeros; `j` given, the conductances are that array itself."""
+def _zero_states(plan: _Plan, n_paths: int, s: np.ndarray, j: np.ndarray | None = None) -> NeuronStates:
+    """A state of zeros over the activation buffer `s`; `j` given, the conductances are that array itself."""
     B, N, P = n_paths, plan.n_cols, len(plan.pops)
     if j is None and plan.conductance is Conductance.SIGN_PRESERVING:
         j = np.zeros((P, B, N))
-    return NeuronStates(v=np.zeros((B, N)), w=np.zeros((B, N)), x=np.zeros((plan.k, B, N)), j=j)
+    return NeuronStates(v=np.zeros((B, N)), w=np.zeros((B, N)), x=np.zeros((plan.k, B, N)), j=j, s=s)
 
 
 def _draw_initial(plan: _Plan, noise: BlockNoise, path_ids: Sequence[int], st: NeuronStates) -> None:
+    # only the streams some population draws from: each is keyed on its own
     P = len(plan.pops)
+    comps = [Component.INIT_V, Component.INIT_Y]
+    comps += [Component.INIT_W] if plan.any_fhn else []
+    comps += [Component.INIT_GATE_N, Component.INIT_GATE_M, Component.INIT_GATE_H] if plan.any_hh else []
     for b, pid in enumerate(path_ids):
-        gens = {c: noise.init_stream(pid, c) for c in (
-            Component.INIT_V, Component.INIT_Y, Component.INIT_W,
-            Component.INIT_GATE_N, Component.INIT_GATE_M, Component.INIT_GATE_H,
-        )}
-        jgens = [noise.init_stream(pid, Component.init_j(g)) for g in range(P)]
+        gens = {c: noise.init_stream(pid, c) for c in comps}
+        jgens = [noise.init_stream(pid, Component.init_j(g)) for g in range(P)] if st.j is not None else []
         for a, (lo, hi) in enumerate(plan.slices):
             law = plan.init_laws[a]
             size = hi - lo
@@ -593,7 +604,7 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, yb
     np.multiply(noise_v, sqrt_dt, out=noise_v)
     np.add(new_v, noise_v, out=new_v)
 
-    rho, zeta = proportion_rates(pop, vs, out=ws.rates, work=ws.gates)
+    rho, zeta = proportion_rates(pop, vs, st.s[:, cols], out=ws.rates, work=ws.gates)
     drift, diffusion = proportion_fields(rho, zeta, xs, pop.cutoff, out=ws.fields, work=ws.work)
     dw = np.multiply(draws[1:1 + k, :, cols], sqrt_dt, out=ws.work[0])
     step_euler_confined(xs, drift, diffusion, dt, dw, out=new.x[:k, :, cols], work=ws.work[1])
@@ -665,11 +676,13 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
     increment; systems after the first read the first one's conductance
     paths.  After the initial draw and after every step, each observer sees
     `observe(rows, k, states)`: the batch's rows of the path axis, the node
-    and one state per system.
+    and one state per system, whose `s` holds S(v) at that node.  The
+    activation is evaluated once per system and node; the step reads it
+    for the synaptic opening rate.
 
     Each system owns two states per batch and steps from one into the
     other in turn, so the arrays an observer sees at node k are
-    overwritten at node k + 2.
+    overwritten at node k + 2; the activation, at node k + 1.
     """
     if any(x is None for x in interactions):
         _check_network_path_ids(path_offset, n_paths)
@@ -691,15 +704,20 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
         rows = slice(b0, b0 + len(ids))
         noise = BlockNoise(plan.seed, ids, plan.components, plan.n_cols, plan.n_steps)
         ws = _workspace(plan, len(ids))
-        # the copy systems' conductances are the network's own arrays
-        pairs = [[_zero_states(plan, len(ids)) for _ in range(2)]]
-        pairs += [[_zero_states(plan, len(ids), j=net.j) for net in pairs[0]] for _ in sources[1:]]
+        ybar = np.empty((len(ids), len(plan.pops)))  # the network systems' own means
+        # one activation buffer per system; the copy systems' conductances
+        # are the network's own arrays
+        s_bufs = [np.empty((len(ids), plan.n_cols)) for _ in sources]
+        pairs = [[_zero_states(plan, len(ids), s_bufs[0]) for _ in range(2)]]
+        pairs += [[_zero_states(plan, len(ids), s, j=net.j) for net in pairs[0]] for s in s_bufs[1:]]
         first = pairs[0][0]
         _draw_initial(plan, noise, ids, first)
         for pair in pairs[1:]:
             for name in ("v", "w", "x"):
                 np.copyto(getattr(pair[0], name), getattr(first, name))
         states = [pair[0] for pair in pairs]
+        for st in states:
+            eval_sigmoid(plan.sigmoid, st.v, out=st.s)
         for obs in observers:
             obs.observe(rows, 0, states)
         for k in range(plan.n_steps):
@@ -708,11 +726,12 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
             # the network steps first: the copies then read its conductances
             # at node k, which it keeps in the other state
             for i, source in enumerate(sources):
-                ybar = (population_sums(states[i].y, plan.slices) if source is None
-                        else source.interaction(k))
-                _advance(plan, states[i], new[i], ybar, draws, times[k], ws, step_j=i == 0)
+                interaction = (population_sums(states[i].y, plan.slices, out=ybar) if source is None
+                               else source.interaction(k))
+                _advance(plan, states[i], new[i], interaction, draws, times[k], ws, step_j=i == 0)
             for st in new:
                 _ensure_finite(st.v, k + 1, times[k + 1], ids)
+                eval_sigmoid(plan.sigmoid, st.v, out=st.s)
             states = new
             for obs in observers:
                 obs.observe(rows, k + 1, states)
@@ -743,6 +762,20 @@ class PathEnsemble:
         return self.data["v"].shape[0]
 
 
+def _check_fits(n_bytes: int, n_paths: int, thin: int, n_steps: int) -> None:
+    """Refuse, before anything is allocated, trajectories larger than physical memory."""
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such query on this platform
+        return
+    if n_bytes > limit:
+        raise ConfigError([
+            f"spec.n_paths = {n_paths}, spec.config.thin = {thin} and "
+            f"spec.config.grid.n_steps = {n_steps} store {n_bytes} bytes of trajectories, "
+            f"more than the {limit} bytes of physical memory"
+        ])
+
+
 class _Storage:
     """Thinned trajectories of every path, and extremes over every node.
 
@@ -760,8 +793,10 @@ class _Storage:
         self.last = plan.n_steps
         names = ["v", "y"] + (["w"] if plan.any_fhn else []) + (list(GATES) if plan.any_hh else [])
         shape = (n_paths, len(idx), plan.n_cols)
-        self.data = {name: np.empty(shape) for name in names}
         sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
+        arrays = len(names) + (len(plan.pops) if sign_preserving else 0)
+        _check_fits(8 * arrays * math.prod(shape), n_paths, thin, plan.n_steps)
+        self.data = {name: np.empty(shape) for name in names}
         self.j = np.empty(shape + (len(plan.pops),)) if sign_preserving else None
         tracked = ["y"] + (list(GATES) if plan.any_hh else []) + (["j"] if sign_preserving else [])
         self.extremes = {name: (math.inf, -math.inf) for name in tracked}
@@ -803,37 +838,47 @@ class _Storage:
 
 
 class _NodeStats:
-    """Online per-node block means (and SEs) of selected per-population stats.
+    """Online per-node block means (and SEs) of per-population stats.
 
+    `names` are the stats gathered: "s", the activation S(v), and "y".
     Each batch's squared deviations are taken about its own mean and merged
     with the running sum of squares by the pairwise update, so the SE keeps
     full precision where the spread is small against the mean.
     """
 
-    def __init__(self, plan: _Plan):
+    def __init__(self, plan: _Plan, names: Sequence[str]):
         self.plan = plan
+        self.names = tuple(names)
         P, n_nodes = len(plan.pops), plan.n_steps + 1
-        self.sums = {name: np.zeros((P, n_nodes)) for name in ("y", "s")}
-        self.m2 = {name: np.zeros((P, n_nodes)) for name in ("y", "s")}
+        self.sums = {name: np.zeros((P, n_nodes)) for name in self.names}
+        self.m2 = {name: np.zeros((P, n_nodes)) for name in self.names}
         self.count = np.zeros(P, dtype=int)
+        self._dev: list[np.ndarray] = []  # per population, the batch's (B, size) deviations
 
     def observe(self, rows: slice, node: int, states: list[NeuronStates]) -> None:
         st = states[0]
-        s = eval_sigmoid(self.plan.sigmoid, st.v)
+        if not self._dev or self._dev[0].shape[0] != st.v.shape[0]:
+            self._dev = [np.empty((st.v.shape[0], hi - lo)) for lo, hi in self.plan.slices]
         for a, (lo, hi) in enumerate(self.plan.slices):
-            ys = st.y[:, lo:hi]
-            # a contiguous copy sums in the same order as a per-population evaluation
-            ss = np.ascontiguousarray(s[:, lo:hi])
+            dev = self._dev[a]
             if node == 0:
-                self.count[a] += ys.size
-            seen = int(self.count[a]) - ys.size  # columns of earlier batches
-            self._merge("y", a, node, ys, seen)
-            self._merge("s", a, node, ss, seen)
+                self.count[a] += dev.size
+            seen = int(self.count[a]) - dev.size  # columns of earlier batches
+            if "y" in self.names:
+                self._merge("y", a, node, st.y[:, lo:hi], seen, dev)
+            if "s" in self.names:
+                s = st.s[:, lo:hi]
+                # summed contiguous, in the same order as a per-population evaluation
+                if not s.flags.c_contiguous:
+                    np.copyto(dev, s)
+                    s = dev
+                self._merge("s", a, node, s, seen, dev)
 
-    def _merge(self, name: str, a: int, node: int, x: np.ndarray, seen: int) -> None:
+    def _merge(self, name: str, a: int, node: int, x: np.ndarray, seen: int, dev: np.ndarray) -> None:
         total = x.sum()
-        dev = x - total / x.size
-        m2 = (dev * dev).sum()
+        np.subtract(x, total / x.size, out=dev)
+        np.multiply(dev, dev, out=dev)
+        m2 = dev.sum()
         if seen:
             delta = total / x.size - self.sums[name][a, node] / seen
             m2 += delta * delta * (seen * x.size / (seen + x.size))
@@ -847,7 +892,7 @@ class _NodeStats:
     def finalize(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         means, ses = {}, {}
         cnt = self.count[:, None].astype(float)
-        for name in ("y", "s"):
+        for name in self.names:
             means[name] = self.sums[name] / cnt
             ses[name] = np.sqrt(self.m2[name] / (cnt * np.maximum(cnt - 1, 1)))
         return means, ses
@@ -874,7 +919,7 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     """
     plan = _make_plan(config)
     store = _Storage(plan, config.thin, n_paths)
-    stats = _NodeStats(plan) if collect_node_stats else None
+    stats = _NodeStats(plan, ("y", "s")) if collect_node_stats else None
     _drive(plan, n_paths, path_offset, [interaction], [store] + ([stats] if stats else []),
            max_batch_cols)
 
@@ -905,38 +950,70 @@ class CouplingRun:
 
 
 class _CouplingGap:
-    """Running sups of the network-copy gap, one entry per path."""
+    """Running sups of the network-copy gap, one entry per path.
+
+    Every intermediate goes into buffers sized for the batch at its first
+    node: the gaps at the representative neurons, their per-path sums and
+    one full-width array for the largest |v gap| over all columns.
+    """
 
     def __init__(self, n_paths: int, reps: np.ndarray):
         self.reps = reps
         comps = {name: np.zeros(n_paths) for name in ("v", "y", "w", "gates", "j")}
         self.run = CouplingRun(sup_sq=np.zeros(n_paths), comp_sup_sq=comps, max_gap_all=0.0)
+        self._ws: SimpleNamespace | None = None
+
+    def _workspace(self, st: NeuronStates) -> SimpleNamespace:
+        (B, N), K, R = st.v.shape, len(st.x), len(self.reps)
+        P = 0 if st.j is None else len(st.j)
+        return SimpleNamespace(
+            v=np.empty((2, B, R)), x=np.empty((2, K, B, R)), w=np.empty((2, B, R)),
+            j=np.empty((2, P, B, R)), j_gap=np.empty((B, R, P)), sq=np.empty((B, R)),
+            contrib={name: np.empty(B) for name in ("v", "y", "w", "gates", "j")},
+            total=np.empty(B), full=np.empty((B, N)),
+        )
+
+    def _gap_sq(self, net: np.ndarray, copy: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """(net - copy)^2 at the representatives, in the first row of `pair`."""
+        np.take(net, self.reps, axis=-1, out=pair[0], mode="clip")  # no index is out of range
+        np.take(copy, self.reps, axis=-1, out=pair[1], mode="clip")
+        np.subtract(pair[0], pair[1], out=pair[0])
+        return np.square(pair[0], out=pair[0])
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
-        if k == 0:
-            return  # both systems start from the same draws
         st_n, st_t = states
-        reps = self.reps
-        dv = (st_n.v[:, reps] - st_t.v[:, reps]) ** 2
-        dx = (st_n.x[..., reps] - st_t.x[..., reps]) ** 2
-        dy = dx[0]
-        dw = (st_n.w[:, reps] - st_t.w[:, reps]) ** 2
-        dg = (dx[1] + dx[2]) + dx[3] if len(dx) > 1 else np.zeros_like(dv)
+        if k == 0:
+            self._ws = self._workspace(st_n)
+            return  # both systems start from the same draws
+        ws = self._ws
+        dx = self._gap_sq(st_n.x, st_t.x, ws.x)
+        c = ws.contrib
+        self._gap_sq(st_n.v, st_t.v, ws.v).sum(axis=1, out=c["v"])
+        dx[0].sum(axis=1, out=c["y"])
+        self._gap_sq(st_n.w, st_t.w, ws.w).sum(axis=1, out=c["w"])
+        if len(dx) > 1:
+            dg = np.add(dx[1], dx[2], out=ws.sq)
+            np.add(dg, dx[3], out=dg).sum(axis=1, out=c["gates"])
+        else:
+            c["gates"].fill(0.0)
         if st_n.j is not None:
             # summed over sources in (path, neuron, source) order, as stored
-            gap = np.moveaxis(st_n.j[..., reps] - st_t.j[..., reps], 0, -1)
-            dj = (np.ascontiguousarray(gap) ** 2).sum(axis=-1)
+            dj = self._gap_sq(st_n.j, st_t.j, ws.j)
+            np.copyto(ws.j_gap, np.moveaxis(dj, 0, -1))
+            ws.j_gap.sum(axis=-1, out=ws.sq).sum(axis=1, out=c["j"])
         else:
-            dj = np.zeros_like(dv)
-        contrib = {"v": dv.sum(axis=1), "y": dy.sum(axis=1), "w": dw.sum(axis=1),
-                   "gates": dg.sum(axis=1), "j": dj.sum(axis=1)}
+            c["j"].fill(0.0)
+        total = np.add(c["v"], c["y"], out=ws.total)
+        for name in ("w", "gates", "j"):
+            np.add(total, c[name], out=total)
         sup = self.run.sup_sq[rows]
-        np.maximum(sup, sum(contrib.values()), out=sup)
-        for name, c in contrib.items():
+        np.maximum(sup, total, out=sup)
+        for name, value in c.items():
             sup = self.run.comp_sup_sq[name][rows]
-            np.maximum(sup, c, out=sup)
-        gap = float(np.max(np.abs(st_n.v - st_t.v)))
-        self.run.max_gap_all = max(self.run.max_gap_all, gap)
+            np.maximum(sup, value, out=sup)
+        gap = np.subtract(st_n.v, st_t.v, out=ws.full)
+        np.abs(gap, out=gap)
+        self.run.max_gap_all = max(self.run.max_gap_all, float(gap.max()))
 
 
 def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_paths: int,

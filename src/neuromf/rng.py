@@ -17,6 +17,9 @@ buffering is free to choose any chunk size without changing a single value.
 `BlockNoise` uses that to draw ahead: it keeps two buffer sets, and while
 the engine steps through the block in one, a helper thread fills the next
 block into the other (numpy releases the interpreter lock while it fills).
+A block's fill is a list of tasks, one per stream; when the engine reaches
+a block whose fill is unfinished, it takes the remaining tasks itself
+instead of waiting, so the two threads share the fill.
 """
 
 from __future__ import annotations
@@ -96,23 +99,57 @@ class StepDraws(Mapping):
         return len(self._rows)
 
 
+class _Fill:
+    """One block's fill: a task per stream, each taken by whichever thread asks first.
+
+    A task writes the block's draws of one (component, path) stream into its
+    slice of the buffer set.  Each stream appears once, so it is drawn by one
+    thread, in step order.  A failure ends the fill: no task is taken after
+    it, and it is kept to be raised by every step that needs the block.
+    """
+
+    def __init__(self, tasks: list):
+        self._tasks = tasks[::-1]  # popped from the end: taken in list order
+        self._lock = threading.Lock()
+        self.failure: list[BaseException] = []
+
+    def work(self) -> None:
+        """Run tasks until none is left or one has failed."""
+        while True:
+            with self._lock:
+                if self.failure or not self._tasks:
+                    return
+                out, gen = self._tasks.pop()
+            try:
+                out[...] = gen.standard_normal(out.shape)
+            except BaseException as e:  # raised by every step that needs this block
+                with self._lock:
+                    self.failure.append(e)
+
+
 class BlockNoise:
     """Buffered per-(path, component) increment source for the engine.
 
     Serves, at each step k, a raw-normal array of shape (n_paths, n_cols)
     per component; entry [b, i] is element (k * n_cols + i) of the block
     stream (seed, path_ids[b], component).  Values are independent of the
-    block length, which is chosen from a memory budget.  Each buffer set is
-    one (block, n_components, n_paths, n_cols) array.
+    block length, which is chosen from a memory budget and is at most an
+    eighth of the run once that exceeds 16 steps.  Each buffer set is one
+    (block, n_components, n_paths, n_cols) array.
 
-    The budget holds two buffer sets of `block` steps.  While the engine
-    steps through the block in one set, one helper thread fills the next
-    block into the other.  Only one fill is in flight and each stream is
-    drawn in step order, so every value is the one a synchronous fill would
-    give.  When the budget holds a single step there is one set, filled in
-    line.  The arrays `step(k)` returns are views of the current set and
-    are valid only until `step` leaves the current block: the helper thread
-    then writes into them, so holding on to one is a data race.
+    The budget holds two buffer sets of `block` steps.  A block's fill is a
+    list of tasks, one per (component, path) stream.  While the engine
+    steps through the block in one set, a helper thread takes the next
+    block's tasks into the other; when the engine reaches that block before
+    its fill is done, it takes the remaining tasks itself and then waits
+    only for the task in flight.  The first block is filled the same way,
+    helper and engine together.  Only one block is in fill at a time and
+    each stream is drawn by one thread in step order, so every value is the
+    one a synchronous fill would give.  When the budget holds a single step
+    there is one set, filled in line by the engine with no thread.  The
+    arrays `step(k)` returns are views of the current set and are valid
+    only until `step` leaves the current block: the helper thread then
+    writes into them, so holding on to one is a data race.
     """
 
     def __init__(self, seed: int, path_ids: list[int], components: list[int],
@@ -124,7 +161,10 @@ class BlockNoise:
         self.n_steps = int(n_steps)
         n_streams = max(1, len(self.path_ids) * len(self.components))
         per_step = 8 * n_streams * self.n_cols
-        whole = int(min(max(1, max_bytes // max(per_step, 1)), 512, max(n_steps, 1)))
+        # two blocks span at most a quarter of the run (32 steps at least): the
+        # helper has nothing to fill while the engine steps the last block
+        whole = int(min(max(1, max_bytes // max(per_step, 1)), 512, max(n_steps, 1),
+                        max(32, n_steps // 4)))
         n_sets = 2 if whole > 1 else 1
         self.block = whole // n_sets
         self._gens = {
@@ -138,42 +178,38 @@ class BlockNoise:
         ]
         self._buf = self._sets[0]
         self._next = 0  # the set the next block goes into
-        self._pending: tuple[threading.Thread, list[BaseException]] | None = None
+        self._pending: tuple[_Fill, threading.Thread | None] | None = None
         self._lo = -1
         self._hi = -1
 
     def _refill(self, k0: int) -> None:
         """Serve the block starting at step k0; start filling the one after it."""
         if self._pending is None:
-            self._fill(self._sets[self._next], k0)
-        else:
-            thread, failure = self._pending
+            self._pending = self._start(self._sets[self._next], k0)
+        fill, thread = self._pending
+        fill.work()  # the engine takes the tasks the helper has not reached
+        if thread is not None:
             thread.join()
-            if failure:
-                raise failure[0]
-            self._pending = None
+        if fill.failure:
+            raise fill.failure[0]
+        self._pending = None
         self._buf = self._sets[self._next]
         self._next = (self._next + 1) % len(self._sets)
         self._lo, self._hi = k0, min(k0 + self.block, self.n_steps)
         if len(self._sets) > 1 and self._hi < self.n_steps:
-            failure: list[BaseException] = []
-            thread = threading.Thread(target=self._fill_ahead, name="neuromf-noise-fill",
-                                      args=(self._sets[self._next], self._hi, failure))
-            thread.start()
-            self._pending = (thread, failure)
+            self._pending = self._start(self._sets[self._next], self._hi)
 
-    def _fill(self, buf: np.ndarray, k0: int) -> None:
+    def _start(self, buf: np.ndarray, k0: int) -> tuple[_Fill, threading.Thread | None]:
+        """The fill of the block from step k0 into `buf`, a helper thread on it when there are two sets."""
         count = min(self.block, self.n_steps - k0)
-        for i, c in enumerate(self.components):
-            for b, p in enumerate(self.path_ids):
-                buf[:count, i, b, :] = self._gens[(p, c)].standard_normal((count, self.n_cols))
-
-    def _fill_ahead(self, buf: np.ndarray, k0: int,
-                    failure: list[BaseException]) -> None:
-        try:
-            self._fill(buf, k0)
-        except BaseException as e:  # raised by every step that needs this block
-            failure.append(e)
+        fill = _Fill([(buf[:count, i, b, :], self._gens[(p, c)])
+                      for i, c in enumerate(self.components)
+                      for b, p in enumerate(self.path_ids)])
+        thread = None
+        if len(self._sets) > 1:
+            thread = threading.Thread(target=fill.work, name="neuromf-noise-fill")
+            thread.start()
+        return fill, thread
 
     def step(self, k: int) -> StepDraws:
         """Raw N(0, 1) draws for step k, one (n_paths, n_cols) array per component.

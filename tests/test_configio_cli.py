@@ -397,6 +397,21 @@ def test_cli_chaos_sweep_refuses_fewer_than_three_sizes(tmp_path):
     assert not (tmp_path / "cs").exists()
 
 
+def test_cli_refuses_trajectories_larger_than_memory(tmp_path):
+    # 2,000,000 paths x 1024 neurons x 100,001 stored nodes, five arrays:
+    # about 8e18 bytes, refused before anything is allocated
+    config = fhn_two_pop(n_per_pop=512, n_steps=100_000, t_end=1000.0, thin=1)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(n_paths=2_000_000, config=config_to_dict(config))))
+    r = run_cli(["simulate", "--spec", str(path), "--out", "big"], tmp_path, {"NEUROMF_WORKERS": "1"})
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    for name in ("spec.n_paths = 2000000", "spec.config.thin = 1",
+                 "spec.config.grid.n_steps = 100000", f"store {8 * 5 * 2_000_000 * 100_001 * 1024} bytes"):
+        assert name in r.stderr
+    assert not (tmp_path / "big" / "ensemble.csv").exists()
+
+
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
     code = "import sys, neuromf.cli; print('scipy.stats' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=package_env(),

@@ -124,15 +124,35 @@ def test_estimate_ms_two_sample_mean():
     cfg = fhn_two_pop(n_steps=4, t_end=0.04)
     cfg = limit_config(replace(cfg, populations=[(replace(p, sigmoid=sig), n)
                                                  for p, n in cfg.populations]), 1)
-    stats = _NodeStats(_make_plan(cfg))
+    stats = _NodeStats(_make_plan(cfg), ("s",))
     for b, value in enumerate((0.2, 0.4)):
         v = np.full((1, 2), math.log(value / (1.0 - value)))
         zeros = np.zeros((1, 2))
-        st = NeuronStates(v=v, w=zeros, x=zeros[None], j=None)
+        st = NeuronStates(v=v, w=zeros, x=zeros[None], j=None, s=eval_sigmoid(sig, v))
         stats.observe(slice(b, b + 1), 0, [st])
     means, ses = stats.finalize()
     assert means["s"][:, 0] == pytest.approx([0.3, 0.3], rel=1e-12)
     assert ses["s"][:, 0] == pytest.approx([0.1, 0.1], rel=1e-12)
+
+
+@pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
+def test_causal_solve_evaluates_the_sigmoid_once_per_node(preset, monkeypatch):
+    # one evaluation per node serves the step's opening rate and m_S alike
+    from neuromf import model, network
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__module__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(network, "eval_sigmoid", counted(network.eval_sigmoid))
+    monkeypatch.setattr(model, "eval_sigmoid", counted(model.eval_sigmoid))
+    cfg = preset(n_steps=30, t_end=0.3)
+    solve_causal(cfg, m_copies=16, tol=1e-3)
+    assert len(calls) == cfg.grid.n_steps + 1
 
 
 @pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])

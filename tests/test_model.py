@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from neuromf.errors import VariantMismatchError
 from neuromf.model import (
+    GATES,
     CurrentSpec,
     CutoffSpec,
     FhnMembrane,
@@ -21,11 +22,11 @@ from neuromf.model import (
     check_gate_coercivity,
     check_sigmoid_monotone,
     eval_cutoff,
-    eval_gate_rates,
     eval_membrane_drift,
     clamp_gate_voltage,
     eval_sigmoid,
-    gate_fields,
+    gate_rates,
+    proportion_fields,
     recovery_drift,
     run_population_checks,
     synapse_fields,
@@ -169,17 +170,24 @@ def test_cutoff_validation():
 G = GateRates()
 
 
+def rate_pair(g, gate, v):
+    """(opening, closing) rates of one gate: `gate_rates` at the clamped potential."""
+    i = GATES.index(gate)
+    rates = gate_rates(g, clamp_gate_voltage(g, v))
+    return rates[0, i, ...], rates[1, i, ...]
+
+
 def test_gate_rates_constant_continuation():
     for gate in ("n", "m", "h"):
-        at_edge = eval_gate_rates(G, gate, G.clamp_v)
-        beyond = eval_gate_rates(G, gate, G.clamp_v + 100.0)
+        at_edge = rate_pair(G, gate, G.clamp_v)
+        beyond = rate_pair(G, gate, G.clamp_v + 100.0)
         assert at_edge == beyond
 
 
 def test_gate_rates_clamp_floor():
     # the m-gate closing rate decays exponentially and crosses the floor
     # inside the physiological window
-    _, zeta = eval_gate_rates(G, "m", 100.0)
+    _, zeta = rate_pair(G, "m", 100.0)
     raw = 4.0 * np.exp(-(100.0 + 65.0) / 18.0)
     assert raw < G.clamp_lo
     assert zeta == G.clamp_lo
@@ -188,21 +196,21 @@ def test_gate_rates_clamp_floor():
 def test_gate_rate_m_opening_at_minus_40():
     # removable singularity of the opening-rate expression; the limit is
     # 0.1 * 10 = 1.0, cross-checked by evaluating just off the pole
-    rho, _ = eval_gate_rates(G, "m", -40.0)
+    rho, _ = rate_pair(G, "m", -40.0)
     off_pole = 0.1 * (1e-9) / (1.0 - np.exp(-1e-9 / 10.0))
     assert rho == pytest.approx(off_pole, rel=1e-6)
     assert rho == pytest.approx(1.0, rel=1e-9)
 
 
 def test_gate_rate_n_opening_at_minus_55():
-    rho, _ = eval_gate_rates(G, "n", -55.0)
+    rho, _ = rate_pair(G, "n", -55.0)
     assert rho == pytest.approx(0.1, rel=1e-9)
 
 
 def test_gate_rates_bounded():
     v = np.linspace(-300.0, 300.0, 2001)
     for gate in ("n", "m", "h"):
-        rho, zeta = eval_gate_rates(G, gate, v)
+        rho, zeta = rate_pair(G, gate, v)
         assert np.all(rho >= G.clamp_lo) and np.all(rho <= G.clamp_hi)
         assert np.all(zeta >= G.clamp_lo) and np.all(zeta <= G.clamp_hi)
 
@@ -210,7 +218,7 @@ def test_gate_rates_bounded():
 def test_gate_rates_lipschitz_quotient_bounded():
     v = np.linspace(-150.0, 150.0, 6001)
     for gate in ("n", "m", "h"):
-        for r in eval_gate_rates(G, gate, v):
+        for r in rate_pair(G, gate, v):
             quot = np.abs(np.diff(r)) / (v[1] - v[0])
             assert np.max(quot) < 50.0
 
@@ -224,7 +232,7 @@ def test_gate_radicand_convex_bound():
     v = np.linspace(-100.0, 100.0, 201)[:, None]
     x = np.linspace(0.0, 1.0, 101)[None, :]
     for gate in ("n", "m", "h"):
-        rho, zeta = eval_gate_rates(G, gate, v)
+        rho, zeta = rate_pair(G, gate, v)
         rad = rho * (1.0 - x) + zeta * x
         assert rad.min() >= G.clamp_lo - 1e-15
 
@@ -296,11 +304,11 @@ def synapse_diffusion(pop, v, y):
 
 
 def gate_drift(g, gate, v, x):
-    return gate_fields(g, gate, clamp_gate_voltage(g, v), x, CutoffSpec())[0]
+    return proportion_fields(*rate_pair(g, gate, v), x, CutoffSpec())[0]
 
 
 def gate_diffusion(g, gate, v, x, cutoff):
-    return gate_fields(g, gate, clamp_gate_voltage(g, v), x, cutoff)[1]
+    return proportion_fields(*rate_pair(g, gate, v), x, cutoff)[1]
 
 
 def test_synapse_drift_at_boundaries():
@@ -350,7 +358,7 @@ def test_boundary_drift_sign_property(v, y):
 def test_gate_drift_boundaries():
     v = np.linspace(-100.0, 100.0, 21)
     for gate in ("n", "m", "h"):
-        rho, zeta = eval_gate_rates(G, gate, v)
+        rho, zeta = rate_pair(G, gate, v)
         assert np.allclose(gate_drift(G, gate, v, 0.0), rho)
         assert np.all(gate_drift(G, gate, v, 0.0) >= G.clamp_lo)
         assert np.allclose(gate_drift(G, gate, v, 1.0), -zeta)

@@ -20,7 +20,8 @@ from neuromf.model import (
     SigmoidParams,
     CutoffSpec,
     eval_membrane_drift,
-    gate_fields,
+    gate_rates,
+    proportion_fields,
     recovery_drift,
     synapse_fields,
 )
@@ -54,6 +55,32 @@ def test_population_sums_constant():
 def test_population_sums_mean():
     y = np.array([[0.0, 0.5, 0.5, 1.0]])
     assert population_sums(y, [(0, 4)])[0, 0] == pytest.approx(0.5)
+
+
+def _mean_stack(y, slices):
+    return np.stack([y[..., lo:hi].mean(axis=-1) for lo, hi in slices], axis=-1)
+
+
+# (leading shape, population sizes): one batch of paths, several batches
+# stacked, and sizes long enough for the pairwise summation to split
+SUM_SHAPES = [((6,), [3, 1000]), ((2, 5), [257, 8, 1031]), ((3, 1, 4), [1, 2, 129])]
+
+
+@pytest.mark.parametrize("lead, sizes", SUM_SHAPES)
+@pytest.mark.parametrize("strided", [False, True])
+def test_population_sums_into_a_buffer_equal_the_mean_bitwise(lead, sizes, strided):
+    gen = np.random.default_rng(5)
+    n = sum(sizes)
+    slices = [(sum(sizes[:a]), sum(sizes[:a + 1])) for a in range(len(sizes))]
+    wide = gen.uniform(0.0, 1.0, lead + (2 * n + 3,))
+    y = wide[..., 3:3 + 2 * n:2] if strided else np.ascontiguousarray(wide[..., :n])
+    want = _mean_stack(y, slices)
+    # a strided `out` too: every other row of a wider buffer
+    out = np.full(lead + (2, len(sizes)), np.nan)[..., 0, :]
+    got = population_sums(y, slices, out=out)
+    assert got is out
+    assert want.tobytes() == np.ascontiguousarray(got).tobytes()
+    assert want.tobytes() == population_sums(y, slices).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +506,10 @@ def _reference_step(cfg: NetworkConfig, st: NeuronStates, ybar, draws, t: float)
         out["y"][:, lo:hi] = step_euler_confined(ys, dy, sy, dt, draws[int(Component.Y)][:, lo:hi] * sqrt_dt)
         if pop.is_hh:
             v_eff = np.clip(vs, -pop.gates.clamp_v, pop.gates.clamp_v)
-            for gate, comp in zip(GATES, gate_comps):
+            rates = gate_rates(pop.gates, v_eff)
+            for i, (gate, comp) in enumerate(zip(GATES, gate_comps)):
                 xs = getattr(st, gate)[:, lo:hi]
-                dx, sx = gate_fields(pop.gates, gate, v_eff, xs, pop.cutoff)
+                dx, sx = proportion_fields(rates[0, i], rates[1, i], xs, pop.cutoff)
                 out[gate][:, lo:hi] = step_euler_confined(xs, dx, sx, dt, draws[int(comp)][:, lo:hi] * sqrt_dt)
         else:
             ws = st.w[:, lo:hi]

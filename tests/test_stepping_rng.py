@@ -289,6 +289,95 @@ def test_block_noise_short_blocks_match_flat_stream(budget_steps, n_sets, block)
     assert bn._pending is None  # the last block starts no fill
 
 
+# (paths, components, budget in steps): many blocks of a few streams, and
+# one path x one component, a single fill task per block
+MANY_BLOCKS = [([0, 3, 9], [0, 1, 4], 6), ([0, 3, 9], [0, 1, 4], 40), ([7], [2], 4), ([7], [2], 30)]
+
+
+@pytest.mark.parametrize("ids, comps, budget_steps", MANY_BLOCKS)
+def test_block_noise_shared_fill_matches_flat_stream(ids, comps, budget_steps):
+    n_cols, n_steps = 11, 97
+    per_step = 8 * len(ids) * len(comps) * n_cols
+    bn = BlockNoise(seed=23, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
+                    max_bytes=budget_steps * per_step)
+    assert len(bn._sets) == 2 and n_steps / bn.block >= 4
+    flat = flat_draws(23, ids, comps, n_cols, n_steps)
+    for k in range(n_steps):
+        draws = bn.step(k)
+        for c in comps:
+            for b, p in enumerate(ids):
+                assert np.array_equal(draws[c][b], flat[(p, c)][k])
+    assert bn._pending is None
+
+
+class _GatedGenerator:
+    """A stream whose draws off the engine's thread wait until the engine has drawn once."""
+
+    def __init__(self, gen, engine: int, drew: threading.Event, drawers: list):
+        self.gen, self.engine, self.drew, self.drawers = gen, engine, drew, drawers
+
+    def standard_normal(self, shape):
+        if threading.get_ident() == self.engine:
+            self.drew.set()
+        else:
+            self.drew.wait(timeout=5.0)
+        self.drawers.append(threading.get_ident())
+        return self.gen.standard_normal(shape)
+
+
+def test_block_noise_engine_helps_fill_the_first_block():
+    # the fill thread can take one task and then waits for the engine, so the
+    # first block is ready only if the engine takes the other task itself
+    ids, comps, n_cols, n_steps = [0, 1], [0], 3, 8
+    bn = BlockNoise(seed=4, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
+                    max_bytes=4 * 8 * len(ids) * n_cols)
+    assert (len(bn._sets), bn.block) == (2, 2)
+    engine, drew, drawers = threading.get_ident(), threading.Event(), []
+    for key, gen in bn._gens.items():
+        bn._gens[key] = _GatedGenerator(gen, engine, drew, drawers)
+    flat = flat_draws(4, ids, comps, n_cols, n_steps)
+    for k in range(n_steps):
+        draws = bn.step(k)
+        for b, p in enumerate(ids):
+            assert np.array_equal(draws[0][b], flat[(p, 0)][k])
+    assert engine in drawers[:2]  # the first block's two draws
+
+
+@pytest.mark.parametrize("ids, comps", [([0, 1], []), ([], [0, 1])])
+def test_block_noise_without_streams_serves_empty_steps(ids, comps):
+    # an empty task list finishes at once: no step waits on it
+    before = threading.active_count()
+    bn = BlockNoise(seed=2, path_ids=ids, components=comps, n_cols=3, n_steps=20, max_bytes=8 * 3 * 4)
+    assert len(bn._sets) == 2
+    for k in range(20):
+        draws = bn.step(k)
+        assert all(draws[c].shape == (len(ids), 3) for c in comps)
+    assert threading.active_count() == before
+
+
+def test_block_noise_single_set_fills_in_line(monkeypatch):
+    # one-step budget: one buffer set, filled by the engine with no thread
+    ids, comps, n_cols, n_steps = [4, 6], [0, 2], 5, 9
+    bn = BlockNoise(seed=8, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
+                    max_bytes=8 * len(ids) * len(comps) * n_cols)
+    assert (len(bn._sets), bn.block) == (1, 1)
+    flat = flat_draws(8, ids, comps, n_cols, n_steps)
+    started = []
+    real_thread = threading.Thread
+
+    def spy(*args, **kwargs):
+        started.append(kwargs.get("name"))
+        return real_thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", spy)
+    for k in range(n_steps):
+        draws = bn.step(k)
+        for c in comps:
+            for b, p in enumerate(ids):
+                assert np.array_equal(draws[c][b], flat[(p, c)][k])
+    assert started == []
+
+
 def test_block_noise_values_hold_under_fast_thread_switching():
     # one-step blocks hand over a buffer set at every step; a fill that
     # wrote into the set being served would show up as a changed value
@@ -331,7 +420,7 @@ def test_block_noise_fill_error_reaches_the_consuming_step():
     assert bn.block == 2
     error = FloatingPointError("generator broke")
     bn._gens[(1, 0)] = _FailingGenerator(bn._gens[(1, 0)], error)
-    bn.step(0)  # the first block is filled in line; the fill thread draws the second
+    bn.step(0)  # the engine and a fill thread share the first block; a fill thread starts the second
     bn.step(1)
     for _ in range(2):  # never stale values: every later request raises again
         with pytest.raises(FloatingPointError) as exc:
@@ -340,7 +429,7 @@ def test_block_noise_fill_error_reaches_the_consuming_step():
 
 
 def test_no_fill_thread_outlives_the_engine():
-    # 1200 steps make five blocks under the 512-step cap, so four fills run ahead
+    # 1200 steps make eight blocks of 150, so seven fills run ahead
     config = fhn_two_pop(n_per_pop=3, n_steps=1200, t_end=1.2, thin=100)
     before = threading.active_count()
     simulate(config, n_paths=2)
