@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .network import (MEANFIELD_PATH_BASE, NetworkConfig, PathEnsemble, _drive, _make_plan,
-                      _NodeStats, simulate)
+from .network import (MEANFIELD_PATH_BASE, NetworkConfig, PathEnsemble, _CurveDrive, _drive,
+                      _make_plan, _NodeStats, simulate)
 from .stepping import TimeGrid
 
 
@@ -92,16 +92,21 @@ def ybar_from_ms(m_s: np.ndarray, y0_mean: float, rise_rate: float, decay_rate: 
     out[0] = y0_mean
     if grid.n_steps == 0:
         return out
-    dt = grid.dt
-    rate = rise_rate * 0.5 * (m_s[:-1] + m_s[1:])
-    lam = rate + decay_rate
-    y_star = rate / lam
-    decay = np.exp(-lam * dt)
+    y_star, decay = _relaxation(m_s[:-1], m_s[1:], rise_rate, decay_rate, grid.dt)
     y = y0_mean
     for k in range(grid.n_steps):
         y = y_star[k] + (y - y_star[k]) * decay[k]
         out[k + 1] = y
     return out
+
+
+def _relaxation(m_lo: np.ndarray, m_hi: np.ndarray, rise_rate, decay_rate,
+                dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """y* and exp(-lam * dt) of the intervals between activations m_lo and m_hi:
+    for a whole curve (`ybar_from_ms`) and node by node (`_CausalDrive`) alike."""
+    rate = rise_rate * 0.5 * (m_lo + m_hi)
+    lam = rate + decay_rate
+    return rate / lam, np.exp(-lam * dt)
 
 
 def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -148,9 +153,9 @@ def _copy_stats(config: NetworkConfig, m_copies: int, y_bar: np.ndarray | None) 
     """
     plan = _make_plan(limit_config(config, m_copies))
     stats = _NodeStats(plan, ("s",))
-    drive = _CausalDrive(config, stats) if y_bar is None else y_bar
-    # one path, so one batch: the causal drive reads every copy at node k
-    _drive(plan, 1, MEANFIELD_PATH_BASE, [drive], [stats], max_batch_cols=plan.n_cols)
+    drive = _CausalDrive(config, stats) if y_bar is None else _CurveDrive(plan, y_bar)
+    # one path is one batch at any cap: the causal drive reads every copy at node k
+    _drive(plan, 1, MEANFIELD_PATH_BASE, [drive], [stats])
     means, ses = stats.finalize()
     return means["s"], ses["s"], drive.y_bar if y_bar is None else y_bar
 
@@ -200,7 +205,8 @@ class _CausalDrive:
 
     At step k >= 1 the ensemble has reached node k, so m_S at nodes k - 1
     and k is known and y_bar at node k follows by the same convex update,
-    in the same floating-point order, as `ybar_from_ms`.
+    through the same `_relaxation`, as `ybar_from_ms`.  The mean of node
+    k - 1 is kept from the step before, so each node's mean is taken once.
     """
 
     def __init__(self, config: NetworkConfig, stats: _NodeStats):
@@ -212,13 +218,14 @@ class _CausalDrive:
         self.y_bar = np.empty((len(pops), config.grid.n_steps))  # the nodes that drive a step
         if config.grid.n_steps:
             self.y_bar[:, 0] = _y0_means(config)
+        self._m_prev: np.ndarray | None = None  # m_S at node k - 1
 
-    def interaction(self, k: int) -> np.ndarray:
+    def interaction(self, k: int, st) -> np.ndarray:
+        m = self.stats.node_mean("s", k)
         if k > 0:
-            rate = self.rise * 0.5 * (self.stats.node_mean("s", k - 1) + self.stats.node_mean("s", k))
-            lam = rate + self.decay
-            y_star = rate / lam
-            self.y_bar[:, k] = y_star + (self.y_bar[:, k - 1] - y_star) * np.exp(-lam * self.dt)
+            y_star, decay = _relaxation(self._m_prev, m, self.rise, self.decay, self.dt)
+            self.y_bar[:, k] = y_star + (self.y_bar[:, k - 1] - y_star) * decay
+        self._m_prev = m
         return self.y_bar[:, k]
 
 

@@ -409,11 +409,6 @@ def proportion_fields(rho: Array, zeta: Array, x: Array, cutoff: CutoffSpec, *,
     return drift, diffusion
 
 
-def synapse_fields(pop: PopulationParams, v: Array, y: Array) -> tuple[Array, Array]:
-    """(drift, diffusion) of the available-transmitter proportion y."""
-    return proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v), pop.decay_rate, y, pop.cutoff)
-
-
 # ---------------------------------------------------------------------------
 # invariant checks (shared by the test suite and the CLI `validate` command)
 

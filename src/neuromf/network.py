@@ -41,12 +41,14 @@ from .model import (
     proportion_rates,
     recovery_drift,
 )
-from .rng import BlockNoise, Component, StepDraws
+from .rng import BlockNoise, Component
 from .stepping import TimeGrid, step_cir, step_euler_confined
 
 # Network paths take ids below this base; limit-copy ensembles draw from
 # ids at or above it, so that under one seed they never share streams.
 MEANFIELD_PATH_BASE = 1 << 21
+
+MAX_BATCH_COLS = 1 << 19  # default cap on a batch's columns, paths times neurons
 
 
 class Conductance(str, Enum):
@@ -355,7 +357,6 @@ class _RunColumns:
     sigma_v: np.ndarray
     rise_rate: np.ndarray
     decay_rate: np.ndarray
-    sigmoid: SimpleNamespace
     cutoff: SimpleNamespace
     gates: SimpleNamespace | None
 
@@ -400,7 +401,6 @@ def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
     columns = _RunColumns(
         label=", ".join(p.label for p in pops), is_hh=is_hh, membrane=membrane,
         sigma_v=rates.sigma_v, rise_rate=rates.rise_rate, decay_rate=rates.decay_rate,
-        sigmoid=_columns([p.sigmoid for p in pops], sizes, ("c_max", "lam", "v_half")),
         cutoff=_columns([p.cutoff for p in pops], sizes, ("support_lo", "support_hi", "ramp")),
         gates=gates,
     )
@@ -442,7 +442,7 @@ class _Plan:
 
     @property
     def j_rows(self) -> slice:
-        """The conductance noise of every source: rows of `StepDraws.stack`."""
+        """The conductance noise of every source: rows of a step's noise array."""
         return slice(1 + self.k, len(self.components))
 
 
@@ -615,33 +615,22 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, yb
         np.add(q, rd, out=new.w[:, cols])
 
 
-def _advance(plan: _Plan, st: NeuronStates, new: NeuronStates, ybar: np.ndarray, draws: StepDraws,
+def _advance(plan: _Plan, st: NeuronStates, new: NeuronStates, ybar: np.ndarray, draws: np.ndarray,
              t: float, ws: SimpleNamespace, step_j: bool) -> None:
     """One Euler step of every column from `st` into `new`, one pass per run of same-variant populations.
 
-    ybar holds the interaction aggregates, shape (P,) for a deterministic
-    curve or (B, P) for empirical per-path means; it broadcasts against
-    the (B, block) state slices either way.  Without `step_j` the
+    ybar holds a drive's (..., P) aggregates; each source's column
+    broadcasts against the (B, block) state slices.  draws is the step's
+    (C, B, n) noise, rows in `plan.components` order.  Without `step_j` the
     conductances are not stepped: the limit copies read the network's
     conductance paths, which `new.j` already is.
     """
-    ybar = np.asarray(ybar)
-    ybars = [ybar[..., g, None] if ybar.ndim == 2 else ybar[g] for g in range(len(plan.pops))]
+    ybars = [ybar[..., g, None] for g in range(len(plan.pops))]
     for run, run_ws in zip(plan.runs, ws.runs):
-        _advance_run(plan, run, st, new, ybars, draws.stack, t, run_ws)
+        _advance_run(plan, run, st, new, ybars, draws, t, run_ws)
     if step_j and st.j is not None:
-        dw = np.multiply(draws.stack[plan.j_rows], plan.sqrt_dt, out=ws.cir[0])
+        dw = np.multiply(draws[plan.j_rows], plan.sqrt_dt, out=ws.cir[0])
         step_cir(st.j, plan.cir, plan.dt, dw, out=new.j, work=ws.cir[1])
-
-
-def _check_network_path_ids(path_offset: int, n_paths: int) -> None:
-    last = path_offset + n_paths - 1
-    if last >= MEANFIELD_PATH_BASE:
-        first = max(path_offset, MEANFIELD_PATH_BASE)
-        raise ValueError(
-            f"network path id {first} is at or above MEANFIELD_PATH_BASE = 2**21, "
-            f"where the limit copies draw their noise; network paths "
-            f"{path_offset}..{last} must stay below {MEANFIELD_PATH_BASE}")
 
 
 def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> None:
@@ -655,48 +644,66 @@ def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> 
     )
 
 
-class _CurveDrive:
-    """Interaction read from a fixed deterministic curve, (P, n_steps + 1)."""
+class _NetworkDrive:
+    """Each path's own per-population means of y, into a (B, P) buffer sized at the batch's first node."""
 
-    def __init__(self, curve: np.ndarray):
+    def __init__(self, plan: _Plan, path_offset: int, n_paths: int):
+        last = path_offset + n_paths - 1
+        if last >= MEANFIELD_PATH_BASE:
+            first = max(path_offset, MEANFIELD_PATH_BASE)
+            raise ValueError(
+                f"network path id {first} is at or above MEANFIELD_PATH_BASE = 2**21, "
+                f"where the limit copies draw their noise; network paths "
+                f"{path_offset}..{last} must stay below {MEANFIELD_PATH_BASE}")
+        self.slices = plan.slices
+        self._ybar: np.ndarray | None = None
+
+    def interaction(self, k: int, st: NeuronStates) -> np.ndarray:
+        if k == 0:
+            self._ybar = np.empty((len(st.y), len(self.slices)))
+        return population_sums(st.y, self.slices, out=self._ybar)
+
+
+class _CurveDrive:
+    """Interaction read from a fixed deterministic curve, (P, n_steps + 1) in [0, 1]."""
+
+    def __init__(self, plan: _Plan, curve: np.ndarray):
+        curve = np.asarray(curve, dtype=float)
+        if curve.shape != (len(plan.pops), plan.n_steps + 1):
+            raise ConfigError([
+                f"interaction curve shape {curve.shape} does not match "
+                f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
+            ])
+        bad = np.argwhere(~((curve >= 0.0) & (curve <= 1.0)))  # NaN too
+        if len(bad):
+            a, k = bad[0]
+            raise ConfigError([f"interaction curve y_bar of population {plan.labels[a]!r} is "
+                               f"{float(curve[a, k])} at node {k}, outside [0, 1]"])
         self.curve = curve
 
-    def interaction(self, k: int) -> np.ndarray:
+    def interaction(self, k: int, st: NeuronStates) -> np.ndarray:
         return self.curve[:, k]
 
 
-def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, observers: list,
-           max_batch_cols: int) -> None:
-    """The stepping loop: one system per interaction, advanced batch by batch.
+def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers: list,
+           max_batch_cols: int = MAX_BATCH_COLS) -> None:
+    """The stepping loop: one system per drive, advanced batch by batch.
 
-    An interaction is None (the system's own empirical means: its paths
-    are network paths, whose ids must stay below `MEANFIELD_PATH_BASE`), a
-    (P, n_steps + 1) curve, or a drive whose `interaction(k)` returns the
-    (P,) values of step k.  All systems share the initial draws and every
-    increment; systems after the first read the first one's conductance
-    paths.  After the initial draw and after every step, each observer sees
-    `observe(rows, k, states)`: the batch's rows of the path axis, the node
-    and one state per system, whose `s` holds S(v) at that node.  The
-    activation is evaluated once per system and node; the step reads it
-    for the synaptic opening rate.
+    A drive's `interaction(k, st)` returns the (..., P) aggregates that
+    step k of its system, in state `st`, reads: `_NetworkDrive` (the
+    system's own means), `_CurveDrive` (a fixed curve) or
+    `meanfield._CausalDrive`.  All systems share the initial draws and
+    every increment; systems after the first read the first one's
+    conductance paths.  After the initial draw and after every step, each
+    observer sees `observe(rows, k, states)`: the batch's rows of the path
+    axis, the node and one state per system, whose `s` holds S(v) at that
+    node.  The activation is evaluated once per system and node; the step
+    reads it for the synaptic opening rate.
 
     Each system owns two states per batch and steps from one into the
     other in turn, so the arrays an observer sees at node k are
     overwritten at node k + 2; the activation, at node k + 1.
     """
-    if any(x is None for x in interactions):
-        _check_network_path_ids(path_offset, n_paths)
-    sources = []
-    for x in interactions:
-        if x is not None and not hasattr(x, "interaction"):
-            curve = np.asarray(x, dtype=float)
-            if curve.shape != (len(plan.pops), plan.n_steps + 1):
-                raise ConfigError([
-                    f"interaction curve shape {curve.shape} does not match "
-                    f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
-                ])
-            x = _CurveDrive(curve)
-        sources.append(x)
     batch = max(1, min(n_paths, max_batch_cols // max(plan.n_cols, 1)))
     times = plan.times
     for b0 in range(0, n_paths, batch):
@@ -704,10 +711,9 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
         rows = slice(b0, b0 + len(ids))
         noise = BlockNoise(plan.seed, ids, plan.components, plan.n_cols, plan.n_steps)
         ws = _workspace(plan, len(ids))
-        ybar = np.empty((len(ids), len(plan.pops)))  # the network systems' own means
         # one activation buffer per system; the copy systems' conductances
         # are the network's own arrays
-        s_bufs = [np.empty((len(ids), plan.n_cols)) for _ in sources]
+        s_bufs = [np.empty((len(ids), plan.n_cols)) for _ in drives]
         pairs = [[_zero_states(plan, len(ids), s_bufs[0]) for _ in range(2)]]
         pairs += [[_zero_states(plan, len(ids), s, j=net.j) for net in pairs[0]] for s in s_bufs[1:]]
         first = pairs[0][0]
@@ -725,10 +731,9 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, interactions: list, obse
             new = [pair[(k + 1) % 2] for pair in pairs]
             # the network steps first: the copies then read its conductances
             # at node k, which it keeps in the other state
-            for i, source in enumerate(sources):
-                interaction = (population_sums(states[i].y, plan.slices, out=ybar) if source is None
-                               else source.interaction(k))
-                _advance(plan, states[i], new[i], interaction, draws, times[k], ws, step_j=i == 0)
+            for i, drive in enumerate(drives):
+                _advance(plan, states[i], new[i], drive.interaction(k, states[i]), draws, times[k], ws,
+                         step_j=i == 0)
             for st in new:
                 _ensure_finite(st.v, k + 1, times[k + 1], ids)
                 eval_sigmoid(plan.sigmoid, st.v, out=st.s)
@@ -900,15 +905,18 @@ class _NodeStats:
 
 def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
              interaction=None, collect_node_stats: bool = False,
-             max_batch_cols: int = 1 << 19) -> PathEnsemble:
+             max_batch_cols: int = MAX_BATCH_COLS) -> PathEnsemble:
     """Simulate `n_paths` independent realizations of the network.
 
     `interaction` selects what the synaptic interaction reads:
 
     * None: the empirical per-population means of each path, as in the
       network; path ids must then stay below `MEANFIELD_PATH_BASE`;
-    * a (P, n_steps + 1) array: a fixed deterministic curve, which is how
-      ensembles of independent limit copies are advanced.
+    * a (P, n_steps + 1) array with values in [0, 1]: a fixed deterministic
+      curve, which is how ensembles of independent limit copies are
+      advanced.
+
+    Either becomes the one drive the stepping loop reads (`_drive`).
 
     Each step makes one pass per run of adjacent populations that share a
     membrane variant, evaluating every field in one call over all the
@@ -918,9 +926,11 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     batching, worker count, and buffer sizes cannot change a single bit.
     """
     plan = _make_plan(config)
+    drive = (_NetworkDrive(plan, path_offset, n_paths) if interaction is None
+             else _CurveDrive(plan, interaction))
     store = _Storage(plan, config.thin, n_paths)
     stats = _NodeStats(plan, ("y", "s")) if collect_node_stats else None
-    _drive(plan, n_paths, path_offset, [interaction], [store] + ([stats] if stats else []),
+    _drive(plan, n_paths, path_offset, [drive], [store] + ([stats] if stats else []),
            max_batch_cols)
 
     from .configio import config_hash  # local import: configio builds on this module
@@ -1017,17 +1027,19 @@ class _CouplingGap:
 
 
 def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_paths: int,
-                           *, path_offset: int = 0, max_batch_cols: int = 1 << 19) -> CouplingRun:
+                           *, path_offset: int = 0, max_batch_cols: int = MAX_BATCH_COLS) -> CouplingRun:
     """Advance the network and its copy system through shared noise.
 
     Both systems consume identical Brownian increments and identical
     initial draws; under the sign-preserving variant the copy system reads
     the very conductance paths of the network (one array, no re-draw).
-    The copy system's interaction follows `ybar_curve`.  The distances are
+    The copy system's interaction follows `ybar_curve`, a (P, n_steps + 1)
+    curve with values in [0, 1].  The distances are
     taken at the first neuron of each population.  Path ids must stay
     below `MEANFIELD_PATH_BASE`.
     """
     plan = _make_plan(config)
     gap = _CouplingGap(n_paths, np.asarray([lo for lo, _ in plan.slices]))
-    _drive(plan, n_paths, path_offset, [None, ybar_curve], [gap], max_batch_cols)
+    drives = [_NetworkDrive(plan, path_offset, n_paths), _CurveDrive(plan, ybar_curve)]
+    _drive(plan, n_paths, path_offset, drives, [gap], max_batch_cols)
     return gap.run

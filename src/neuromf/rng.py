@@ -9,7 +9,8 @@ counterpart.
 
 One addressing scheme: a block stream, keyed (seed, path, component),
 carries one value per (step, column) in row-major order and feeds the
-vectorized engine.  The packed Philox key word also holds a fixed flag
+vectorized engine, which reads a step's noise as one (component, path,
+column) array.  The packed Philox key word also holds a fixed flag
 bit (`_BLOCK_FLAG`): every value drawn depends on it, so it stays.
 
 Successive draws from one numpy Generator concatenate exactly, so block
@@ -25,7 +26,6 @@ instead of waiting, so the two threads share the fill.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator, Mapping
 from enum import IntEnum
 
 import numpy as np
@@ -77,28 +77,6 @@ def block_stream(seed: int, path: int, component: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class StepDraws(Mapping):
-    """The raw normal draws of one step: component -> (n_paths, n_cols) array.
-
-    `stack` is the (n_components, n_paths, n_cols) array they are views
-    of, in the order of `BlockNoise.components`, so components listed next
-    to each other are one slice of it.
-    """
-
-    def __init__(self, stack: np.ndarray, rows: dict[int, int]):
-        self.stack = stack
-        self._rows = rows
-
-    def __getitem__(self, component: int) -> np.ndarray:
-        return self.stack[self._rows[component]]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
 class _Fill:
     """One block's fill: a task per stream, each taken by whichever thread asks first.
 
@@ -130,11 +108,13 @@ class _Fill:
 class BlockNoise:
     """Buffered per-(path, component) increment source for the engine.
 
-    Serves, at each step k, a raw-normal array of shape (n_paths, n_cols)
-    per component; entry [b, i] is element (k * n_cols + i) of the block
-    stream (seed, path_ids[b], component).  Values are independent of the
-    block length, which is chosen from a memory budget and is at most an
-    eighth of the run once that exceeds 16 steps.  Each buffer set is one
+    Serves, at each step k, one raw-normal array of shape (n_components,
+    n_paths, n_cols), rows in `components` order; entry [c, b, i] is
+    element (k * n_cols + i) of the block stream (seed, path_ids[b],
+    components[c]).  Callers that want a component by tag look its row up
+    by position, e.g. `dict(zip(noise.components, noise.step(k)))`.  Values
+    are independent of the block length, which is chosen from a memory
+    budget and is at most an eighth of the run once that exceeds 16 steps.  Each buffer set is one
     (block, n_components, n_paths, n_cols) array.
 
     The budget holds two buffer sets of `block` steps.  A block's fill is a
@@ -147,9 +127,9 @@ class BlockNoise:
     each stream is drawn by one thread in step order, so every value is the
     one a synchronous fill would give.  When the budget holds a single step
     there is one set, filled in line by the engine with no thread.  The
-    arrays `step(k)` returns are views of the current set and are valid
-    only until `step` leaves the current block: the helper thread then
-    writes into them, so holding on to one is a data race.
+    array `step(k)` returns is a view of the current set and is valid only
+    until `step` leaves the current block: the helper thread then writes
+    into it, so holding on to one is a data race.
     """
 
     def __init__(self, seed: int, path_ids: list[int], components: list[int],
@@ -171,7 +151,6 @@ class BlockNoise:
             (p, c): block_stream(self.seed, p, c)
             for p in self.path_ids for c in self.components
         }
-        self._rows = {c: i for i, c in enumerate(self.components)}
         self._sets = [
             np.empty((self.block, len(self.components), len(self.path_ids), self.n_cols))
             for _ in range(n_sets)
@@ -211,10 +190,12 @@ class BlockNoise:
             thread.start()
         return fill, thread
 
-    def step(self, k: int) -> StepDraws:
-        """Raw N(0, 1) draws for step k, one (n_paths, n_cols) array per component.
+    def step(self, k: int) -> np.ndarray:
+        """Raw N(0, 1) draws for step k, shape (n_components, n_paths, n_cols).
 
-        The arrays are valid until `step` leaves the block that holds k.
+        Row i holds the draws of `components[i]`, so components listed next
+        to each other are one slice.  The array is a view of the current
+        buffer set, valid until `step` leaves the block that holds k.
         """
         if not 0 <= k < self.n_steps:
             raise IndexError(f"step {k} outside [0, {self.n_steps})")
@@ -222,7 +203,7 @@ class BlockNoise:
             if self._hi not in (-1, k):
                 raise IndexError("BlockNoise must be consumed in step order")
             self._refill(k)
-        return StepDraws(self._buf[k - self._lo], self._rows)
+        return self._buf[k - self._lo]
 
     def init_stream(self, path: int, component: int) -> np.random.Generator:
         """Fresh generator for the initial-condition draws of one path."""

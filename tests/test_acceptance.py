@@ -78,7 +78,7 @@ def test_criterion_2_closed_form_mean_proportion():
     y0_mean = 0.15
     noise = BlockNoise(seed, [0], [int(Component.Y)], n_paths, n_steps)
 
-    from neuromf.model import synapse_fields
+    from neuromf.model import proportion_fields
     y_star = rise * s / (rise * s + decay)
     lam = rise * s + decay
     budget = 2.0 * dt * (rise * pop.sigmoid.c_max + decay)
@@ -86,8 +86,8 @@ def test_criterion_2_closed_form_mean_proportion():
     ok = True
     detail = ""
     for k in range(n_steps):
-        drift, diff = synapse_fields(pop, v_const, y)
-        y = step_euler_confined(y, drift, diff, dt, noise.step(k)[int(Component.Y)][0] * sqrt_dt)
+        drift, diff = proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v_const), pop.decay_rate, y, pop.cutoff)
+        y = step_euler_confined(y, drift, diff, dt, noise.step(k)[0][0] * sqrt_dt)
         if (k + 1) % 100 == 0:
             t = (k + 1) * dt
             exact = y_star + (y0_mean - y_star) * math.exp(-lam * t)
@@ -114,7 +114,7 @@ def test_criterion_3_cir_mean_oracle():
     min_sample = j.min()
     detail = ""
     for k in range(n_steps):
-        j = step_cir(j, p, dt, noise.step(k)[Component.j(0)][0] * sqrt_dt)
+        j = step_cir(j, p, dt, noise.step(k)[0][0] * sqrt_dt)
         min_sample = min(min_sample, float(j.min()))
         if (k + 1) % 100 == 0:
             t = (k + 1) * dt

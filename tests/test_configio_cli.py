@@ -490,6 +490,23 @@ def test_cli_refuses_a_curve_of_other_populations(spec_file, tmp_path):
             "the configuration's populations ['exc', 'inh']") in r.stderr
 
 
+def test_cli_refuses_a_curve_outside_the_unit_interval(spec_file, tmp_path):
+    # the right hash, grid and populations, but one y_bar cell above 1
+    cfg = parse_spec(spec_file.read_text()).config
+    n_nodes = cfg.grid.n_steps + 1
+    y_bar = np.full((2, n_nodes), 0.1)
+    y_bar[1, 3] = 1.5
+    curve = MeanCurve(times=cfg.grid.times(), labels=cfg.labels, m_s=np.full((2, n_nodes), 0.2),
+                      y_bar=y_bar)
+    path = tmp_path / "meancurve.csv"
+    write_meancurve_csv(curve, config_hash(cfg), cfg.seed, path)
+    r = run_cli(["chaos-sweep", "--spec", str(spec_file), "--out", "cs", "--curve", str(path)],
+                tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "interaction curve y_bar of population 'inh' is 1.5 at node 3, outside [0, 1]" in r.stderr
+
+
 def test_cli_error_reporting_is_complete(tmp_path):
     d = tiny_spec_dict()
     d["config"]["populations"][0]["decay_rate"] = -1

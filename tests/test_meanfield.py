@@ -155,6 +155,23 @@ def test_causal_solve_evaluates_the_sigmoid_once_per_node(preset, monkeypatch):
     assert len(calls) == cfg.grid.n_steps + 1
 
 
+def test_causal_solve_takes_each_node_mean_once(monkeypatch):
+    # the drive keeps the previous node's mean: one `node_mean` per step
+    from neuromf import network
+
+    nodes = []
+    node_mean = network._NodeStats.node_mean
+
+    def counted(self, name, node):
+        nodes.append(node)
+        return node_mean(self, name, node)
+
+    monkeypatch.setattr(network._NodeStats, "node_mean", counted)
+    cfg = fhn_two_pop(t_end=10.0, n_steps=500)
+    solve_causal(cfg, m_copies=4, tol=1e-3)
+    assert nodes == list(range(cfg.grid.n_steps))
+
+
 @pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
 def test_limit_activation_mean_and_se_match_two_pass_estimates(preset):
     # the engine's online m_S and its SE (the `se` column of meancurve.csv)
@@ -216,7 +233,7 @@ def test_limit_single_copy_replay_simple_variant():
     from neuromf.network import Conductance
     from neuromf.rng import BlockNoise, Component
     from neuromf.meanfield import MEANFIELD_PATH_BASE
-    from neuromf.model import eval_membrane_drift, recovery_drift, synapse_fields
+    from neuromf.model import eval_membrane_drift, eval_sigmoid, proportion_fields, recovery_drift
 
     cfg = fhn_two_pop(n_steps=60, t_end=0.6, conductance=Conductance.SIMPLE, sigma_j=0.3, thin=1)
     curve = np.full((2, 61), 1.0)  # saturated interaction
@@ -234,7 +251,7 @@ def test_limit_single_copy_replay_simple_variant():
     y = lconf.init["exc"].y.sample(init.init_stream(MEANFIELD_PATH_BASE, Component.INIT_Y), 2)[0]
     w = lconf.init["exc"].w.sample(init.init_stream(MEANFIELD_PATH_BASE, Component.INIT_W), 2)[0]
     for k in range(60):
-        draws = noise.step(k)
+        draws = dict(zip(comps, noise.step(k)))
         f = float(eval_membrane_drift(pop, k * dt, v, w))
         drift = f
         noise_v = pop.sigma_v * draws[int(Component.V)][0, 0]
@@ -242,7 +259,7 @@ def test_limit_single_copy_replay_simple_variant():
             pair = lconf.pairs[("exc", lg)]
             drift -= (v - pair.v_rev) * pair.j_mean * 1.0
             noise_v = noise_v - (v - pair.v_rev) * pair.sigma_j * 1.0 * draws[Component.j(g)][0, 0]
-        dy, sy = synapse_fields(pop, v, y)
+        dy, sy = proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v), pop.decay_rate, y, pop.cutoff)
         y = min(max(y + float(dy) * dt + float(sy) * (draws[int(Component.Y)][0, 0] * sqrt_dt), 0.0), 1.0)
         w_new = w + float(recovery_drift(pop.membrane, v, w)) * dt
         v = v + drift * dt + noise_v * sqrt_dt

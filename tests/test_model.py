@@ -29,7 +29,6 @@ from neuromf.model import (
     proportion_fields,
     recovery_drift,
     run_population_checks,
-    synapse_fields,
 )
 from neuromf.presets import fhn_two_pop, hh_two_pop
 
@@ -296,11 +295,11 @@ def test_fhn_one_sided_lipschitz_sample():
 
 
 def synapse_drift(pop, v, y):
-    return synapse_fields(pop, v, y)[0]
+    return proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v), pop.decay_rate, y, pop.cutoff)[0]
 
 
 def synapse_diffusion(pop, v, y):
-    return synapse_fields(pop, v, y)[1]
+    return proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v), pop.decay_rate, y, pop.cutoff)[1]
 
 
 def gate_drift(g, gate, v, x):

@@ -20,10 +20,10 @@ from neuromf.model import (
     SigmoidParams,
     CutoffSpec,
     eval_membrane_drift,
+    eval_sigmoid,
     gate_rates,
     proportion_fields,
     recovery_drift,
-    synapse_fields,
 )
 from neuromf.network import (
     MEANFIELD_PATH_BASE,
@@ -180,6 +180,18 @@ def test_batch_size_does_not_change_results():
     assert c.max_gap_all == d.max_gap_all and c.comp_sup_sq["gates"].any()
 
 
+@pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
+def test_node_stats_merge_across_batches(preset):
+    # five one-path batches against one batch: the pairwise merge of the
+    # batches' sums and squared deviations keeps the one-batch statistics
+    cfg = preset(n_per_pop=8, n_steps=40, t_end=0.4)
+    one = simulate(cfg, n_paths=5, collect_node_stats=True)
+    many = simulate(cfg, n_paths=5, collect_node_stats=True, max_batch_cols=16)
+    for name in ("y", "s"):
+        np.testing.assert_allclose(many.block_means[name], one.block_means[name], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(many.block_se[name], one.block_se[name], rtol=1e-12, atol=0)
+
+
 def _same_value(x, y) -> bool:
     if isinstance(x, dict):
         return isinstance(y, dict) and x.keys() == y.keys() and all(_same_value(x[k], y[k]) for k in x)
@@ -263,12 +275,12 @@ def test_single_neuron_decoupling_oracle():
     vs, ys, ws = [v], [y], [w]
     j = 0.0
     for k in range(100):
-        draws = noise.step(k)
+        draws = dict(zip(comps, noise.step(k)))
         f = float(eval_membrane_drift(pop, k * dt, v, w))
         drift_v = f - (v - 1.0) * j * y
         # increments are scaled as z * sqrt(dt) before entering the kernels
         v_new = v + drift_v * dt + (pop.sigma_v * float(draws[int(Component.V)][0, 0])) * sqrt_dt
-        dy, sy = synapse_fields(pop, v, y)
+        dy, sy = proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v), pop.decay_rate, y, pop.cutoff)
         dw_y = float(draws[int(Component.Y)][0, 0]) * sqrt_dt
         y_new = min(max(y + float(dy) * dt + float(sy) * dw_y, 0.0), 1.0)
         w_new = w + float(recovery_drift(pop.membrane, v, w)) * dt
@@ -364,10 +376,32 @@ def test_mean_reversion_toward_reversal_potentials():
 # coupled pair driver
 
 
-def test_coupled_rejects_bad_curve_shape():
+def _spoilt_curve(a: int, k: int, value: float) -> np.ndarray:
+    curve = np.full((2, 51), 0.2)
+    curve[a, k] = value
+    return curve
+
+
+# (curve, what the refusal names): a wrong shape, then a y_bar outside [0, 1]
+BAD_CURVES = [
+    pytest.param(np.zeros((2, 7)), r"interaction curve shape \(2, 7\) does not match", id="shape"),
+    pytest.param(_spoilt_curve(1, 12, 1.5), r"population 'inh' is 1\.5 at node 12, outside \[0, 1\]",
+                 id="above_1"),
+    pytest.param(_spoilt_curve(0, 3, -0.25), r"population 'exc' is -0\.25 at node 3, outside",
+                 id="negative"),
+    pytest.param(_spoilt_curve(1, 50, np.nan), r"population 'inh' is nan at node 50, outside", id="nan"),
+]
+
+
+@pytest.mark.parametrize("curve, message", BAD_CURVES)
+@pytest.mark.parametrize("entry", ["coupled", "simulate"])
+def test_coupled_rejects_bad_curve_shape(entry, curve, message):
     cfg = fhn_two_pop(n_steps=50, t_end=0.5)
-    with pytest.raises(ConfigError):
-        coupled_distance_paths(cfg, np.zeros((2, 7)), 2)
+    with pytest.raises(ConfigError, match=message):
+        if entry == "coupled":
+            coupled_distance_paths(cfg, curve, 2)
+        else:
+            simulate(cfg, n_paths=2, interaction=curve)
 
 
 def test_coupled_no_interaction_is_exact():
@@ -502,7 +536,7 @@ def _reference_step(cfg: NetworkConfig, st: NeuronStates, ybar, draws, t: float)
                 if pair.sigma_j != 0.0:
                     noise_v = noise_v - dv * pair.sigma_j * ybg * draws[Component.j(g)][:, lo:hi]
         out["v"][:, lo:hi] = vs + drift_v * dt + noise_v * sqrt_dt
-        dy, sy = synapse_fields(pop, vs, ys)
+        dy, sy = proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, vs), pop.decay_rate, ys, pop.cutoff)
         out["y"][:, lo:hi] = step_euler_confined(ys, dy, sy, dt, draws[int(Component.Y)][:, lo:hi] * sqrt_dt)
         if pop.is_hh:
             v_eff = np.clip(vs, -pop.gates.clamp_v, pop.gates.clamp_v)
@@ -617,7 +651,7 @@ def _replay(cfg: NetworkConfig, ens, interaction=None, noise_cls=BlockNoise) -> 
     for k in range(cfg.grid.n_steps):
         st = _stored_state(ens, k)
         ybar = population_sums(st.y, cfg.population_slices()) if interaction is None else interaction[:, k]
-        want = _reference_step(cfg, st, ybar, noise.step(k), times[k])
+        want = _reference_step(cfg, st, ybar, dict(zip(comps, noise.step(k))), times[k])
         _assert_same_state(_stored_state(ens, k + 1), want)
 
 
@@ -667,10 +701,10 @@ def test_simple_variant_pair_without_conductance_noise_adds_no_term(monkeypatch)
 
     class Poisoned(BlockNoise):
         def step(self, k):
-            # the served arrays are this step's own buffer rows
+            # the served array is this step's own buffer slice
             draws = super().step(k)
             for g in range(2):
-                draws[Component.j(g)][:, lo:hi] = np.nan
+                draws[self.components.index(Component.j(g))][:, lo:hi] = np.nan
             return draws
 
     monkeypatch.setattr(network, "BlockNoise", Poisoned)

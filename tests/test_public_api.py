@@ -1,19 +1,21 @@
 """The package's public surface."""
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from dataclasses import fields
+from pathlib import Path
 
 import neuromf
 from neuromf.meanfield import MeanFieldSolution
 
 # names that left the API, by the module that held them
 REMOVED = {
-    "neuromf.rng": ["RngStreamKey", "gaussian_increments", "MAX_NEURON"],
+    "neuromf.rng": ["RngStreamKey", "gaussian_increments", "MAX_NEURON", "StepDraws"],
     "neuromf.stepping": ["step_euler_free"],
     "neuromf.model": ["synapse_drift", "synapse_diffusion", "gate_drift", "gate_diffusion",
-                      "eval_gate_rates", "gate_fields"],
+                      "eval_gate_rates", "gate_fields", "synapse_fields"],
     "neuromf.network": ["step_network_simple", "step_network_sign_preserving", "CoupledPaths",
                         "step_network", "draw_initial_states", "network_noise"],
     "neuromf.meanfield": ["estimate_ms", "wasserstein2_marginal"],
@@ -52,7 +54,26 @@ def public_surface() -> tuple[int, int]:
 
 def test_public_surface_count():
     # retired or added surface moves these numbers; change them on purpose only
-    assert public_surface() == (70, 183)
+    assert public_surface() == (69, 180)
+
+
+def test_benchmark_tracer_targets_resolve():
+    # each target resolved as `Tracer.install` does; one that stops resolving
+    # makes its layer metrics read 0, so the unresolved set is pinned
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = set()
+    for module, attr, _, _ in tracer.TARGETS:
+        try:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+        except (ImportError, AttributeError):
+            unresolved.add(f"{module}.{attr}")
+    assert unresolved == {"neuromf.network.synapse_fields", "neuromf.network.gate_fields",
+                          "neuromf.chaos.solve_fixed_point"}
 
 
 def test_solutions_keep_no_copy_trajectories():

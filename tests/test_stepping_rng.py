@@ -243,7 +243,7 @@ def test_block_noise_matches_flat_stream():
         for p in (4, 9) for c in (0, 1)
     }
     for k in range(13):
-        draws = bn.step(k)
+        draws = dict(zip(bn.components, bn.step(k)))
         for ci, c in enumerate((0, 1)):
             for bi, p in enumerate((4, 9)):
                 assert np.array_equal(draws[c][bi], flat[(p, c)][k])
@@ -282,7 +282,7 @@ def test_block_noise_short_blocks_match_flat_stream(budget_steps, n_sets, block)
     assert (len(bn._sets), bn.block) == (n_sets, block)
     flat = flat_draws(17, ids, comps, n_cols, n_steps)
     for k in range(n_steps):
-        draws = bn.step(k)
+        draws = dict(zip(bn.components, bn.step(k)))
         for c in comps:
             for b, p in enumerate(ids):
                 assert np.array_equal(draws[c][b], flat[(p, c)][k])
@@ -303,7 +303,7 @@ def test_block_noise_shared_fill_matches_flat_stream(ids, comps, budget_steps):
     assert len(bn._sets) == 2 and n_steps / bn.block >= 4
     flat = flat_draws(23, ids, comps, n_cols, n_steps)
     for k in range(n_steps):
-        draws = bn.step(k)
+        draws = dict(zip(bn.components, bn.step(k)))
         for c in comps:
             for b, p in enumerate(ids):
                 assert np.array_equal(draws[c][b], flat[(p, c)][k])
@@ -337,7 +337,7 @@ def test_block_noise_engine_helps_fill_the_first_block():
         bn._gens[key] = _GatedGenerator(gen, engine, drew, drawers)
     flat = flat_draws(4, ids, comps, n_cols, n_steps)
     for k in range(n_steps):
-        draws = bn.step(k)
+        draws = dict(zip(bn.components, bn.step(k)))
         for b, p in enumerate(ids):
             assert np.array_equal(draws[0][b], flat[(p, 0)][k])
     assert engine in drawers[:2]  # the first block's two draws
@@ -350,7 +350,7 @@ def test_block_noise_without_streams_serves_empty_steps(ids, comps):
     bn = BlockNoise(seed=2, path_ids=ids, components=comps, n_cols=3, n_steps=20, max_bytes=8 * 3 * 4)
     assert len(bn._sets) == 2
     for k in range(20):
-        draws = bn.step(k)
+        draws = dict(zip(bn.components, bn.step(k)))
         assert all(draws[c].shape == (len(ids), 3) for c in comps)
     assert threading.active_count() == before
 
@@ -371,7 +371,7 @@ def test_block_noise_single_set_fills_in_line(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", spy)
     for k in range(n_steps):
-        draws = bn.step(k)
+        draws = dict(zip(bn.components, bn.step(k)))
         for c in comps:
             for b, p in enumerate(ids):
                 assert np.array_equal(draws[c][b], flat[(p, c)][k])
@@ -390,7 +390,7 @@ def test_block_noise_values_hold_under_fast_thread_switching():
     sys.setswitchinterval(1e-6)
     try:
         for k in range(n_steps):
-            draws = bn.step(k)
+            draws = dict(zip(bn.components, bn.step(k)))
             held = {c: draws[c].copy() for c in comps}
             sum(range(200))  # let the fill thread run while this block is served
             for c in comps:
@@ -466,7 +466,7 @@ def test_weak_order_synapse_mean_converges_with_dt():
     # frozen-voltage synapse SDE: the ensemble mean approaches the
     # closed-form relaxation as dt shrinks (observed error = O(dt) bias
     # plus Monte Carlo noise)
-    from neuromf.model import synapse_fields, eval_sigmoid
+    from neuromf.model import eval_sigmoid, proportion_fields
     from neuromf.presets import fhn_two_pop
 
     pop = fhn_two_pop().populations[0][0]
@@ -485,8 +485,8 @@ def test_weak_order_synapse_mean_converges_with_dt():
             0.05, 0.25, n_paths)
         noise = BlockNoise(seed, [0], [int(Component.Y)], n_paths, n_steps)
         for k in range(n_steps):
-            drift, diff = synapse_fields(pop, v_const, y)
-            y = step_euler_confined(y, drift, diff, dt, noise.step(k)[int(Component.Y)][0] * sqrt_dt)
+            drift, diff = proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v_const), pop.decay_rate, y, pop.cutoff)
+            y = step_euler_confined(y, drift, diff, dt, noise.step(k)[0][0] * sqrt_dt)
         biases.append(abs(float(y.mean()) - exact))
     assert all(b2 < b1 for b1, b2 in zip(biases, biases[1:]))
     assert biases[-1] < 0.3 * biases[0]
