@@ -120,10 +120,15 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     One mean curve serves every N (the limit does not depend on N): the
     given `curve`, or else a `solve_causal` of `m_copies` copies, which is
     returned as the third value (None when `curve` was given).
-    The sweep refuses size lists that cannot keep the proportions integral.
+    The sweep refuses size lists that cannot keep the proportions integral,
+    fewer than two paths (no standard error) and, after the runs, fewer
+    than three sizes with a positive D (no rate to fit).
     """
     if len(ns) < 3:
         raise ConfigError([f"sweep sizes {list(ns)}: at least three are needed to fit a rate"])
+    if n_paths < 2:
+        raise ConfigError([f"sweep n_paths = {n_paths}: at least two coupled paths are needed "
+                           "for a standard error"])
     if sorted(set(ns)) != list(ns):
         raise ConfigError(["sweep sizes must be strictly increasing"])
     configs = [base_config.with_total_neurons(n) for n in ns]  # raises on proportion drift
@@ -139,6 +144,9 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
         runs.append(run)
         d_hat.append(d)
         se.append(s)
+    if sum(d > 0 for d in d_hat) < 3:
+        raise ConfigError(["sweep: fewer than three sizes have a positive D, so no rate can be "
+                           "fitted: " + ", ".join(f"D({n}) = {d:.4g}" for n, d in zip(ns, d_hat))])
     fit = fit_rate(list(zip(ns, d_hat)))
     sqrtn_d = [math.sqrt(n) * d for n, d in zip(ns, d_hat)]
     report = CouplingReport(ns=list(ns), d_hat=d_hat, se=se, sqrtn_d=sqrtn_d,

@@ -314,6 +314,8 @@ def parse_spec(text: str, command: str | None = None) -> ExperimentSpec:
         spec.command = command
     if spec.n_paths is not None and spec.n_paths < 1:
         r.err("spec.n_paths", "must be >= 1")
+    elif spec.n_paths is not None and spec.command == "chaos-sweep" and spec.n_paths < 2:
+        r.err("spec.n_paths", "chaos-sweep needs at least two paths for a standard error")
     if spec.n_paths is not None and spec.n_paths > MEANFIELD_PATH_BASE:
         r.err("spec.n_paths", f"must be <= 2**21 = {MEANFIELD_PATH_BASE}: "
                               "higher path ids belong to the limit copies")

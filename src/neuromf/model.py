@@ -420,14 +420,20 @@ class CheckResult:
     detail: str = ""
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
+# voltage grids (lo, hi, points) of the checks, in mV
+_FIELD_CHECK_V = (-120.0, 120.0, 241)
+_GATE_CHECK_V = (-200.0, 200.0, 4001)
+_SIGMOID_CHECK_V = (-120.0, 120.0, 961)
+# the one-sided Lipschitz check's random voltage pairs: count, Philox key, range in mV
+_LIPSCHITZ_PAIRS = 4000
+_LIPSCHITZ_KEY = (0, 0xF4)
+_LIPSCHITZ_V = (-60.0, 60.0)
 
 
-def check_boundary_drift_signs(pop: PopulationParams, v_lo: float = -120.0, v_hi: float = 120.0,
-                               n_v: int = 241) -> CheckResult:
+def check_boundary_drift_signs(pop: PopulationParams) -> CheckResult:
     """Inward drift at the proportion boundaries for synapse and gate fields."""
-    v = _grid(v_lo, v_hi, n_v)[:, None]
+    v_lo, v_hi, _ = _FIELD_CHECK_V
+    v = np.linspace(*_FIELD_CHECK_V)[:, None]
     rho, zeta = proportion_rates(pop, v, eval_sigmoid(pop.sigmoid, v))
     below = np.array([-0.5, -1e-9, 0.0])[None, :]
     above = np.array([1.0, 1.0 + 1e-9, 1.5])[None, :]
@@ -436,46 +442,46 @@ def check_boundary_drift_signs(pop: PopulationParams, v_lo: float = -120.0, v_hi
     return CheckResult("boundary-drift-signs", ok, f"population {pop.label!r}, v in [{v_lo}, {v_hi}]")
 
 
-def check_diffusion_support(pop: PopulationParams, v_lo: float = -120.0, v_hi: float = 120.0,
-                            n_v: int = 241) -> CheckResult:
+def check_diffusion_support(pop: PopulationParams) -> CheckResult:
     """Diffusion vanishes identically for proportion state outside (0, 1)."""
-    v = _grid(v_lo, v_hi, n_v)[:, None]
+    v = np.linspace(*_FIELD_CHECK_V)[:, None]
     rho, zeta = proportion_rates(pop, v, eval_sigmoid(pop.sigmoid, v))
     outside = np.array([-1.0, -1e-12, 0.0, pop.cutoff.support_lo, pop.cutoff.support_hi, 1.0, 1.0 + 1e-12, 2.0])[None, :]
     ok = bool(np.all(proportion_fields(rho, zeta, outside, pop.cutoff)[1] == 0.0))
     return CheckResult("diffusion-support", ok, f"population {pop.label!r}")
 
 
-def check_gate_coercivity(g: GateRates, v_lo: float = -200.0, v_hi: float = 200.0,
-                          n_v: int = 4001) -> CheckResult:
+def check_gate_coercivity(g: GateRates) -> CheckResult:
     """min over the grid of all opening/closing rates >= clamp_lo."""
-    worst = float(gate_rates(g, clamp_gate_voltage(g, _grid(v_lo, v_hi, n_v))).min())
+    worst = float(gate_rates(g, clamp_gate_voltage(g, np.linspace(*_GATE_CHECK_V))).min())
     return CheckResult("gate-coercivity", worst >= g.clamp_lo, f"min rate {worst:.3e} vs floor {g.clamp_lo:.3e}")
 
 
-def check_sigmoid_monotone(p: SigmoidParams, v_lo: float = -120.0, v_hi: float = 120.0,
-                           n_v: int = 961) -> CheckResult:
+def check_sigmoid_monotone(p: SigmoidParams) -> CheckResult:
     """Nondecreasing on the wide grid, strictly increasing and interior
     wherever the exponential has not saturated in float."""
-    s_wide = np.asarray(eval_sigmoid(p, _grid(v_lo, v_hi, n_v)))
+    n_v = _SIGMOID_CHECK_V[2]
+    s_wide = np.asarray(eval_sigmoid(p, np.linspace(*_SIGMOID_CHECK_V)))
     ok = bool(np.all(np.diff(s_wide) >= 0)) and bool(np.all(s_wide >= 0)) and bool(np.all(s_wide <= p.c_max))
     half_width = 30.0 / p.lam
-    s_mid = np.asarray(eval_sigmoid(p, _grid(p.v_half - half_width, p.v_half + half_width, n_v)))
+    s_mid = np.asarray(eval_sigmoid(p, np.linspace(p.v_half - half_width, p.v_half + half_width, n_v)))
     ok = ok and bool(np.all(np.diff(s_mid) > 0)) and bool(np.all(s_mid > 0)) and bool(np.all(s_mid < p.c_max))
     return CheckResult("sigmoid-monotone", ok, "strictly increasing, inside (0, c_max)")
 
 
-def check_fhn_one_sided_lipschitz(m: FhnMembrane, n_pairs: int = 4000, seed: int = 0) -> CheckResult:
-    """(F(v,q) - F(v',q)) (v - v') <= (v - v')^2 on a random sample of pairs.
+def check_fhn_one_sided_lipschitz(pop: PopulationParams) -> CheckResult:
+    """(F(v,w) - F(v',w)) (v - v') <= (v - v')^2 on a random sample of pairs.
 
-    The cubic drift satisfies this with constant 1 (the linear part), the
+    F is the population's membrane drift, evaluated at one shared w.  The
+    cubic drift satisfies this with constant 1 (the linear part), the
     cubic part only helps.
     """
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0xF4], dtype=np.uint64)))
-    v1 = gen.uniform(-60.0, 60.0, n_pairs)
-    v2 = gen.uniform(-60.0, 60.0, n_pairs)
-    f1 = -(v1 ** 3) / 3.0 + v1
-    f2 = -(v2 ** 3) / 3.0 + v2
+    gen = np.random.Generator(np.random.Philox(key=np.array(_LIPSCHITZ_KEY, dtype=np.uint64)))
+    v1 = gen.uniform(*_LIPSCHITZ_V, _LIPSCHITZ_PAIRS)
+    v2 = gen.uniform(*_LIPSCHITZ_V, _LIPSCHITZ_PAIRS)
+    w = np.zeros(_LIPSCHITZ_PAIRS)
+    f1 = eval_membrane_drift(pop, 0.0, v1, w)
+    f2 = eval_membrane_drift(pop, 0.0, v2, w)
     lhs = (f1 - f2) * (v1 - v2)
     rhs = (v1 - v2) ** 2
     ok = bool(np.all(lhs <= rhs * (1.0 + 1e-12) + 1e-9))
@@ -492,5 +498,5 @@ def run_population_checks(pop: PopulationParams) -> list[CheckResult]:
     if pop.gates is not None:
         out.append(check_gate_coercivity(pop.gates))
     if isinstance(pop.membrane, FhnMembrane):
-        out.append(check_fhn_one_sided_lipschitz(pop.membrane))
+        out.append(check_fhn_one_sided_lipschitz(pop))
     return out

@@ -48,7 +48,7 @@ from .stepping import TimeGrid, step_cir, step_euler_confined
 # ids at or above it, so that under one seed they never share streams.
 MEANFIELD_PATH_BASE = 1 << 21
 
-MAX_BATCH_COLS = 1 << 19  # default cap on a batch's columns, paths times neurons
+MAX_BATCH_COLS = 1 << 19  # cap on a batch's columns, paths times neurons; read at each run
 
 
 class Conductance(str, Enum):
@@ -89,14 +89,6 @@ class Dist:
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "Dist":
         return cls("uniform", lo, hi)
-
-    @classmethod
-    def lognormal(cls, mu: float, sigma: float) -> "Dist":
-        return cls("lognormal", mu, sigma)
-
-    @classmethod
-    def beta(cls, alpha: float, beta: float) -> "Dist":
-        return cls("beta", alpha, beta)
 
     def mean(self) -> float:
         if self.kind in ("const", "normal"):
@@ -685,8 +677,7 @@ class _CurveDrive:
         return self.curve[:, k]
 
 
-def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers: list,
-           max_batch_cols: int = MAX_BATCH_COLS) -> None:
+def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers: list) -> None:
     """The stepping loop: one system per drive, advanced batch by batch.
 
     A drive's `interaction(k, st)` returns the (..., P) aggregates that
@@ -703,8 +694,11 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers:
     Each system owns two states per batch and steps from one into the
     other in turn, so the arrays an observer sees at node k are
     overwritten at node k + 2; the activation, at node k + 1.
+
+    A batch holds as many paths as fit in `MAX_BATCH_COLS` columns (at
+    least one), read when the call starts.
     """
-    batch = max(1, min(n_paths, max_batch_cols // max(plan.n_cols, 1)))
+    batch = max(1, min(n_paths, MAX_BATCH_COLS // max(plan.n_cols, 1)))
     times = plan.times
     for b0 in range(0, n_paths, batch):
         ids = [path_offset + i for i in range(b0, min(b0 + batch, n_paths))]
@@ -904,8 +898,7 @@ class _NodeStats:
 
 
 def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
-             interaction=None, collect_node_stats: bool = False,
-             max_batch_cols: int = MAX_BATCH_COLS) -> PathEnsemble:
+             interaction=None, collect_node_stats: bool = False) -> PathEnsemble:
     """Simulate `n_paths` independent realizations of the network.
 
     `interaction` selects what the synaptic interaction reads:
@@ -922,16 +915,16 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     membrane variant, evaluating every field in one call over all the
     run's columns with per-column parameters; the operations are the
     elementwise ones of a population-by-population step, in the same
-    order.  Results are a pure function of (config, path indices):
-    batching, worker count, and buffer sizes cannot change a single bit.
+    order.  Paths run in batches capped by `MAX_BATCH_COLS`.  Results are
+    a pure function of (config, path indices): batching, worker count, and
+    buffer sizes cannot change a single bit.
     """
     plan = _make_plan(config)
     drive = (_NetworkDrive(plan, path_offset, n_paths) if interaction is None
              else _CurveDrive(plan, interaction))
     store = _Storage(plan, config.thin, n_paths)
     stats = _NodeStats(plan, ("y", "s")) if collect_node_stats else None
-    _drive(plan, n_paths, path_offset, [drive], [store] + ([stats] if stats else []),
-           max_batch_cols)
+    _drive(plan, n_paths, path_offset, [drive], [store] + ([stats] if stats else []))
 
     from .configio import config_hash  # local import: configio builds on this module
 
@@ -1026,8 +1019,7 @@ class _CouplingGap:
         self.run.max_gap_all = max(self.run.max_gap_all, float(gap.max()))
 
 
-def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_paths: int,
-                           *, path_offset: int = 0, max_batch_cols: int = MAX_BATCH_COLS) -> CouplingRun:
+def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_paths: int) -> CouplingRun:
     """Advance the network and its copy system through shared noise.
 
     Both systems consume identical Brownian increments and identical
@@ -1035,11 +1027,13 @@ def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_path
     the very conductance paths of the network (one array, no re-draw).
     The copy system's interaction follows `ybar_curve`, a (P, n_steps + 1)
     curve with values in [0, 1].  The distances are
-    taken at the first neuron of each population.  Path ids must stay
-    below `MEANFIELD_PATH_BASE`.
+    taken at the first neuron of each population.  Path ids run from 0 and
+    must stay below `MEANFIELD_PATH_BASE`; paths run in batches capped by
+    `MAX_BATCH_COLS`.
     """
     plan = _make_plan(config)
+    # the drives check path ids and curve before any per-path array exists
+    drives = [_NetworkDrive(plan, 0, n_paths), _CurveDrive(plan, ybar_curve)]
     gap = _CouplingGap(n_paths, np.asarray([lo for lo, _ in plan.slices]))
-    drives = [_NetworkDrive(plan, path_offset, n_paths), _CurveDrive(plan, ybar_curve)]
-    _drive(plan, n_paths, path_offset, drives, [gap], max_batch_cols)
+    _drive(plan, n_paths, 0, drives, [gap])
     return gap.run

@@ -37,10 +37,9 @@ def _simulate_chunk(config: NetworkConfig, lo: int, hi: int) -> PathEnsemble:
     return simulate(config, n_paths=hi - lo, path_offset=lo)
 
 
-def simulate_paths(config: NetworkConfig, n_paths: int, workers: int | None = None) -> PathEnsemble:
-    """`simulate`, with paths optionally spread across processes."""
-    workers = worker_count() if workers is None else max(1, workers)
-    workers = min(workers, n_paths)
+def simulate_paths(config: NetworkConfig, n_paths: int) -> PathEnsemble:
+    """`simulate`, with paths spread across `NEUROMF_WORKERS` processes."""
+    workers = min(worker_count(), n_paths)
     if workers == 1:
         return simulate(config, n_paths=n_paths)
     from concurrent.futures import ProcessPoolExecutor  # a single worker never needs it

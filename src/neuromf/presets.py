@@ -50,7 +50,7 @@ def _fhn_init(labels: list[str], j_means: dict[str, float],
 
 def fhn_two_pop(seed: int = 2024, n_per_pop: int = 8, t_end: float = 20.0,
                 n_steps: int = 2000, conductance: Conductance = Conductance.SIGN_PRESERVING,
-                j_scale: float = 1.0, sigma_j: float = 0.1, thin: int = 10) -> NetworkConfig:
+                sigma_j: float = 0.1, thin: int = 10) -> NetworkConfig:
     """Default two-population FitzHugh-Nagumo network.
 
     One population depolarizes its targets, the other hyperpolarizes them.
@@ -64,18 +64,16 @@ def fhn_two_pop(seed: int = 2024, n_per_pop: int = 8, t_end: float = 20.0,
     inh = _fhn_population("inh")
     labels = ["exc", "inh"]
     pairs = {
-        ("exc", "exc"): PairParams(v_rev=1.5, j_mean=0.3 * j_scale, sigma_j=sigma_j, theta=0.5),
-        ("exc", "inh"): PairParams(v_rev=-2.5, j_mean=0.2 * j_scale, sigma_j=sigma_j, theta=0.5),
-        ("inh", "exc"): PairParams(v_rev=1.5, j_mean=0.3 * j_scale, sigma_j=sigma_j, theta=0.5),
-        ("inh", "inh"): PairParams(v_rev=-2.5, j_mean=0.2 * j_scale, sigma_j=sigma_j, theta=0.5),
+        ("exc", "exc"): PairParams(v_rev=1.5, j_mean=0.3, sigma_j=sigma_j, theta=0.5),
+        ("exc", "inh"): PairParams(v_rev=-2.5, j_mean=0.2, sigma_j=sigma_j, theta=0.5),
+        ("inh", "exc"): PairParams(v_rev=1.5, j_mean=0.3, sigma_j=sigma_j, theta=0.5),
+        ("inh", "inh"): PairParams(v_rev=-2.5, j_mean=0.2, sigma_j=sigma_j, theta=0.5),
     }
-    j_means_exc = {"exc": 0.3 * j_scale, "inh": 0.2 * j_scale}
+    j_means_exc = {"exc": 0.3, "inh": 0.2}
     init = {
         "exc": _fhn_init(labels, j_means_exc, conductance),
         "inh": _fhn_init(labels, j_means_exc, conductance),
     }
-    if conductance is Conductance.SIMPLE:
-        init = {k: InitialLaw(v=v.v, y=v.y, w=v.w) for k, v in init.items()}
     return NetworkConfig(
         populations=[(exc, n_per_pop), (inh, n_per_pop)],
         pairs=pairs,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from neuromf import chaos
 from neuromf.chaos import (
     CouplingRun,
     estimate_distance,
@@ -170,6 +171,17 @@ def test_sweep_requires_three_sizes():
     with pytest.raises(ConfigError) as exc:
         sweep(cfg, [16, 64], 4, m_copies=50, tol=1e-2)
     assert "three" in str(exc.value)
+
+
+def test_sweep_needs_two_paths_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the sweep solved before checking n_paths")
+
+    monkeypatch.setattr(chaos, "solve_causal", no_solve)
+    cfg = fhn_two_pop(n_steps=20, t_end=0.2)
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, [16, 32, 64], 1, m_copies=50, tol=1e-2)
+    assert "n_paths = 1" in str(exc.value)
 
 
 def test_sweep_rejects_proportion_drift():

@@ -33,7 +33,7 @@ from neuromf.model import (
     SigmoidParams,
 )
 from neuromf.network import InitialLaw, NetworkConfig
-from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop
+from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.stepping import TimeGrid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -395,6 +395,33 @@ def test_cli_chaos_sweep_refuses_fewer_than_three_sizes(tmp_path):
     assert r.returncode == 2, r.stderr
     assert "spec.sweep_n" in r.stderr and "Traceback" not in r.stderr
     assert not (tmp_path / "cs").exists()
+
+
+def test_chaos_sweep_spec_needs_two_paths(tmp_path):
+    one = tiny_spec_dict(n_paths=1)
+    parse_spec(json.dumps(one), "simulate")  # one path simulates fine
+    with pytest.raises(ConfigError) as exc:
+        parse_spec(json.dumps(one), "chaos-sweep")
+    assert any(e.startswith("spec.n_paths:") and "two" in e for e in exc.value.errors)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(one))
+    r = run_cli(["chaos-sweep", "--spec", str(path), "--out", "cs"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "spec.n_paths" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "cs").exists()
+
+
+def test_cli_chaos_sweep_refuses_an_interaction_free_spec(tmp_path):
+    # the exact coupling gives D = 0 at every size: no rate to fit
+    config = interaction_free(fhn_chaos_sweep(n_per_pop=2, t_end=0.5, n_steps=50, thin=10))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(m_copies=100, sweep_n=[4, 8, 16],
+                                              config=config_to_dict(config))))
+    r = run_cli(["chaos-sweep", "--spec", str(path), "--out", "cs"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    for n in (4, 8, 16):
+        assert f"D({n}) = 0" in r.stderr
 
 
 def test_cli_refuses_trajectories_larger_than_memory(tmp_path):

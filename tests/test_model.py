@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuromf import model
 from neuromf.errors import VariantMismatchError
 from neuromf.model import (
     GATES,
@@ -287,7 +288,13 @@ def test_recovery_drift_formula():
 
 
 def test_fhn_one_sided_lipschitz_sample():
-    assert check_fhn_one_sided_lipschitz(FhnMembrane()).passed
+    assert check_fhn_one_sided_lipschitz(fhn_pop()).passed
+
+
+def test_fhn_one_sided_lipschitz_reads_the_membrane_drift(monkeypatch):
+    # a drift of slope 2 breaks the bound with constant 1: the check must see it
+    monkeypatch.setattr(model, "eval_membrane_drift", lambda pop, t, v, q, **kw: 2.0 * v)
+    assert check_fhn_one_sided_lipschitz(fhn_pop()).passed is False
 
 
 # ---------------------------------------------------------------------------

@@ -155,15 +155,20 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.j, b.j)
 
 
-def test_batch_size_does_not_change_results():
+def test_batch_size_does_not_change_results(monkeypatch):
+    def capped(cols, fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(network, "MAX_BATCH_COLS", cols)
+            return fn(*args, **kwargs)
+
     cfg = fhn_two_pop(n_steps=50, t_end=0.5)
     a = simulate(cfg, n_paths=5)
-    b = simulate(cfg, n_paths=5, max_batch_cols=16)  # forces many path batches
+    b = capped(16, simulate, cfg, n_paths=5)  # forces many path batches
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
     # the coupled pair: batches of two paths, the last one short
     curve = np.full((2, 51), 0.15)
     c = coupled_distance_paths(cfg, curve, 5)
-    d = coupled_distance_paths(cfg, curve, 5, max_batch_cols=32)
+    d = capped(32, coupled_distance_paths, cfg, curve, 5)
     assert np.array_equal(_bits(c.sup_sq), _bits(d.sup_sq))
     assert c.comp_sup_sq.keys() == d.comp_sup_sq.keys()
     for name in c.comp_sup_sq:
@@ -173,7 +178,7 @@ def test_batch_size_does_not_change_results():
     cfg = hh_two_pop(n_per_pop=4, n_steps=20, t_end=0.2)
     curve = np.full((2, 21), 0.15)
     c = coupled_distance_paths(cfg, curve, 5)
-    d = coupled_distance_paths(cfg, curve, 5, max_batch_cols=16)
+    d = capped(16, coupled_distance_paths, cfg, curve, 5)
     assert np.array_equal(_bits(c.sup_sq), _bits(d.sup_sq))
     for name in c.comp_sup_sq:
         assert np.array_equal(_bits(c.comp_sup_sq[name]), _bits(d.comp_sup_sq[name])), name
@@ -181,12 +186,13 @@ def test_batch_size_does_not_change_results():
 
 
 @pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
-def test_node_stats_merge_across_batches(preset):
+def test_node_stats_merge_across_batches(preset, monkeypatch):
     # five one-path batches against one batch: the pairwise merge of the
     # batches' sums and squared deviations keeps the one-batch statistics
     cfg = preset(n_per_pop=8, n_steps=40, t_end=0.4)
     one = simulate(cfg, n_paths=5, collect_node_stats=True)
-    many = simulate(cfg, n_paths=5, collect_node_stats=True, max_batch_cols=16)
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 16)
+    many = simulate(cfg, n_paths=5, collect_node_stats=True)
     for name in ("y", "s"):
         np.testing.assert_allclose(many.block_means[name], one.block_means[name], rtol=1e-12, atol=0)
         np.testing.assert_allclose(many.block_se[name], one.block_se[name], rtol=1e-12, atol=0)
@@ -200,10 +206,12 @@ def _same_value(x, y) -> bool:
     return x == y
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
     cfg = fhn_two_pop(n_steps=50, t_end=0.5)
-    a = simulate_paths(cfg, 4, workers=1)
-    b = simulate_paths(cfg, 4, workers=4)
+    monkeypatch.setenv("NEUROMF_WORKERS", "1")
+    a = simulate_paths(cfg, 4)
+    monkeypatch.setenv("NEUROMF_WORKERS", "4")
+    b = simulate_paths(cfg, 4)
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
     assert a.extremes == b.extremes
     # every field, so that a field added later cannot be dropped
@@ -453,7 +461,7 @@ def test_network_path_ids_stay_below_the_limit_copies():
     with pytest.raises(ValueError, match=f"path id {MEANFIELD_PATH_BASE} "):
         simulate(cfg, n_paths=2, path_offset=last_ok)
     with pytest.raises(ValueError, match=f"path id {MEANFIELD_PATH_BASE} "):
-        coupled_distance_paths(cfg, np.zeros((2, 3)), 2, path_offset=last_ok)
+        coupled_distance_paths(cfg, np.zeros((2, 3)), MEANFIELD_PATH_BASE + 1)
     with pytest.raises(ValueError, match=f"path id {MEANFIELD_PATH_BASE + 5} "):
         simulate(cfg, n_paths=1, path_offset=MEANFIELD_PATH_BASE + 5)
     assert simulate(cfg, n_paths=1, path_offset=last_ok).n_paths == 1

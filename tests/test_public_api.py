@@ -17,9 +17,25 @@ REMOVED = {
     "neuromf.model": ["synapse_drift", "synapse_diffusion", "gate_drift", "gate_diffusion",
                       "eval_gate_rates", "gate_fields", "synapse_fields"],
     "neuromf.network": ["step_network_simple", "step_network_sign_preserving", "CoupledPaths",
-                        "step_network", "draw_initial_states", "network_noise"],
+                        "step_network", "draw_initial_states", "network_noise",
+                        "Dist.lognormal", "Dist.beta"],
     "neuromf.meanfield": ["estimate_ms", "wasserstein2_marginal"],
     "neuromf.chaos": ["marginal_chaos_check", "MarginalCheck"],
+}
+
+# parameters that left a function's signature: the batch cap is
+# `network.MAX_BATCH_COLS`, the worker count `NEUROMF_WORKERS`, and the
+# checks' grids are constants of `neuromf.model`
+REMOVED_PARAMS = {
+    "neuromf.network.simulate": ["max_batch_cols"],
+    "neuromf.network.coupled_distance_paths": ["path_offset", "max_batch_cols"],
+    "neuromf.parallel.simulate_paths": ["workers"],
+    "neuromf.model.check_boundary_drift_signs": ["v_lo", "v_hi", "n_v"],
+    "neuromf.model.check_diffusion_support": ["v_lo", "v_hi", "n_v"],
+    "neuromf.model.check_gate_coercivity": ["v_lo", "v_hi", "n_v"],
+    "neuromf.model.check_sigmoid_monotone": ["v_lo", "v_hi", "n_v"],
+    "neuromf.model.check_fhn_one_sided_lipschitz": ["n_pairs", "seed"],
+    "neuromf.presets.fhn_two_pop": ["j_scale"],
 }
 
 
@@ -54,7 +70,7 @@ def public_surface() -> tuple[int, int]:
 
 def test_public_surface_count():
     # retired or added surface moves these numbers; change them on purpose only
-    assert public_surface() == (69, 180)
+    assert public_surface() == (67, 157)
 
 
 def test_benchmark_tracer_targets_resolve():
@@ -92,10 +108,26 @@ def test_every_exported_name_resolves_once():
         assert hasattr(neuromf, name), name
 
 
+def _resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
 def test_removed_names_are_gone():
     for module, names in REMOVED.items():
         mod = importlib.import_module(module)
         for name in names:
             assert name not in neuromf.__all__, name
-            assert not hasattr(neuromf, name), name
-            assert not hasattr(mod, name), f"{module}.{name}"
+            assert not _resolves(neuromf, name), name
+            assert not _resolves(mod, name), f"{module}.{name}"
+
+
+def test_removed_parameters_are_gone():
+    for function, names in REMOVED_PARAMS.items():
+        module, _, attr = function.rpartition(".")
+        params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+        for name in names:
+            assert name not in params, f"{function}({name}=)"
