@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .meanfield import MeanCurve, MeanFieldSolution, _ybar_on_grid, solve_causal
+from .meanfield import MeanCurve, _ybar_on_grid
 from .network import CouplingRun, NetworkConfig, coupled_distance_paths
 
 
@@ -113,13 +113,10 @@ def fit_rate(points: list[tuple[int, float]]) -> RateFit:
 
 
 def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
-          *, curve: MeanCurve | None = None, m_copies: int = 10_000,
-          tol: float = 1e-3) -> tuple[CouplingReport, list[CouplingRun], MeanFieldSolution | None]:
+          curve: MeanCurve) -> tuple[CouplingReport, list[CouplingRun]]:
     """Coupled runs across network sizes at fixed population proportions.
 
-    One mean curve serves every N (the limit does not depend on N): the
-    given `curve`, or else a `solve_causal` of `m_copies` copies, which is
-    returned as the third value (None when `curve` was given).
+    One mean curve serves every N, since the limit does not depend on N.
     The sweep refuses size lists that cannot keep the proportions integral,
     fewer than two paths (no standard error) and, after the runs, fewer
     than three sizes with a positive D (no rate to fit).
@@ -132,10 +129,6 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     if sorted(set(ns)) != list(ns):
         raise ConfigError(["sweep sizes must be strictly increasing"])
     configs = [base_config.with_total_neurons(n) for n in ns]  # raises on proportion drift
-    solution = None
-    if curve is None:
-        solution = solve_causal(base_config, m_copies=m_copies, tol=tol)
-        curve = solution.curve
     d_hat, se = [], []
     runs = []
     for cfg in configs:
@@ -151,4 +144,4 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     sqrtn_d = [math.sqrt(n) * d for n, d in zip(ns, d_hat)]
     report = CouplingReport(ns=list(ns), d_hat=d_hat, se=se, sqrtn_d=sqrtn_d,
                             fit=fit, n_paths=n_paths)
-    return report, runs, solution
+    return report, runs

@@ -57,19 +57,16 @@ def _cmd_meanfield(args) -> int:
 
 def _cmd_chaos_sweep(args) -> int:
     spec = _load_spec(args.spec, "chaos-sweep")
-    if not spec.sweep_n:
-        raise ConfigError(["spec.sweep_n: chaos-sweep needs a list of network sizes"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     h = configio.config_hash(spec.config)
     if args.curve:
         curve = artifacts.read_meancurve_csv(Path(args.curve), expect_hash=h)
-        report, _, _ = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths, curve=curve)
     else:
-        report, _, solution = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths,
-                                          m_copies=spec.m_copies, tol=spec.tol)
-        artifacts.write_meancurve_csv(solution.curve, h, spec.config.seed,
-                                      out / "meancurve.csv")
+        curve = meanfield.solve_causal(spec.config, m_copies=spec.m_copies, tol=spec.tol).curve
+    report, _ = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths, curve)
+    if not args.curve:  # written only once the sweep has run, so a refused one leaves none
+        artifacts.write_meancurve_csv(curve, h, spec.config.seed, out / "meancurve.csv")
     artifacts.write_chaos_report(report, h, spec.config.seed,
                                  out / "chaos_report.csv", out / "chaos_summary.json")
     print(f"chaos-sweep: N = {report.ns}, D = "

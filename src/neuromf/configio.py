@@ -223,14 +223,6 @@ def _read_config(r: _Reader, path: str, d: dict) -> NetworkConfig | None:
 _SPECIAL = {Dist: _read_dist, Membrane: _read_membrane}
 
 
-def config_from_dict(raw: dict) -> NetworkConfig:
-    errors: list[str] = []
-    config = _read_config(_Reader(errors), "config", dict(raw))
-    if errors:
-        raise ConfigError(errors)
-    return config
-
-
 # ---------------------------------------------------------------------------
 # object -> dict
 
@@ -326,6 +318,8 @@ def parse_spec(text: str, command: str | None = None) -> ExperimentSpec:
     if spec.max_iter is not None and spec.max_iter < 1:
         r.err("spec.max_iter", "must be >= 1")
     sweep_n = spec.sweep_n
+    if spec.command == "chaos-sweep" and "sweep_n" not in raw:
+        r.err("spec.sweep_n", "chaos-sweep needs a list of network sizes")
     if sweep_n is not None and spec.config is not None:
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in sweep_n):
             r.err("spec.sweep_n", "must be a list of integers")

@@ -124,7 +124,7 @@ def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, config: NetworkConfig) -> np.nd
     return y_bar.y_bar
 
 
-def limit_config(config: NetworkConfig, m_copies: int) -> NetworkConfig:
+def _limit_config(config: NetworkConfig, m_copies: int) -> NetworkConfig:
     """A copy-ensemble layout: the same populations, `m_copies` columns each."""
     return replace(config, populations=[(p, m_copies) for p, _ in config.populations])
 
@@ -137,7 +137,7 @@ def simulate_limit_given_ybar(y_bar: MeanCurve | np.ndarray, config: NetworkConf
     the interaction differs, reading the deterministic curve.  The curve
     must live on the configuration's grid.
     """
-    return simulate(limit_config(config, m_copies), n_paths=1, path_offset=MEANFIELD_PATH_BASE,
+    return simulate(_limit_config(config, m_copies), n_paths=1, path_offset=MEANFIELD_PATH_BASE,
                     interaction=_ybar_on_grid(y_bar, config), collect_node_stats=True)
 
 
@@ -151,7 +151,7 @@ def _copy_stats(config: NetworkConfig, m_copies: int, y_bar: np.ndarray | None) 
     The copies follow the (P, n_steps + 1) curve `y_bar`, or, when it is None,
     the causal drive's curve; only their node statistics are kept.
     """
-    plan = _make_plan(limit_config(config, m_copies))
+    plan = _make_plan(_limit_config(config, m_copies))
     stats = _NodeStats(plan, ("s",))
     drive = _CausalDrive(config, stats) if y_bar is None else _CurveDrive(plan, y_bar)
     # one path is one batch at any cap: the causal drive reads every copy at node k

@@ -4,7 +4,8 @@ Paths are split into contiguous index ranges, one per worker, and every
 random value is a pure function of (seed, path index, component), so the
 assembled result is bit-identical to a single-worker run no matter how
 many processes share the work.  The worker count comes from the
-NEUROMF_WORKERS environment variable (default 1).
+NEUROMF_WORKERS environment variable (default 1), which must hold an
+integer >= 1.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .network import NetworkConfig, PathEnsemble, simulate
 
 WORKERS_ENV = "NEUROMF_WORKERS"
@@ -24,8 +26,10 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ConfigError([f"{WORKERS_ENV} = {raw!r}: must be an integer >= 1"])
+    return n
 
 
 def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
@@ -40,7 +44,7 @@ def _simulate_chunk(config: NetworkConfig, lo: int, hi: int) -> PathEnsemble:
 def simulate_paths(config: NetworkConfig, n_paths: int) -> PathEnsemble:
     """`simulate`, with paths spread across `NEUROMF_WORKERS` processes."""
     workers = min(worker_count(), n_paths)
-    if workers == 1:
+    if workers <= 1:  # no path, or one worker
         return simulate(config, n_paths=n_paths)
     from concurrent.futures import ProcessPoolExecutor  # a single worker never needs it
 

@@ -34,6 +34,7 @@ _MASK64 = (1 << 64) - 1
 MAX_PATH = 1 << 22
 MAX_COMPONENT = 1 << 16
 _BLOCK_FLAG = np.uint64(1 << 62)
+NOISE_BUDGET_BYTES = 1 << 25  # both buffer sets of a `BlockNoise`, read when one is built
 
 
 class Component(IntEnum):
@@ -117,23 +118,23 @@ class BlockNoise:
     budget and is at most an eighth of the run once that exceeds 16 steps.  Each buffer set is one
     (block, n_components, n_paths, n_cols) array.
 
-    The budget holds two buffer sets of `block` steps.  A block's fill is a
-    list of tasks, one per (component, path) stream.  While the engine
-    steps through the block in one set, a helper thread takes the next
-    block's tasks into the other; when the engine reaches that block before
-    its fill is done, it takes the remaining tasks itself and then waits
-    only for the task in flight.  The first block is filled the same way,
-    helper and engine together.  Only one block is in fill at a time and
-    each stream is drawn by one thread in step order, so every value is the
-    one a synchronous fill would give.  When the budget holds a single step
-    there is one set, filled in line by the engine with no thread.  The
-    array `step(k)` returns is a view of the current set and is valid only
-    until `step` leaves the current block: the helper thread then writes
-    into it, so holding on to one is a data race.
+    The budget, `NOISE_BUDGET_BYTES`, holds two buffer sets of `block`
+    steps.  A block's fill is a list of tasks, one per (component, path)
+    stream.  While the engine steps through the block in one set, a helper
+    thread takes the next block's tasks into the other; when the engine
+    reaches that block before its fill is done, it takes the remaining tasks
+    itself and then waits only for the task in flight.  The first block is
+    filled the same way, helper and engine together.  Only one block is in
+    fill at a time and each stream is drawn by one thread in step order, so
+    every value is the one a synchronous fill would give.  When the budget
+    holds a single step there is one set, filled in line by the engine with
+    no thread.  The array `step(k)` returns is a view of the current set and
+    is valid only until `step` leaves the current block: the helper thread
+    then writes into it, so holding on to one is a data race.
     """
 
     def __init__(self, seed: int, path_ids: list[int], components: list[int],
-                 n_cols: int, n_steps: int, max_bytes: int = 1 << 25):
+                 n_cols: int, n_steps: int):
         self.seed = int(seed)
         self.path_ids = list(path_ids)
         self.components = list(components)
@@ -143,7 +144,7 @@ class BlockNoise:
         per_step = 8 * n_streams * self.n_cols
         # two blocks span at most a quarter of the run (32 steps at least): the
         # helper has nothing to fill while the engine steps the last block
-        whole = int(min(max(1, max_bytes // max(per_step, 1)), 512, max(n_steps, 1),
+        whole = int(min(max(1, NOISE_BUDGET_BYTES // max(per_step, 1)), 512, max(n_steps, 1),
                         max(32, n_steps // 4)))
         n_sets = 2 if whole > 1 else 1
         self.block = whole // n_sets

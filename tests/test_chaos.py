@@ -14,7 +14,7 @@ from neuromf.chaos import (
     sweep,
 )
 from neuromf.errors import ConfigError
-from neuromf.meanfield import solve_fixed_point
+from neuromf.meanfield import MeanCurve, solve_causal, solve_fixed_point
 from neuromf.presets import fhn_two_pop, interaction_free
 
 
@@ -160,42 +160,50 @@ def test_coupled_se_shrinks_with_paths():
 # sweep orchestration
 
 
+def constant_curve(cfg, y=0.2) -> MeanCurve:
+    """A flat mean curve on the configuration's grid."""
+    shape = (len(cfg.populations), cfg.grid.n_steps + 1)
+    return MeanCurve(times=cfg.grid.times(), labels=cfg.labels,
+                     m_s=np.full(shape, y), y_bar=np.full(shape, y))
+
+
 def test_sweep_requires_increasing_sizes():
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)
     with pytest.raises(ConfigError):
-        sweep(cfg, [64, 16], 4, m_copies=50, tol=1e-2)
+        sweep(cfg, [64, 16], 4, constant_curve(cfg))
 
 
 def test_sweep_requires_three_sizes():
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)
     with pytest.raises(ConfigError) as exc:
-        sweep(cfg, [16, 64], 4, m_copies=50, tol=1e-2)
+        sweep(cfg, [16, 64], 4, constant_curve(cfg))
     assert "three" in str(exc.value)
 
 
 def test_sweep_needs_two_paths_before_solving(monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the sweep solved before checking n_paths")
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran a coupled pair before checking n_paths")
 
-    monkeypatch.setattr(chaos, "solve_causal", no_solve)
+    monkeypatch.setattr(chaos, "run_coupled", no_run)
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)
     with pytest.raises(ConfigError) as exc:
-        sweep(cfg, [16, 32, 64], 1, m_copies=50, tol=1e-2)
+        sweep(cfg, [16, 32, 64], 1, constant_curve(cfg))
     assert "n_paths = 1" in str(exc.value)
 
 
 def test_sweep_rejects_proportion_drift():
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)  # proportions (1/2, 1/2)
     with pytest.raises(ConfigError):
-        sweep(cfg, [16, 31, 64], 4, m_copies=50, tol=1e-2)
+        sweep(cfg, [16, 31, 64], 4, constant_curve(cfg))
 
 
 def test_sweep_shapes_and_reuse():
     cfg = fhn_two_pop(n_steps=100, t_end=1.0)
-    report, runs, sol = sweep(cfg, [8, 16, 32], 12, m_copies=300, tol=5e-3)
+    sol = solve_causal(cfg, m_copies=300, tol=5e-3)
+    report, runs = sweep(cfg, [8, 16, 32], 12, sol.curve)
     assert report.ns == [8, 16, 32]
     assert len(report.d_hat) == 3 and len(report.sqrtn_d) == 3
     assert all(q == pytest.approx(math.sqrt(n) * d)
                for n, d, q in zip(report.ns, report.d_hat, report.sqrtn_d))
-    report2, _, _ = sweep(cfg, [8, 16, 32], 12, curve=sol.curve)
+    report2, _ = sweep(cfg, [8, 16, 32], 12, sol.curve)
     assert report2.d_hat == report.d_hat  # solution reuse is deterministic

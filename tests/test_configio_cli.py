@@ -15,7 +15,6 @@ from neuromf.artifacts import read_meancurve_csv, read_meta, write_meancurve_csv
 from neuromf.configio import (
     _DIST_FIELDS,
     ExperimentSpec,
-    config_from_dict,
     config_hash,
     config_to_dict,
     parse_spec,
@@ -38,6 +37,11 @@ from neuromf.stepping import TimeGrid
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
+
+
+def read_config(d: dict) -> NetworkConfig:
+    """`d` read as the config of a spec."""
+    return parse_spec(json.dumps({"config": d})).config
 
 
 def tiny_spec_dict(**overrides) -> dict:
@@ -85,7 +89,7 @@ MINIMAL_SINGLE_POP = {
 
 def test_round_trip_fhn_and_hh():
     for cfg in (fhn_two_pop(n_steps=10, t_end=0.1), hh_two_pop(n_per_pop=2, n_steps=10, t_end=0.1)):
-        again = config_from_dict(config_to_dict(cfg))
+        again = read_config(config_to_dict(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
@@ -114,7 +118,7 @@ def test_omitted_keys_take_the_dataclass_defaults():
         pop["membrane"] = {"kind": "hh"}
         for key in ("sigmoid", "cutoff", "gates"):
             del pop[key]
-    for pop, _ in config_from_dict(hh).populations:
+    for pop, _ in read_config(hh).populations:
         assert pop.membrane == HhMembrane() and pop.membrane.i_ext == CurrentSpec()
         assert (pop.sigmoid, pop.cutoff, pop.gates) == (SigmoidParams(), CutoffSpec(), GateRates())
 
@@ -217,7 +221,7 @@ def test_labels_of_no_population_rejected_with_their_paths():
                      (law, "config.populations[0].init.j['bogus']: "
                            "no population is labelled 'bogus'")):
         with pytest.raises(ConfigError) as exc:
-            config_from_dict(d)
+            read_config(d)
         assert exc.value.errors == [error]
 
 
@@ -226,7 +230,7 @@ def test_validate_errors_use_the_spec_paths():
     d["seed"] = -3
     d["pairs"]["exc->inh"]["theta"] = 0.0
     with pytest.raises(ConfigError) as exc:
-        config_from_dict(d)
+        read_config(d)
     assert sorted(exc.value.errors) == [
         "config.pairs['exc->inh'].theta: must be > 0 for the sign-preserving variant",
         "config.seed: must be a nonnegative 63-bit integer",
@@ -360,6 +364,16 @@ def test_cli_simulate_worker_count_invariant(spec_file, tmp_path):
     assert (tmp_path / "w1/ensemble.csv").read_bytes() == (tmp_path / "w2/ensemble.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_cli_simulate_refuses_a_bad_worker_count(spec_file, tmp_path, workers):
+    r = run_cli(["simulate", "--spec", str(spec_file), "--out", "w"], tmp_path,
+                {"NEUROMF_WORKERS": workers})
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"NEUROMF_WORKERS = {workers!r}" in r.stderr
+    assert not (tmp_path / "w" / "ensemble.csv").exists()
+
+
 def test_cli_meanfield_and_curve_reuse(spec_file, tmp_path):
     r = run_cli(["meanfield", "--spec", str(spec_file), "--out", "mf"], tmp_path)
     assert r.returncode == 0, r.stderr
@@ -411,6 +425,17 @@ def test_chaos_sweep_spec_needs_two_paths(tmp_path):
     assert not (tmp_path / "cs").exists()
 
 
+def test_chaos_sweep_spec_errors_come_in_one_round():
+    spec = tiny_spec_dict(n_paths=1)
+    del spec["sweep_n"]
+    with pytest.raises(ConfigError) as exc:
+        parse_spec(json.dumps(spec), "chaos-sweep")
+    assert [e.split(":")[0] for e in exc.value.errors] == ["spec.n_paths", "spec.sweep_n"]
+    assert "list of network sizes" in exc.value.errors[1]
+    del spec["n_paths"]
+    parse_spec(json.dumps(spec), "simulate")  # only chaos-sweep needs sizes
+
+
 def test_cli_chaos_sweep_refuses_an_interaction_free_spec(tmp_path):
     # the exact coupling gives D = 0 at every size: no rate to fit
     config = interaction_free(fhn_chaos_sweep(n_per_pop=2, t_end=0.5, n_steps=50, thin=10))
@@ -422,6 +447,7 @@ def test_cli_chaos_sweep_refuses_an_interaction_free_spec(tmp_path):
     assert "Traceback" not in r.stderr
     for n in (4, 8, 16):
         assert f"D({n}) = 0" in r.stderr
+    assert not (tmp_path / "cs" / "meancurve.csv").exists()  # the curve waits for the sweep
 
 
 def test_cli_refuses_trajectories_larger_than_memory(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from neuromf.errors import ConfigError
 from neuromf.meanfield import (
     MeanCurve,
-    limit_config,
+    _limit_config,
     simulate_limit_given_ybar,
     solve_causal,
     solve_fixed_point,
@@ -122,7 +122,7 @@ def test_estimate_ms_two_sample_mean():
 
     sig = SigmoidParams(c_max=1.0, lam=1.0, v_half=0.0)
     cfg = fhn_two_pop(n_steps=4, t_end=0.04)
-    cfg = limit_config(replace(cfg, populations=[(replace(p, sigmoid=sig), n)
+    cfg = _limit_config(replace(cfg, populations=[(replace(p, sigmoid=sig), n)
                                                  for p, n in cfg.populations]), 1)
     stats = _NodeStats(_make_plan(cfg), ("s",))
     for b, value in enumerate((0.2, 0.4)):
@@ -238,7 +238,7 @@ def test_limit_single_copy_replay_simple_variant():
     cfg = fhn_two_pop(n_steps=60, t_end=0.6, conductance=Conductance.SIMPLE, sigma_j=0.3, thin=1)
     curve = np.full((2, 61), 1.0)  # saturated interaction
     ens = simulate_limit_given_ybar(curve, cfg, 1)
-    lconf = limit_config(cfg, 1)
+    lconf = _limit_config(cfg, 1)
     pop = lconf.populations[0][0]
     labels = lconf.labels
     dt = lconf.grid.dt

@@ -219,6 +219,16 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert _same_value(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_no_paths_give_an_empty_ensemble(monkeypatch, workers):
+    cfg = fhn_two_pop(n_steps=5, t_end=0.05)
+    monkeypatch.setenv("NEUROMF_WORKERS", workers)
+    got, want = simulate_paths(cfg, 0), simulate(cfg, 0)
+    assert got.data["v"].shape == (0, len(want.times), cfg.total_neurons)
+    for f in fields(want):
+        assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
 def test_thinning_keeps_endpoints():
     cfg = fhn_two_pop(n_steps=55, t_end=0.55, thin=10)
     ens = simulate(cfg, n_paths=1)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuromf.errors import SimulationDiverged
-from neuromf import network
+from neuromf import network, rng
 from neuromf.network import coupled_distance_paths, simulate
 from neuromf.presets import fhn_two_pop
 from neuromf.rng import _BLOCK_FLAG, BlockNoise, Component, block_stream
@@ -249,16 +249,19 @@ def test_block_noise_matches_flat_stream():
                 assert np.array_equal(draws[c][bi], flat[(p, c)][k])
 
 
-def test_block_noise_buffer_size_invariance():
-    a = BlockNoise(seed=3, path_ids=[0], components=[0], n_cols=5, n_steps=40, max_bytes=1 << 30)
-    b = BlockNoise(seed=3, path_ids=[0], components=[0], n_cols=5, n_steps=40, max_bytes=200)
+def test_block_noise_buffer_size_invariance(monkeypatch):
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 1 << 30)
+    a = BlockNoise(seed=3, path_ids=[0], components=[0], n_cols=5, n_steps=40)
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 200)
+    b = BlockNoise(seed=3, path_ids=[0], components=[0], n_cols=5, n_steps=40)
     assert a.block != b.block
     for k in range(40):
         assert np.array_equal(a.step(k)[0], b.step(k)[0])
 
 
-def test_block_noise_requires_step_order():
-    bn = BlockNoise(seed=3, path_ids=[0], components=[0], n_cols=4, n_steps=10, max_bytes=200)
+def test_block_noise_requires_step_order(monkeypatch):
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 200)
+    bn = BlockNoise(seed=3, path_ids=[0], components=[0], n_cols=4, n_steps=10)
     bn.step(0)
     with pytest.raises(IndexError):
         bn.step(9)
@@ -274,11 +277,11 @@ SHORT_BLOCKS = [(1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 2), (5, 2, 2)]
 
 
 @pytest.mark.parametrize("budget_steps, n_sets, block", SHORT_BLOCKS)
-def test_block_noise_short_blocks_match_flat_stream(budget_steps, n_sets, block):
+def test_block_noise_short_blocks_match_flat_stream(budget_steps, n_sets, block, monkeypatch):
     ids, comps, n_cols, n_steps = [2, 5], [0, 3], 3, 7
     per_step = 8 * len(ids) * len(comps) * n_cols
-    bn = BlockNoise(seed=17, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
-                    max_bytes=budget_steps * per_step)
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", budget_steps * per_step)
+    bn = BlockNoise(seed=17, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
     assert (len(bn._sets), bn.block) == (n_sets, block)
     flat = flat_draws(17, ids, comps, n_cols, n_steps)
     for k in range(n_steps):
@@ -295,11 +298,11 @@ MANY_BLOCKS = [([0, 3, 9], [0, 1, 4], 6), ([0, 3, 9], [0, 1, 4], 40), ([7], [2],
 
 
 @pytest.mark.parametrize("ids, comps, budget_steps", MANY_BLOCKS)
-def test_block_noise_shared_fill_matches_flat_stream(ids, comps, budget_steps):
+def test_block_noise_shared_fill_matches_flat_stream(ids, comps, budget_steps, monkeypatch):
     n_cols, n_steps = 11, 97
     per_step = 8 * len(ids) * len(comps) * n_cols
-    bn = BlockNoise(seed=23, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
-                    max_bytes=budget_steps * per_step)
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", budget_steps * per_step)
+    bn = BlockNoise(seed=23, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
     assert len(bn._sets) == 2 and n_steps / bn.block >= 4
     flat = flat_draws(23, ids, comps, n_cols, n_steps)
     for k in range(n_steps):
@@ -325,12 +328,12 @@ class _GatedGenerator:
         return self.gen.standard_normal(shape)
 
 
-def test_block_noise_engine_helps_fill_the_first_block():
+def test_block_noise_engine_helps_fill_the_first_block(monkeypatch):
     # the fill thread can take one task and then waits for the engine, so the
     # first block is ready only if the engine takes the other task itself
     ids, comps, n_cols, n_steps = [0, 1], [0], 3, 8
-    bn = BlockNoise(seed=4, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
-                    max_bytes=4 * 8 * len(ids) * n_cols)
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 4 * 8 * len(ids) * n_cols)
+    bn = BlockNoise(seed=4, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
     assert (len(bn._sets), bn.block) == (2, 2)
     engine, drew, drawers = threading.get_ident(), threading.Event(), []
     for key, gen in bn._gens.items():
@@ -344,10 +347,11 @@ def test_block_noise_engine_helps_fill_the_first_block():
 
 
 @pytest.mark.parametrize("ids, comps", [([0, 1], []), ([], [0, 1])])
-def test_block_noise_without_streams_serves_empty_steps(ids, comps):
+def test_block_noise_without_streams_serves_empty_steps(ids, comps, monkeypatch):
     # an empty task list finishes at once: no step waits on it
     before = threading.active_count()
-    bn = BlockNoise(seed=2, path_ids=ids, components=comps, n_cols=3, n_steps=20, max_bytes=8 * 3 * 4)
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 8 * 3 * 4)
+    bn = BlockNoise(seed=2, path_ids=ids, components=comps, n_cols=3, n_steps=20)
     assert len(bn._sets) == 2
     for k in range(20):
         draws = dict(zip(bn.components, bn.step(k)))
@@ -358,8 +362,8 @@ def test_block_noise_without_streams_serves_empty_steps(ids, comps):
 def test_block_noise_single_set_fills_in_line(monkeypatch):
     # one-step budget: one buffer set, filled by the engine with no thread
     ids, comps, n_cols, n_steps = [4, 6], [0, 2], 5, 9
-    bn = BlockNoise(seed=8, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
-                    max_bytes=8 * len(ids) * len(comps) * n_cols)
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 8 * len(ids) * len(comps) * n_cols)
+    bn = BlockNoise(seed=8, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
     assert (len(bn._sets), bn.block) == (1, 1)
     flat = flat_draws(8, ids, comps, n_cols, n_steps)
     started = []
@@ -378,13 +382,13 @@ def test_block_noise_single_set_fills_in_line(monkeypatch):
     assert started == []
 
 
-def test_block_noise_values_hold_under_fast_thread_switching():
+def test_block_noise_values_hold_under_fast_thread_switching(monkeypatch):
     # one-step blocks hand over a buffer set at every step; a fill that
     # wrote into the set being served would show up as a changed value
     ids, comps, n_cols, n_steps = [0, 1, 2], [0, 1], 50, 300
     flat = flat_draws(5, ids, comps, n_cols, n_steps)
-    bn = BlockNoise(seed=5, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps,
-                    max_bytes=2 * 8 * len(ids) * len(comps) * n_cols)
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 2 * 8 * len(ids) * len(comps) * n_cols)
+    bn = BlockNoise(seed=5, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
     assert bn.block == 1
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -414,9 +418,9 @@ class _FailingGenerator:
         return self.gen.standard_normal(shape)
 
 
-def test_block_noise_fill_error_reaches_the_consuming_step():
-    bn = BlockNoise(seed=3, path_ids=[0, 1], components=[0], n_cols=4, n_steps=10,
-                    max_bytes=4 * 8 * 2 * 4)
+def test_block_noise_fill_error_reaches_the_consuming_step(monkeypatch):
+    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 4 * 8 * 2 * 4)
+    bn = BlockNoise(seed=3, path_ids=[0, 1], components=[0], n_cols=4, n_steps=10)
     assert bn.block == 2
     error = FloatingPointError("generator broke")
     bn._gens[(1, 0)] = _FailingGenerator(bn._gens[(1, 0)], error)
