@@ -9,7 +9,6 @@ network converges to that limit through an exact shared-noise coupling.
 from .chaos import CouplingReport, CouplingRun, estimate_distance, fit_rate, run_coupled, sweep
 from .errors import ConfigError, SimulationDiverged, VariantMismatchError
 from .meanfield import (
-    MeanCurve,
     MeanFieldSolution,
     simulate_limit_given_ybar,
     solve_causal,
@@ -33,6 +32,7 @@ from .network import (
     Conductance,
     Dist,
     InitialLaw,
+    MeanCurve,
     NetworkConfig,
     PathEnsemble,
     population_sums,

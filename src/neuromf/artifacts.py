@@ -19,8 +19,8 @@ import numpy as np
 
 from .chaos import CouplingReport
 from .errors import ConfigError
-from .meanfield import MeanCurve, MeanFieldSolution
-from .network import PathEnsemble
+from .meanfield import MeanFieldSolution
+from .network import MeanCurve, PathEnsemble
 
 
 def _text_cell(text: str) -> str:

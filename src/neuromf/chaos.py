@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .meanfield import MeanCurve, _ybar_on_grid
-from .network import CouplingRun, NetworkConfig, coupled_distance_paths
+from .network import CouplingRun, MeanCurve, NetworkConfig, coupled_distance_paths
 
 
 # scipy.special.stdtrit(df, 0.975) for df = 1 ... 30, the two-sided 95% Student t
@@ -64,13 +63,16 @@ def run_coupled(config: NetworkConfig, ybar: MeanCurve | np.ndarray, n_paths: in
 
     The gap is taken at the first neuron of each population.
 
-    `ybar` is the converged mean-proportion curve the limit copies follow.
+    `ybar` is the converged mean-proportion curve the limit copies follow:
+    a `MeanCurve` on the configuration's grid and of its populations, in
+    order, or its (P, n_steps + 1) `y_bar` array; `coupled_distance_paths`
+    checks either form.
     Its error does not cancel from the N-trend the sweep reads: it biases
     D(N) at first order, through the cross term of the curve error with
     the path gap.  In a paired probe at the `chaos_sweep_fhn` shape, D(1024)
     moved by about -4% between curves from 1000 and 64,000 copies.
     """
-    return coupled_distance_paths(config, _ybar_on_grid(ybar, config), n_paths)
+    return coupled_distance_paths(config, ybar, n_paths)
 
 
 def estimate_distance(run: CouplingRun) -> tuple[float, float]:

@@ -16,23 +16,43 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import artifacts, chaos, configio, meanfield
 from .errors import ConfigError, SimulationDiverged
 from .model import run_population_checks
 from .network import Conductance
-from .parallel import simulate_paths
+from .parallel import simulate_paths, worker_count
+
+
+@contextmanager
+def _on_path(flag: str, path: str, action: str):
+    """An OS error on the path a flag names becomes a `ConfigError` naming both."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError([f"{flag} {path}: cannot {action}: {e.strerror or e}"]) from None
 
 
 def _load_spec(path: str, command: str) -> configio.ExperimentSpec:
-    return configio.parse_spec(Path(path).read_text(encoding="utf-8"), command=command)
+    with _on_path("--spec", path, "read the spec"):
+        text = Path(path).read_text(encoding="utf-8")
+    return configio.parse_spec(text, command=command)
+
+
+def _make_out(path: str) -> Path:
+    """The output directory, made once the command has read and checked its inputs."""
+    out = Path(path)
+    with _on_path("--out", path, "make the output directory"):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.spec, "simulate")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    worker_count()  # a bad NEUROMF_WORKERS is refused before --out exists
+    out = _make_out(args.out)
     ens = simulate_paths(spec.config, spec.n_paths)
     artifacts.write_ensemble_csv(ens, out / "ensemble.csv")
     artifacts.write_ensemble_npz(ens, out / "ensemble.npz")
@@ -43,8 +63,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_meanfield(args) -> int:
     spec = _load_spec(args.spec, "meanfield")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     sol = meanfield.solve_causal(spec.config, m_copies=spec.m_copies, tol=spec.tol)
     h = configio.config_hash(spec.config)
     artifacts.write_meancurve_csv(sol.curve, h, spec.config.seed, out / "meancurve.csv")
@@ -57,12 +76,13 @@ def _cmd_meanfield(args) -> int:
 
 def _cmd_chaos_sweep(args) -> int:
     spec = _load_spec(args.spec, "chaos-sweep")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     h = configio.config_hash(spec.config)
+    curve = None
     if args.curve:
-        curve = artifacts.read_meancurve_csv(Path(args.curve), expect_hash=h)
-    else:
+        with _on_path("--curve", args.curve, "read the mean curve"):
+            curve = artifacts.read_meancurve_csv(Path(args.curve), expect_hash=h)
+    out = _make_out(args.out)
+    if curve is None:
         curve = meanfield.solve_causal(spec.config, m_copies=spec.m_copies, tol=spec.tol).curve
     report, _ = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths, curve)
     if not args.curve:  # written only once the sweep has run, so a refused one leaves none

@@ -31,28 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
-from .network import (MEANFIELD_PATH_BASE, NetworkConfig, PathEnsemble, _CurveDrive, _drive,
-                      _make_plan, _NodeStats, simulate)
+from .network import (MEANFIELD_PATH_BASE, MeanCurve, NetworkConfig, PathEnsemble, _CurveDrive,
+                      _drive, _make_plan, _NodeStats, simulate)
 from .stepping import TimeGrid
-
-
-@dataclass
-class MeanCurve:
-    """Per-population deterministic curves on the full time grid."""
-
-    times: np.ndarray               # (n_nodes,)
-    labels: list[str]
-    m_s: np.ndarray                 # (P, n_nodes), mean sigmoid activation
-    y_bar: np.ndarray               # (P, n_nodes), mean proportion curve
-    se: np.ndarray | None = None    # (P, n_nodes), Monte Carlo SE of m_s
-
-    def __post_init__(self):
-        if self.m_s.shape != self.y_bar.shape or self.m_s.shape[1] != len(self.times):
-            raise ValueError("mean curve arrays must share the (populations, nodes) shape")
-
-    def node_distance(self, other: "MeanCurve") -> float:
-        return float(np.max(np.abs(self.y_bar - other.y_bar)))
 
 
 @dataclass
@@ -109,21 +90,6 @@ def _relaxation(m_lo: np.ndarray, m_hi: np.ndarray, rise_rate, decay_rate,
     return rate / lam, np.exp(-lam * dt)
 
 
-def _ybar_on_grid(y_bar: MeanCurve | np.ndarray, config: NetworkConfig) -> np.ndarray:
-    """The y_bar values of a curve; a `MeanCurve` must live on the
-    configuration's grid and hold its populations, in its order."""
-    if not isinstance(y_bar, MeanCurve):
-        return y_bar
-    grid = config.grid
-    if len(y_bar.times) != grid.n_steps + 1 or not np.allclose(
-            y_bar.times, grid.times(), rtol=0, atol=1e-12):
-        raise ConfigError(["mean curve grid does not match the configuration grid"])
-    if list(y_bar.labels) != config.labels:
-        raise ConfigError([f"mean curve populations {list(y_bar.labels)} do not match "
-                           f"the configuration's populations {config.labels}"])
-    return y_bar.y_bar
-
-
 def _limit_config(config: NetworkConfig, m_copies: int) -> NetworkConfig:
     """A copy-ensemble layout: the same populations, `m_copies` columns each."""
     return replace(config, populations=[(p, m_copies) for p, _ in config.populations])
@@ -134,11 +100,12 @@ def simulate_limit_given_ybar(y_bar: MeanCurve | np.ndarray, config: NetworkConf
     """M mutually independent limit copies per population, driven by y_bar.
 
     The copies are advanced by the same step kernels as the network; only
-    the interaction differs, reading the deterministic curve.  The curve
-    must live on the configuration's grid.
+    the interaction differs, reading the deterministic curve: a `MeanCurve`
+    on the configuration's grid and of its populations, in order, or its
+    (P, n_steps + 1) `y_bar` array.  `simulate` checks either form.
     """
     return simulate(_limit_config(config, m_copies), n_paths=1, path_offset=MEANFIELD_PATH_BASE,
-                    interaction=_ybar_on_grid(y_bar, config), collect_node_stats=True)
+                    interaction=y_bar, collect_node_stats=True)
 
 
 def _y0_means(config: NetworkConfig) -> np.ndarray:

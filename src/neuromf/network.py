@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import rng
 from .errors import ConfigError, SimulationDiverged
 from .model import (
     GATES,
@@ -289,16 +290,14 @@ class NetworkConfig:
             raise ConfigError(errs)
 
 
-def population_sums(y: np.ndarray, slices: Sequence[tuple[int, int]], *,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def population_sums(y: np.ndarray, slices: Sequence[tuple[int, int]]) -> np.ndarray:
     """Per-population mean of y over the neuron axis (the last one), O(N).
 
-    Returns an array of shape y.shape[:-1] + (n_populations,), into `out`
-    when given; every entry lies in [0, 1] whenever y does.  Each mean is
-    the sum `mean` takes, in its pairwise order, then the same division.
+    Returns an array of shape y.shape[:-1] + (n_populations,); every entry
+    lies in [0, 1] whenever y does.  Each mean is the sum `mean` takes, in
+    its pairwise order, then the same division.
     """
-    if out is None:
-        out = np.empty(y.shape[:-1] + (len(slices),))
+    out = np.empty(y.shape[:-1] + (len(slices),))
     for a, (lo, hi) in enumerate(slices):
         np.add.reduce(y[..., lo:hi], axis=-1, out=out[..., a])
         np.divide(out[..., a], hi - lo, out=out[..., a])
@@ -524,15 +523,16 @@ def _zero_states(plan: _Plan, n_paths: int, s: np.ndarray, j: np.ndarray | None 
     return NeuronStates(v=np.zeros((B, N)), w=np.zeros((B, N)), x=np.zeros((plan.k, B, N)), j=j, s=s)
 
 
-def _draw_initial(plan: _Plan, noise: BlockNoise, path_ids: Sequence[int], st: NeuronStates) -> None:
-    # only the streams some population draws from: each is keyed on its own
+def _draw_initial(plan: _Plan, path_ids: Sequence[int], st: NeuronStates) -> None:
+    # only the streams some population draws from: each is keyed on its own,
+    # looked up on the module, where `bench/tracer.py` counts them
     P = len(plan.pops)
     comps = [Component.INIT_V, Component.INIT_Y]
     comps += [Component.INIT_W] if plan.any_fhn else []
     comps += [Component.INIT_GATE_N, Component.INIT_GATE_M, Component.INIT_GATE_H] if plan.any_hh else []
     for b, pid in enumerate(path_ids):
-        gens = {c: noise.init_stream(pid, c) for c in comps}
-        jgens = [noise.init_stream(pid, Component.init_j(g)) for g in range(P)] if st.j is not None else []
+        gens = {c: rng.block_stream(plan.seed, pid, c) for c in comps}
+        jgens = [rng.block_stream(plan.seed, pid, Component.init_j(g)) for g in range(P)] if st.j is not None else []
         for a, (lo, hi) in enumerate(plan.slices):
             law = plan.init_laws[a]
             size = hi - lo
@@ -637,7 +637,7 @@ def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> 
 
 
 class _NetworkDrive:
-    """Each path's own per-population means of y, into a (B, P) buffer sized at the batch's first node."""
+    """Each path's own per-population means of y, (B, P)."""
 
     def __init__(self, plan: _Plan, path_offset: int, n_paths: int):
         last = path_offset + n_paths - 1
@@ -648,18 +648,28 @@ class _NetworkDrive:
                 f"where the limit copies draw their noise; network paths "
                 f"{path_offset}..{last} must stay below {MEANFIELD_PATH_BASE}")
         self.slices = plan.slices
-        self._ybar: np.ndarray | None = None
 
     def interaction(self, k: int, st: NeuronStates) -> np.ndarray:
-        if k == 0:
-            self._ybar = np.empty((len(st.y), len(self.slices)))
-        return population_sums(st.y, self.slices, out=self._ybar)
+        return population_sums(st.y, self.slices)
 
 
 class _CurveDrive:
-    """Interaction read from a fixed deterministic curve, (P, n_steps + 1) in [0, 1]."""
+    """Interaction read from a fixed deterministic curve, (P, n_steps + 1) in [0, 1].
 
-    def __init__(self, plan: _Plan, curve: np.ndarray):
+    The curve is a `MeanCurve`, which must live on the run's grid and hold
+    its populations in their order, or that curve's `y_bar` array.  Every
+    check of a fixed curve is made here, before any per-path array exists.
+    """
+
+    def __init__(self, plan: _Plan, curve: MeanCurve | np.ndarray):
+        if isinstance(curve, MeanCurve):
+            if len(curve.times) != plan.n_steps + 1 or not np.allclose(
+                    curve.times, plan.times, rtol=0, atol=1e-12):
+                raise ConfigError(["mean curve grid does not match the configuration grid"])
+            if list(curve.labels) != plan.labels:
+                raise ConfigError([f"mean curve populations {list(curve.labels)} do not match "
+                                   f"the configuration's populations {plan.labels}"])
+            curve = curve.y_bar
         curve = np.asarray(curve, dtype=float)
         if curve.shape != (len(plan.pops), plan.n_steps + 1):
             raise ConfigError([
@@ -711,7 +721,7 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers:
         pairs = [[_zero_states(plan, len(ids), s_bufs[0]) for _ in range(2)]]
         pairs += [[_zero_states(plan, len(ids), s, j=net.j) for net in pairs[0]] for s in s_bufs[1:]]
         first = pairs[0][0]
-        _draw_initial(plan, noise, ids, first)
+        _draw_initial(plan, ids, first)
         for pair in pairs[1:]:
             for name in ("v", "w", "x"):
                 np.copyto(getattr(pair[0], name), getattr(first, name))
@@ -898,16 +908,18 @@ class _NodeStats:
 
 
 def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
-             interaction=None, collect_node_stats: bool = False) -> PathEnsemble:
+             interaction: MeanCurve | np.ndarray | None = None,
+             collect_node_stats: bool = False) -> PathEnsemble:
     """Simulate `n_paths` independent realizations of the network.
 
     `interaction` selects what the synaptic interaction reads:
 
     * None: the empirical per-population means of each path, as in the
       network; path ids must then stay below `MEANFIELD_PATH_BASE`;
-    * a (P, n_steps + 1) array with values in [0, 1]: a fixed deterministic
-      curve, which is how ensembles of independent limit copies are
-      advanced.
+    * a fixed deterministic curve, which is how ensembles of independent
+      limit copies are advanced: a `MeanCurve` on the configuration's grid
+      and of its populations, in order, or a (P, n_steps + 1) `y_bar`
+      array; its values must lie in [0, 1].
 
     Either becomes the one drive the stepping loop reads (`_drive`).
 
@@ -940,96 +952,83 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# lockstep-coupled pair (finite network vs independent limit copies)
+# fixed curves and the lockstep-coupled pair (finite network vs independent limit copies)
+
+
+@dataclass
+class MeanCurve:
+    """Per-population deterministic curves on the full time grid."""
+
+    times: np.ndarray               # (n_nodes,)
+    labels: list[str]
+    m_s: np.ndarray                 # (P, n_nodes), mean sigmoid activation
+    y_bar: np.ndarray               # (P, n_nodes), mean proportion curve
+    se: np.ndarray | None = None    # (P, n_nodes), Monte Carlo SE of m_s
+
+    def __post_init__(self):
+        if self.m_s.shape != self.y_bar.shape or self.m_s.shape[1] != len(self.times):
+            raise ValueError("mean curve arrays must share the (populations, nodes) shape")
+
+    def node_distance(self, other: "MeanCurve") -> float:
+        return float(np.max(np.abs(self.y_bar - other.y_bar)))
 
 
 @dataclass
 class CouplingRun:
-    """Per-path sup distances between the network and its coupled limit copies."""
+    """Per-path sup distances between the network and its coupled limit copies.
+
+    The gap has no conductance term: in the sign-preserving variant the
+    copies read the network's own conductance arrays, so it would be zero
+    by construction, and the simple variant has no conductance state.
+    """
 
     sup_sq: np.ndarray                  # (n_paths,) sup_t sum_pops |state gap|^2 at first neurons
-    comp_sup_sq: dict[str, np.ndarray]  # per-component sup contributions: v, y, w, gates, j
+    comp_sup_sq: dict[str, np.ndarray]  # per-component sup contributions: v, y, w, gates
     max_gap_all: float                  # max over t, paths, ALL columns of |v gap|
 
 
 class _CouplingGap:
-    """Running sups of the network-copy gap, one entry per path.
-
-    Every intermediate goes into buffers sized for the batch at its first
-    node: the gaps at the representative neurons, their per-path sums and
-    one full-width array for the largest |v gap| over all columns.
-    """
+    """Running sups of the network-copy gap, one entry per path."""
 
     def __init__(self, n_paths: int, reps: np.ndarray):
         self.reps = reps
-        comps = {name: np.zeros(n_paths) for name in ("v", "y", "w", "gates", "j")}
+        comps = {name: np.zeros(n_paths) for name in ("v", "y", "w", "gates")}
         self.run = CouplingRun(sup_sq=np.zeros(n_paths), comp_sup_sq=comps, max_gap_all=0.0)
-        self._ws: SimpleNamespace | None = None
-
-    def _workspace(self, st: NeuronStates) -> SimpleNamespace:
-        (B, N), K, R = st.v.shape, len(st.x), len(self.reps)
-        P = 0 if st.j is None else len(st.j)
-        return SimpleNamespace(
-            v=np.empty((2, B, R)), x=np.empty((2, K, B, R)), w=np.empty((2, B, R)),
-            j=np.empty((2, P, B, R)), j_gap=np.empty((B, R, P)), sq=np.empty((B, R)),
-            contrib={name: np.empty(B) for name in ("v", "y", "w", "gates", "j")},
-            total=np.empty(B), full=np.empty((B, N)),
-        )
-
-    def _gap_sq(self, net: np.ndarray, copy: np.ndarray, pair: np.ndarray) -> np.ndarray:
-        """(net - copy)^2 at the representatives, in the first row of `pair`."""
-        np.take(net, self.reps, axis=-1, out=pair[0], mode="clip")  # no index is out of range
-        np.take(copy, self.reps, axis=-1, out=pair[1], mode="clip")
-        np.subtract(pair[0], pair[1], out=pair[0])
-        return np.square(pair[0], out=pair[0])
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
-        st_n, st_t = states
         if k == 0:
-            self._ws = self._workspace(st_n)
             return  # both systems start from the same draws
-        ws = self._ws
-        dx = self._gap_sq(st_n.x, st_t.x, ws.x)
-        c = ws.contrib
-        self._gap_sq(st_n.v, st_t.v, ws.v).sum(axis=1, out=c["v"])
-        dx[0].sum(axis=1, out=c["y"])
-        self._gap_sq(st_n.w, st_t.w, ws.w).sum(axis=1, out=c["w"])
-        if len(dx) > 1:
-            dg = np.add(dx[1], dx[2], out=ws.sq)
-            np.add(dg, dx[3], out=dg).sum(axis=1, out=c["gates"])
-        else:
-            c["gates"].fill(0.0)
-        if st_n.j is not None:
-            # summed over sources in (path, neuron, source) order, as stored
-            dj = self._gap_sq(st_n.j, st_t.j, ws.j)
-            np.copyto(ws.j_gap, np.moveaxis(dj, 0, -1))
-            ws.j_gap.sum(axis=-1, out=ws.sq).sum(axis=1, out=c["j"])
-        else:
-            c["j"].fill(0.0)
-        total = np.add(c["v"], c["y"], out=ws.total)
-        for name in ("w", "gates", "j"):
-            np.add(total, c[name], out=total)
+        st_n, st_t = states
+        reps = self.reps
+        dv = (st_n.v[:, reps] - st_t.v[:, reps]) ** 2
+        dx = (st_n.x[..., reps] - st_t.x[..., reps]) ** 2
+        dw = (st_n.w[:, reps] - st_t.w[:, reps]) ** 2
+        dg = (dx[1] + dx[2]) + dx[3] if len(dx) > 1 else np.zeros_like(dv)
+        contrib = {"v": dv.sum(axis=1), "y": dx[0].sum(axis=1), "w": dw.sum(axis=1),
+                   "gates": dg.sum(axis=1)}
         sup = self.run.sup_sq[rows]
-        np.maximum(sup, total, out=sup)
-        for name, value in c.items():
+        np.maximum(sup, sum(contrib.values()), out=sup)
+        for name, c in contrib.items():
             sup = self.run.comp_sup_sq[name][rows]
-            np.maximum(sup, value, out=sup)
-        gap = np.subtract(st_n.v, st_t.v, out=ws.full)
+            np.maximum(sup, c, out=sup)
+        gap = np.subtract(st_n.v, st_t.v)  # one full-width temporary
         np.abs(gap, out=gap)
         self.run.max_gap_all = max(self.run.max_gap_all, float(gap.max()))
 
 
-def coupled_distance_paths(config: NetworkConfig, ybar_curve: np.ndarray, n_paths: int) -> CouplingRun:
+def coupled_distance_paths(config: NetworkConfig, ybar_curve: MeanCurve | np.ndarray,
+                           n_paths: int) -> CouplingRun:
     """Advance the network and its copy system through shared noise.
 
     Both systems consume identical Brownian increments and identical
     initial draws; under the sign-preserving variant the copy system reads
     the very conductance paths of the network (one array, no re-draw).
-    The copy system's interaction follows `ybar_curve`, a (P, n_steps + 1)
-    curve with values in [0, 1].  The distances are
-    taken at the first neuron of each population.  Path ids run from 0 and
-    must stay below `MEANFIELD_PATH_BASE`; paths run in batches capped by
-    `MAX_BATCH_COLS`.
+    The copy system's interaction follows `ybar_curve`: a `MeanCurve` on
+    the configuration's grid and of its populations, in order, or a
+    (P, n_steps + 1) `y_bar` array, with values in [0, 1].  The distances
+    are taken at the first neuron of each population.  Path ids run from 0
+    and must stay below `MEANFIELD_PATH_BASE`; paths run in batches capped
+    by `MAX_BATCH_COLS`.
     """
     plan = _make_plan(config)
     # the drives check path ids and curve before any per-path array exists

@@ -68,7 +68,7 @@ class Component(IntEnum):
 
 
 def block_stream(seed: int, path: int, component: int) -> np.random.Generator:
-    """Stream feeding a whole (step, column) block; see module docstring."""
+    """Stream feeding a whole (step, column) block, or one path's initial draws."""
     if not 0 <= path < MAX_PATH:
         raise ValueError(f"path index {path} outside [0, {MAX_PATH})")
     if not 0 <= component < MAX_COMPONENT:
@@ -205,7 +205,3 @@ class BlockNoise:
                 raise IndexError("BlockNoise must be consumed in step order")
             self._refill(k)
         return self._buf[k - self._lo]
-
-    def init_stream(self, path: int, component: int) -> np.random.Generator:
-        """Fresh generator for the initial-condition draws of one path."""
-        return block_stream(self.seed, path, component)

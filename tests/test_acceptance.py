@@ -24,7 +24,7 @@ from neuromf.meanfield import solve_fixed_point
 from neuromf.model import eval_sigmoid
 from neuromf.network import simulate
 from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop, interaction_free
-from neuromf.rng import BlockNoise, Component
+from neuromf.rng import BlockNoise, Component, block_stream
 from neuromf.stepping import CirParams, step_cir, step_euler_confined
 
 
@@ -73,8 +73,7 @@ def test_criterion_2_closed_form_mean_proportion():
     seed = 4202
     sqrt_dt = math.sqrt(dt)
 
-    init = BlockNoise(seed, [0], [], n_paths, 0)
-    y = init.init_stream(0, Component.INIT_Y).uniform(0.05, 0.25, n_paths)
+    y = block_stream(seed, 0, Component.INIT_Y).uniform(0.05, 0.25, n_paths)
     y0_mean = 0.15
     noise = BlockNoise(seed, [0], [int(Component.Y)], n_paths, n_steps)
 

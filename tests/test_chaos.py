@@ -143,7 +143,6 @@ def test_coupled_component_structure():
     cfg = fhn_two_pop(n_steps=150, t_end=1.5)
     sol = solve_fixed_point(cfg, m_copies=400, tol=5e-3, max_iter=6)
     run = run_coupled(cfg, sol.curve, 8)
-    assert np.all(run.comp_sup_sq["j"] == 0.0)     # conductance paths shared
     assert np.all(run.comp_sup_sq["y"] <= 2.0)     # two populations, y in [0,1]
     assert np.all(run.comp_sup_sq["gates"] == 0.0)  # no gates in FHN
 

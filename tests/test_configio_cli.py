@@ -371,7 +371,33 @@ def test_cli_simulate_refuses_a_bad_worker_count(spec_file, tmp_path, workers):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert f"NEUROMF_WORKERS = {workers!r}" in r.stderr
-    assert not (tmp_path / "w" / "ensemble.csv").exists()
+    assert not (tmp_path / "w").exists()  # refused before --out is made
+
+
+# (command line, what the refusal names): "{spec}" stands for a good spec;
+# "somedir" is a directory and "taken" a file in the working directory
+BAD_PATHS = [
+    pytest.param(["simulate", "--spec", "nope.json", "--out", "o"], "--spec nope.json",
+                 id="spec_missing"),
+    pytest.param(["chaos-sweep", "--spec", "{spec}", "--out", "o", "--curve", "nope.csv"],
+                 "--curve nope.csv", id="curve_missing"),
+    pytest.param(["chaos-sweep", "--spec", "{spec}", "--out", "o", "--curve", "somedir"],
+                 "--curve somedir", id="curve_is_a_directory"),
+    pytest.param(["meanfield", "--spec", "{spec}", "--out", "taken"], "--out taken",
+                 id="out_is_a_file"),
+]
+
+
+@pytest.mark.parametrize("argv, names", BAD_PATHS)
+def test_cli_refuses_a_bad_path_before_making_the_output(spec_file, tmp_path, argv, names):
+    (tmp_path / "somedir").mkdir()
+    (tmp_path / "taken").write_text("")
+    before = sorted(tmp_path.iterdir())
+    r = run_cli([a.replace("{spec}", str(spec_file)) for a in argv], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert names in r.stderr
+    assert sorted(tmp_path.iterdir()) == before and (tmp_path / "taken").is_file()
 
 
 def test_cli_meanfield_and_curve_reuse(spec_file, tmp_path):

@@ -231,7 +231,7 @@ def test_limit_single_copy_replay_simple_variant():
     # simple-variant limit with a constant curve: rebuild one copy by hand
     # from the drift/diffusion algebra and the extracted increments
     from neuromf.network import Conductance
-    from neuromf.rng import BlockNoise, Component
+    from neuromf.rng import BlockNoise, Component, block_stream
     from neuromf.meanfield import MEANFIELD_PATH_BASE
     from neuromf.model import eval_membrane_drift, eval_sigmoid, proportion_fields, recovery_drift
 
@@ -246,10 +246,9 @@ def test_limit_single_copy_replay_simple_variant():
 
     comps = [int(Component.V), int(Component.Y), Component.j(0), Component.j(1)]
     noise = BlockNoise(lconf.seed, [MEANFIELD_PATH_BASE], comps, 2, 60)
-    init = BlockNoise(lconf.seed, [MEANFIELD_PATH_BASE], [], 2, 0)
-    v = lconf.init["exc"].v.sample(init.init_stream(MEANFIELD_PATH_BASE, Component.INIT_V), 2)[0]
-    y = lconf.init["exc"].y.sample(init.init_stream(MEANFIELD_PATH_BASE, Component.INIT_Y), 2)[0]
-    w = lconf.init["exc"].w.sample(init.init_stream(MEANFIELD_PATH_BASE, Component.INIT_W), 2)[0]
+    v = lconf.init["exc"].v.sample(block_stream(lconf.seed, MEANFIELD_PATH_BASE, Component.INIT_V), 2)[0]
+    y = lconf.init["exc"].y.sample(block_stream(lconf.seed, MEANFIELD_PATH_BASE, Component.INIT_Y), 2)[0]
+    w = lconf.init["exc"].w.sample(block_stream(lconf.seed, MEANFIELD_PATH_BASE, Component.INIT_W), 2)[0]
     for k in range(60):
         draws = dict(zip(comps, noise.step(k)))
         f = float(eval_membrane_drift(pop, k * dt, v, w))

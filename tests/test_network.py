@@ -30,6 +30,7 @@ from neuromf.network import (
     Conductance,
     Dist,
     InitialLaw,
+    MeanCurve,
     NetworkConfig,
     NeuronStates,
     coupled_distance_paths,
@@ -38,7 +39,7 @@ from neuromf.network import (
 )
 from neuromf.parallel import simulate_paths
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
-from neuromf.rng import BlockNoise, Component
+from neuromf.rng import BlockNoise, Component, block_stream
 from neuromf.stepping import CirParams, TimeGrid, step_cir, step_euler_confined
 
 
@@ -75,11 +76,6 @@ def test_population_sums_into_a_buffer_equal_the_mean_bitwise(lead, sizes, strid
     wide = gen.uniform(0.0, 1.0, lead + (2 * n + 3,))
     y = wide[..., 3:3 + 2 * n:2] if strided else np.ascontiguousarray(wide[..., :n])
     want = _mean_stack(y, slices)
-    # a strided `out` too: every other row of a wider buffer
-    out = np.full(lead + (2, len(sizes)), np.nan)[..., 0, :]
-    got = population_sums(y, slices, out=out)
-    assert got is out
-    assert want.tobytes() == np.ascontiguousarray(got).tobytes()
     assert want.tobytes() == population_sums(y, slices).tobytes()
 
 
@@ -283,9 +279,9 @@ def test_single_neuron_decoupling_oracle():
     ens = simulate(cfg, n_paths=1)
 
     # oracle: same initial draws, same increments, scalar stepping
-    v = Dist.normal(-1.2, 0.2).sample(BlockNoise(77, [0], [], 1, 0).init_stream(0, Component.INIT_V), 1)[0]
-    y = Dist.uniform(0.1, 0.2).sample(BlockNoise(77, [0], [], 1, 0).init_stream(0, Component.INIT_Y), 1)[0]
-    w = Dist.normal(-0.6, 0.1).sample(BlockNoise(77, [0], [], 1, 0).init_stream(0, Component.INIT_W), 1)[0]
+    v = Dist.normal(-1.2, 0.2).sample(block_stream(77, 0, Component.INIT_V), 1)[0]
+    y = Dist.uniform(0.1, 0.2).sample(block_stream(77, 0, Component.INIT_Y), 1)[0]
+    w = Dist.normal(-0.6, 0.1).sample(block_stream(77, 0, Component.INIT_W), 1)[0]
     comps = [int(Component.V), int(Component.Y), Component.j(0)]
     noise = BlockNoise(77, [0], comps, 1, 100)
     dt = cfg.grid.dt
@@ -400,7 +396,14 @@ def _spoilt_curve(a: int, k: int, value: float) -> np.ndarray:
     return curve
 
 
-# (curve, what the refusal names): a wrong shape, then a y_bar outside [0, 1]
+def _mean_curve(times: np.ndarray, labels: list[str]) -> MeanCurve:
+    """A varying mean curve of two populations on `times`."""
+    y_bar = 0.1 + 0.05 * np.sin(np.arange(2 * len(times)).reshape(2, -1))
+    return MeanCurve(times=times, labels=labels, m_s=np.full_like(y_bar, 0.3), y_bar=y_bar)
+
+
+# (curve, what the refusal names): a wrong shape, a y_bar outside [0, 1],
+# then a mean curve on another grid or of other populations
 BAD_CURVES = [
     pytest.param(np.zeros((2, 7)), r"interaction curve shape \(2, 7\) does not match", id="shape"),
     pytest.param(_spoilt_curve(1, 12, 1.5), r"population 'inh' is 1\.5 at node 12, outside \[0, 1\]",
@@ -408,6 +411,11 @@ BAD_CURVES = [
     pytest.param(_spoilt_curve(0, 3, -0.25), r"population 'exc' is -0\.25 at node 3, outside",
                  id="negative"),
     pytest.param(_spoilt_curve(1, 50, np.nan), r"population 'inh' is nan at node 50, outside", id="nan"),
+    pytest.param(_mean_curve(np.linspace(0.0, 1.0, 51), ["exc", "inh"]),
+                 "mean curve grid does not match the configuration grid", id="grid"),
+    pytest.param(_mean_curve(np.linspace(0.0, 0.5, 51), ["inh", "exc"]),
+                 r"mean curve populations \['inh', 'exc'\] do not match the configuration's "
+                 r"populations \['exc', 'inh'\]", id="populations"),
 ]
 
 
@@ -420,6 +428,41 @@ def test_coupled_rejects_bad_curve_shape(entry, curve, message):
             coupled_distance_paths(cfg, curve, 2)
         else:
             simulate(cfg, n_paths=2, interaction=curve)
+
+
+@pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
+def test_a_mean_curve_drives_as_its_y_bar(preset):
+    cfg = preset(n_per_pop=3, n_steps=30, t_end=0.3, thin=1)
+    curve = _mean_curve(cfg.grid.times(), cfg.labels)
+    a, b = coupled_distance_paths(cfg, curve, 3), coupled_distance_paths(cfg, curve.y_bar, 3)
+    assert np.array_equal(_bits(a.sup_sq), _bits(b.sup_sq)) and a.max_gap_all == b.max_gap_all
+    for name in a.comp_sup_sq:
+        assert np.array_equal(_bits(a.comp_sup_sq[name]), _bits(b.comp_sup_sq[name])), name
+    a, b = simulate(cfg, 3, interaction=curve), simulate(cfg, 3, interaction=curve.y_bar)
+    for name in a.data:
+        assert np.array_equal(_bits(a.data[name]), _bits(b.data[name])), name
+
+
+@pytest.mark.parametrize("conductance", list(Conductance))
+def test_coupled_copies_read_the_network_conductance_arrays(conductance, monkeypatch):
+    # the copy system steps no conductances of its own: at every node of
+    # every batch its j is the network's array itself (sign-preserving) or
+    # absent with the network's (simple), so the gap has no conductance term
+    seen = []
+
+    class Watched(network._CouplingGap):
+        def observe(self, rows, k, states):
+            net, copies = states
+            seen.append((net.j is None, copies.j is net.j))
+            super().observe(rows, k, states)
+
+    monkeypatch.setattr(network, "_CouplingGap", Watched)
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 6)  # one path per batch
+    cfg = fhn_two_pop(n_per_pop=3, n_steps=20, t_end=0.2, conductance=conductance)
+    run = coupled_distance_paths(cfg, np.full((2, 21), 0.15), 3)
+    simple = conductance is Conductance.SIMPLE
+    assert seen == [(simple, True)] * (3 * 21)
+    assert run.comp_sup_sq.keys() == {"v", "y", "w", "gates"}
 
 
 def test_coupled_no_interaction_is_exact():
@@ -435,7 +478,6 @@ def test_coupled_distance_positive_with_interaction():
     curve = np.full((2, 101), 0.15)
     res = coupled_distance_paths(cfg, curve, 3)
     assert np.all(res.sup_sq > 0.0)
-    assert np.all(res.comp_sup_sq["j"] == 0.0)  # pathwise-shared conductances
 
 
 def test_coupled_gap_is_taken_at_the_first_neuron_of_each_population():
@@ -461,7 +503,6 @@ def test_coupled_gap_is_taken_at_the_first_neuron_of_each_population():
             comp["gates"] = ((gap("n") + gap("m")) + gap("h")).sum(axis=2)
         for name, c in comp.items():
             assert np.array_equal(run.comp_sup_sq[name], c.max(axis=1)), name
-        assert not run.comp_sup_sq["j"].any()
         assert np.array_equal(run.sup_sq, sum(comp.values()).max(axis=1))
 
 

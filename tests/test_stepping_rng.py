@@ -485,8 +485,7 @@ def test_weak_order_synapse_mean_converges_with_dt():
         n_steps = int(round(t_end / dt))
         sqrt_dt = math.sqrt(dt)
         seed = 660 + i
-        y = BlockNoise(seed, [0], [], n_paths, 0).init_stream(0, Component.INIT_Y).uniform(
-            0.05, 0.25, n_paths)
+        y = block_stream(seed, 0, Component.INIT_Y).uniform(0.05, 0.25, n_paths)
         noise = BlockNoise(seed, [0], [int(Component.Y)], n_paths, n_steps)
         for k in range(n_steps):
             drift, diff = proportion_fields(pop.rise_rate * eval_sigmoid(pop.sigmoid, v_const), pop.decay_rate, y, pop.cutoff)
