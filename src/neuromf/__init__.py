@@ -39,12 +39,12 @@ from .network import (
     simulate,
 )
 from .rng import Component
-from .stepping import CirParams, TimeGrid, step_cir, step_euler_confined
+from .stepping import TimeGrid, step_cir, step_euler_confined
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CirParams", "Component", "ConfigError", "Conductance", "CouplingReport",
+    "Component", "ConfigError", "Conductance", "CouplingReport",
     "CouplingRun", "CurrentSpec", "CutoffSpec", "Dist", "FhnMembrane", "GateRates",
     "HhMembrane", "InitialLaw", "MeanCurve", "MeanFieldSolution", "NetworkConfig",
     "PairParams", "PathEnsemble", "PopulationParams", "SigmoidParams",

@@ -23,16 +23,17 @@ from . import artifacts, chaos, configio, meanfield
 from .errors import ConfigError, SimulationDiverged
 from .model import run_population_checks
 from .network import Conductance
-from .parallel import simulate_paths, worker_count
+from .parallel import simulate_paths
 
 
 @contextmanager
 def _on_path(flag: str, path: str, action: str):
-    """An OS error on the path a flag names becomes a `ConfigError` naming both."""
+    """An OS or decoding error on the path a flag names becomes a `ConfigError` naming both."""
     try:
         yield
-    except OSError as e:
-        raise ConfigError([f"{flag} {path}: cannot {action}: {e.strerror or e}"]) from None
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e  # a decoding error has no strerror
+        raise ConfigError([f"{flag} {path}: cannot {action}: {reason}"]) from None
 
 
 def _load_spec(path: str, command: str) -> configio.ExperimentSpec:
@@ -41,8 +42,18 @@ def _load_spec(path: str, command: str) -> configio.ExperimentSpec:
     return configio.parse_spec(text, command=command)
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an `--out` that is a file or lies under one."""
+    for p in (Path(path), *Path(path).parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError([f"--out {path}: cannot make the output directory: "
+                                   f"{p} is not a directory"])
+            return
+
+
 def _make_out(path: str) -> Path:
-    """The output directory, made once the command has read and checked its inputs."""
+    """The output directory, made just before the first write, so a refused command leaves none."""
     out = Path(path)
     with _on_path("--out", path, "make the output directory"):
         out.mkdir(parents=True, exist_ok=True)
@@ -51,9 +62,9 @@ def _make_out(path: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.spec, "simulate")
-    worker_count()  # a bad NEUROMF_WORKERS is refused before --out exists
-    out = _make_out(args.out)
+    _check_out(args.out)
     ens = simulate_paths(spec.config, spec.n_paths)
+    out = _make_out(args.out)
     artifacts.write_ensemble_csv(ens, out / "ensemble.csv")
     artifacts.write_ensemble_npz(ens, out / "ensemble.npz")
     print(f"simulate: {spec.n_paths} path(s), {spec.config.total_neurons} neurons, "
@@ -63,8 +74,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_meanfield(args) -> int:
     spec = _load_spec(args.spec, "meanfield")
-    out = _make_out(args.out)
+    _check_out(args.out)
     sol = meanfield.solve_causal(spec.config, m_copies=spec.m_copies, tol=spec.tol)
+    out = _make_out(args.out)
     h = configio.config_hash(spec.config)
     artifacts.write_meancurve_csv(sol.curve, h, spec.config.seed, out / "meancurve.csv")
     artifacts.write_meanfield_summary(sol, h, spec.config.seed, out / "meanfield_summary.json")
@@ -81,11 +93,12 @@ def _cmd_chaos_sweep(args) -> int:
     if args.curve:
         with _on_path("--curve", args.curve, "read the mean curve"):
             curve = artifacts.read_meancurve_csv(Path(args.curve), expect_hash=h)
-    out = _make_out(args.out)
+    _check_out(args.out)
     if curve is None:
         curve = meanfield.solve_causal(spec.config, m_copies=spec.m_copies, tol=spec.tol).curve
     report, _ = chaos.sweep(spec.config, spec.sweep_n, spec.n_paths, curve)
-    if not args.curve:  # written only once the sweep has run, so a refused one leaves none
+    out = _make_out(args.out)
+    if not args.curve:
         artifacts.write_meancurve_csv(curve, h, spec.config.seed, out / "meancurve.csv")
     artifacts.write_chaos_report(report, h, spec.config.seed,
                                  out / "chaos_report.csv", out / "chaos_summary.json")

@@ -146,7 +146,7 @@ def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float 
     Warm-starts from the interaction-free ensemble (y_bar = 0), then
     repeats simulate -> estimate m_S -> closed form until the sup-node
     gap between successive y_bar iterates drops below `tol`.  Exceeding
-    `max_iter` returns the best iterate flagged as non-converged rather
+    `max_iter` returns the last iterate flagged as non-converged rather
     than raising.
     """
     if tol <= 0:
@@ -160,7 +160,7 @@ def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float 
     while not converged and len(distances) < max_iter:
         m_s, se, _ = _copy_stats(config, m_copies, curve.y_bar)
         new_curve = _curve_from_stats(config, m_s, se)
-        distances.append(curve.node_distance(new_curve))
+        distances.append(float(np.max(np.abs(curve.y_bar - new_curve.y_bar))))
         converged = distances[-1] < tol
         curve = new_curve
     return MeanFieldSolution(curve=curve, distances=distances, converged=converged,

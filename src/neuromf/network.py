@@ -333,15 +333,18 @@ class _ColumnCurrent:
         return self.values
 
 
-@dataclass(frozen=True)
-class _RunColumns:
-    """A run's parameters in the place of one population's `PopulationParams`.
+@dataclass
+class _Run:
+    """A maximal block of adjacent populations that share a membrane variant.
 
-    Every scalar coefficient becomes a vector over the run's columns, so the
-    model functions evaluate the whole run in one call with the same
-    elementwise operations, in the same order, as population by population.
+    The run stands in for one population's `PopulationParams`: every scalar
+    coefficient becomes a vector over the run's columns, so the model
+    functions evaluate the whole run in one call with the same elementwise
+    operations, in the same order, as population by population.
     """
 
+    lo: int
+    hi: int
     label: str
     is_hh: bool
     membrane: SimpleNamespace   # FHN a, b, c, or HH conductances, reversals and i_ext
@@ -350,15 +353,6 @@ class _RunColumns:
     decay_rate: np.ndarray
     cutoff: SimpleNamespace
     gates: SimpleNamespace | None
-
-
-@dataclass
-class _Run:
-    """A maximal block of adjacent populations that share a membrane variant."""
-
-    lo: int
-    hi: int
-    pop: _RunColumns
     pairs: list[SimpleNamespace]   # per source g: v_rev, j_mean, sigma_j, theta columns
     # simple variant: the sources whose conductance noise reaches some column
     # of the run, each with the mask of those columns (None: all of them);
@@ -372,7 +366,7 @@ class _Run:
     @property
     def k(self) -> int:
         """The number of proportions the run steps: y, and the gates when HH."""
-        return 4 if self.pop.is_hh else 1
+        return 4 if self.is_hh else 1
 
 
 def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
@@ -388,13 +382,6 @@ def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
     else:
         membrane = _columns([p.membrane for p in pops], sizes, ("a", "b", "c"))
         gates = None
-    rates = _columns(pops, sizes, ("sigma_v", "rise_rate", "decay_rate"))
-    columns = _RunColumns(
-        label=", ".join(p.label for p in pops), is_hh=is_hh, membrane=membrane,
-        sigma_v=rates.sigma_v, rise_rate=rates.rise_rate, decay_rate=rates.decay_rate,
-        cutoff=_columns([p.cutoff for p in pops], sizes, ("support_lo", "support_hi", "ramp")),
-        gates=gates,
-    )
     pairs = [
         _columns([config.pairs[(p.label, lg)] for p in pops], sizes,
                  ("v_rev", "j_mean", "sigma_j", "theta"))
@@ -406,8 +393,13 @@ def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
             on = pair.sigma_j != 0.0
             if on.any():
                 j_noise[g] = None if on.all() else on
-    return _Run(lo=slices[members[0]][0], hi=slices[members[-1]][1], pop=columns,
-                pairs=pairs, j_noise=j_noise)
+    return _Run(
+        lo=slices[members[0]][0], hi=slices[members[-1]][1],
+        label=", ".join(p.label for p in pops), is_hh=is_hh, membrane=membrane,
+        **vars(_columns(pops, sizes, ("sigma_v", "rise_rate", "decay_rate"))),
+        cutoff=_columns([p.cutoff for p in pops], sizes, ("support_lo", "support_hi", "ramp")),
+        gates=gates, pairs=pairs, j_noise=j_noise,
+    )
 
 
 @dataclass
@@ -559,7 +551,7 @@ def _workspace(plan: _Plan, n_paths: int) -> SimpleNamespace:
             drift_v=np.empty((B, w)), noise_v=np.empty((B, w)),
             rates=np.empty((2, k, B, w)), fields=np.empty((2, k, B, w)),
             work=np.empty((2, k, B, w)),
-            gates=np.empty((2, 3, B, w)) if run.pop.is_hh else None,
+            gates=np.empty((2, 3, B, w)) if run.is_hh else None,
         ))
     cir = None
     if plan.cir is not None:
@@ -571,12 +563,12 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, yb
                  draws: np.ndarray, t: float, ws: SimpleNamespace) -> None:
     """The run's new v, proportions and w into `new`: one model call per field over all its columns."""
     dt, sqrt_dt = plan.dt, plan.sqrt_dt
-    pop, cols, k = run.pop, run.cols, run.k
+    cols, k = run.cols, run.k
     vs = st.v[:, cols]
     xs = st.x[:k, :, cols]
-    q = (xs[1], xs[2], xs[3]) if pop.is_hh else st.w[:, cols]
-    drift_v = eval_membrane_drift(pop, t, vs, q, out=ws.drift_v, work=ws.work[:, 0])
-    noise_v = np.multiply(pop.sigma_v, draws[0][:, cols], out=ws.noise_v)
+    q = (xs[1], xs[2], xs[3]) if run.is_hh else st.w[:, cols]
+    drift_v = eval_membrane_drift(run, t, vs, q, out=ws.drift_v, work=ws.work[:, 0])
+    noise_v = np.multiply(run.sigma_v, draws[0][:, cols], out=ws.noise_v)
     term, dv = ws.work[0, 0], ws.work[1, 0]
     j_draws = draws[plan.j_rows]
     for g, pair in enumerate(run.pairs):
@@ -596,13 +588,13 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, yb
     np.multiply(noise_v, sqrt_dt, out=noise_v)
     np.add(new_v, noise_v, out=new_v)
 
-    rho, zeta = proportion_rates(pop, vs, st.s[:, cols], out=ws.rates, work=ws.gates)
-    drift, diffusion = proportion_fields(rho, zeta, xs, pop.cutoff, out=ws.fields, work=ws.work)
+    rho, zeta = proportion_rates(run, vs, st.s[:, cols], out=ws.rates, work=ws.gates)
+    drift, diffusion = proportion_fields(rho, zeta, xs, run.cutoff, out=ws.fields, work=ws.work)
     dw = np.multiply(draws[1:1 + k, :, cols], sqrt_dt, out=ws.work[0])
     step_euler_confined(xs, drift, diffusion, dt, dw, out=new.x[:k, :, cols], work=ws.work[1])
 
-    if not pop.is_hh:
-        rd = recovery_drift(pop.membrane, vs, q, out=ws.work[0, 0], work=ws.work[1, 0])
+    if not run.is_hh:
+        rd = recovery_drift(run.membrane, vs, q, out=ws.work[0, 0], work=ws.work[1, 0])
         np.multiply(rd, dt, out=rd)
         np.add(q, rd, out=new.w[:, cols])
 
@@ -810,7 +802,7 @@ class _Storage:
         tracked = ["y"] + (list(GATES) if plan.any_hh else []) + (["j"] if sign_preserving else [])
         self.extremes = {name: (math.inf, -math.inf) for name in tracked}
         self.hh_cols = slice(None) if not (plan.any_hh and plan.any_fhn) else np.concatenate(
-            [np.arange(run.lo, run.hi) for run in plan.runs if run.pop.is_hh])
+            [np.arange(run.lo, run.hi) for run in plan.runs if run.is_hh])
         self._bounds: list[tuple[np.ndarray, np.ndarray]] = []
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
@@ -968,9 +960,6 @@ class MeanCurve:
     def __post_init__(self):
         if self.m_s.shape != self.y_bar.shape or self.m_s.shape[1] != len(self.times):
             raise ValueError("mean curve arrays must share the (populations, nodes) shape")
-
-    def node_distance(self, other: "MeanCurve") -> float:
-        return float(np.max(np.abs(self.y_bar - other.y_bar)))
 
 
 @dataclass

@@ -119,18 +119,20 @@ class BlockNoise:
     (block, n_components, n_paths, n_cols) array.
 
     The budget, `NOISE_BUDGET_BYTES`, holds two buffer sets of `block`
-    steps.  A block's fill is a list of tasks, one per (component, path)
-    stream.  While the engine steps through the block in one set, a helper
-    thread takes the next block's tasks into the other; when the engine
-    reaches that block before its fill is done, it takes the remaining tasks
-    itself and then waits only for the task in flight.  The first block is
-    filled the same way, helper and engine together.  Only one block is in
-    fill at a time and each stream is drawn by one thread in step order, so
-    every value is the one a synchronous fill would give.  When the budget
-    holds a single step there is one set, filled in line by the engine with
-    no thread.  The array `step(k)` returns is a view of the current set and
-    is valid only until `step` leaves the current block: the helper thread
-    then writes into it, so holding on to one is a data race.
+    steps, and there are always two sets, each of at least one step: a run
+    of one step, or a step wider than half the budget, gets two one-step
+    sets, which may then exceed the budget.  A block's fill is a list of
+    tasks, one per (component, path) stream.  While the engine steps
+    through the block in one set, a helper thread takes the next block's
+    tasks into the other; when the engine reaches that block before its
+    fill is done, it takes the remaining tasks itself and then waits only
+    for the task in flight.  The first block is filled the same way, helper
+    and engine together.  Only one block is in fill at a time and each
+    stream is drawn by one thread in step order, so every value is the one
+    a synchronous fill would give.  The array `step(k)` returns is a view
+    of the current set and is valid only until `step` leaves the current
+    block: the helper thread then writes into it, so holding on to one is a
+    data race.
     """
 
     def __init__(self, seed: int, path_ids: list[int], components: list[int],
@@ -146,19 +148,18 @@ class BlockNoise:
         # helper has nothing to fill while the engine steps the last block
         whole = int(min(max(1, NOISE_BUDGET_BYTES // max(per_step, 1)), 512, max(n_steps, 1),
                         max(32, n_steps // 4)))
-        n_sets = 2 if whole > 1 else 1
-        self.block = whole // n_sets
+        self.block = max(1, whole // 2)
         self._gens = {
             (p, c): block_stream(self.seed, p, c)
             for p in self.path_ids for c in self.components
         }
         self._sets = [
             np.empty((self.block, len(self.components), len(self.path_ids), self.n_cols))
-            for _ in range(n_sets)
+            for _ in range(2)
         ]
         self._buf = self._sets[0]
         self._next = 0  # the set the next block goes into
-        self._pending: tuple[_Fill, threading.Thread | None] | None = None
+        self._pending: tuple[_Fill, threading.Thread] | None = None
         self._lo = -1
         self._hi = -1
 
@@ -168,27 +169,24 @@ class BlockNoise:
             self._pending = self._start(self._sets[self._next], k0)
         fill, thread = self._pending
         fill.work()  # the engine takes the tasks the helper has not reached
-        if thread is not None:
-            thread.join()
+        thread.join()
         if fill.failure:
             raise fill.failure[0]
         self._pending = None
         self._buf = self._sets[self._next]
-        self._next = (self._next + 1) % len(self._sets)
+        self._next = 1 - self._next
         self._lo, self._hi = k0, min(k0 + self.block, self.n_steps)
-        if len(self._sets) > 1 and self._hi < self.n_steps:
+        if self._hi < self.n_steps:
             self._pending = self._start(self._sets[self._next], self._hi)
 
-    def _start(self, buf: np.ndarray, k0: int) -> tuple[_Fill, threading.Thread | None]:
-        """The fill of the block from step k0 into `buf`, a helper thread on it when there are two sets."""
+    def _start(self, buf: np.ndarray, k0: int) -> tuple[_Fill, threading.Thread]:
+        """The fill of the block from step k0 into `buf`, a helper thread on it."""
         count = min(self.block, self.n_steps - k0)
         fill = _Fill([(buf[:count, i, b, :], self._gens[(p, c)])
                       for i, c in enumerate(self.components)
                       for b, p in enumerate(self.path_ids)])
-        thread = None
-        if len(self._sets) > 1:
-            thread = threading.Thread(target=fill.work, name="neuromf-noise-fill")
-            thread.start()
+        thread = threading.Thread(target=fill.work, name="neuromf-noise-fill")
+        thread.start()
         return fill, thread
 
     def step(self, k: int) -> np.ndarray:

@@ -51,28 +51,6 @@ class TimeGrid:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class CirParams:
-    """Mean-reverting square-root conductance parameters.
-
-    j_mean = 0 (a connection switched off) degenerates to pure decay
-    toward zero and is allowed; the stepper below stays nonnegative either
-    way.
-    """
-
-    theta: float   # 1/ms
-    j_mean: float  # mS/cm^2
-    sigma_j: float
-
-    def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError("cir.theta must be > 0")
-        if self.j_mean < 0:
-            raise ValueError("cir.j_mean must be >= 0")
-        if self.sigma_j < 0:
-            raise ValueError("cir.sigma_j must be >= 0")
-
-
 def _reject_nonfinite(z: np.ndarray, *inputs: Array) -> None:
     # one pass: a sum is finite only if every entry is; when it is not, the
     # exact test tells a sum of finite entries that overflowed (numpy warns
@@ -115,14 +93,16 @@ def step_euler_confined(x: Array, drift: Array, diffusion: Array, dt: float, dw:
     return np.minimum(1.0, z, out=z)
 
 
-def step_cir(j: Array, p: CirParams, dt: float, dw: Array, *,
+def step_cir(j: Array, p, dt: float, dw: Array, *,
              out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Full-truncation Euler step of the square-root mean-reverting SDE.
 
     j' = j + theta * (j_mean - j+) dt + sigma_j * sqrt(j+) dW, then
     projected onto [0, inf).  The diffusion vanishes at 0, so truncation
-    only trims O(dt) overshoot.  The parameters may be arrays that
-    broadcast against j; `out` and `work` are as in `step_euler_confined`.
+    only trims O(dt) overshoot.  `p` is a pair's `PairParams`, or any
+    record of `theta`, `j_mean` and `sigma_j` arrays that broadcast against
+    j, as the engine passes per column; `out` and `work` are as in
+    `step_euler_confined`.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")

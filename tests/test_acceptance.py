@@ -21,11 +21,11 @@ from conftest import package_env
 from neuromf.chaos import estimate_distance, fit_rate, run_coupled
 from neuromf.configio import config_to_dict
 from neuromf.meanfield import solve_fixed_point
-from neuromf.model import eval_sigmoid
+from neuromf.model import PairParams, eval_sigmoid
 from neuromf.network import simulate
 from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import BlockNoise, Component, block_stream
-from neuromf.stepping import CirParams, step_cir, step_euler_confined
+from neuromf.stepping import step_cir, step_euler_confined
 
 
 def report(num: int, name: str, passed: bool, detail: str, t0: float) -> None:
@@ -103,7 +103,7 @@ def test_criterion_2_closed_form_mean_proportion():
 
 def test_criterion_3_cir_mean_oracle():
     t0 = time.time()
-    p = CirParams(theta=0.5, j_mean=1.0, sigma_j=0.2)
+    p = PairParams(v_rev=0.0, theta=0.5, j_mean=1.0, sigma_j=0.2)
     j0, n_paths, n_steps, dt = 0.5, 100_000, 1000, 0.01
     sqrt_dt = math.sqrt(dt)
     noise = BlockNoise(777, [0], [Component.j(0)], n_paths, n_steps)

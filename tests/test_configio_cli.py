@@ -1,6 +1,7 @@
 """Spec parsing, serialization round trips, CLI commands, artifact contracts."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -31,8 +32,9 @@ from neuromf.model import (
     PopulationParams,
     SigmoidParams,
 )
-from neuromf.network import InitialLaw, NetworkConfig
+from neuromf.network import Dist, InitialLaw, NetworkConfig
 from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop, interaction_free
+from neuromf.rng import Component, block_stream
 from neuromf.stepping import TimeGrid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -92,6 +94,51 @@ def test_round_trip_fhn_and_hh():
         again = read_config(config_to_dict(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+
+BETA = {"kind": "beta", "alpha": 2.0, "beta": 5.0}
+LOGNORMAL = {"kind": "lognormal", "mu": -1.0, "sigma": 0.5}
+
+
+def laws_dict(y: dict = BETA) -> dict:
+    """The HH preset's config, population 0 with law `y`, beta gates and lognormal conductances."""
+    d = config_to_dict(hh_two_pop(n_per_pop=2, n_steps=10, t_end=0.1))
+    init = d["populations"][0]["init"]
+    init.update(y=y, n=BETA, m=BETA, h=BETA)
+    init["j"] = {label: LOGNORMAL for label in init["j"]}
+    return d
+
+
+def test_beta_and_lognormal_laws_round_trip():
+    cfg = read_config(laws_dict())
+    law = cfg.init[cfg.labels[0]]
+    assert law.y == law.n == Dist("beta", 2.0, 5.0)
+    assert set(law.j.values()) == {Dist("lognormal", -1.0, 0.5)}
+    again = read_config(config_to_dict(cfg))
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
+
+
+def test_lognormal_law_refused_for_a_proportion():
+    with pytest.raises(ConfigError) as exc:
+        read_config(laws_dict(y=LOGNORMAL))
+    assert exc.value.errors == ["config.populations[0].init.y: support must lie in [0, 1]"]
+
+
+@pytest.mark.parametrize("shapes", [(0.0, 5.0), (2.0, -1.0)])
+def test_beta_law_needs_positive_shapes(shapes):
+    bad = {"kind": "beta", "alpha": shapes[0], "beta": shapes[1]}
+    with pytest.raises(ConfigError) as exc:
+        read_config(laws_dict(y=bad))
+    assert exc.value.errors == [
+        "config.populations[0].init.y: beta: both shape parameters must be > 0"]
+
+
+def test_beta_and_lognormal_sample_means_match():
+    law = read_config(laws_dict()).init["exc"]
+    for dist, component in ((law.y, Component.INIT_Y), (law.j["inh"], Component.init_j(1))):
+        x = dist.sample(block_stream(31, 0, component), 20_000)
+        assert abs(x.mean() - dist.mean()) <= 4.0 * x.std(ddof=1) / math.sqrt(x.size), dist.kind
 
 
 def test_minimal_spec_fills_documented_defaults():
@@ -375,7 +422,8 @@ def test_cli_simulate_refuses_a_bad_worker_count(spec_file, tmp_path, workers):
 
 
 # (command line, what the refusal names): "{spec}" stands for a good spec;
-# "somedir" is a directory and "taken" a file in the working directory
+# "somedir" is a directory, "taken" a file, and "latin.json" and
+# "latin.csv" files with a label written as Latin-1, in the working directory
 BAD_PATHS = [
     pytest.param(["simulate", "--spec", "nope.json", "--out", "o"], "--spec nope.json",
                  id="spec_missing"),
@@ -385,6 +433,15 @@ BAD_PATHS = [
                  "--curve somedir", id="curve_is_a_directory"),
     pytest.param(["meanfield", "--spec", "{spec}", "--out", "taken"], "--out taken",
                  id="out_is_a_file"),
+    pytest.param(["simulate", "--spec", "{spec}", "--out", "taken/sub"],
+                 "--out taken/sub: cannot make the output directory: taken is not a directory",
+                 id="out_under_a_file"),
+    pytest.param(["meanfield", "--spec", "latin.json", "--out", "o"],
+                 "--spec latin.json: cannot read the spec: 'utf-8' codec can't decode",
+                 id="spec_not_utf8"),
+    pytest.param(["chaos-sweep", "--spec", "{spec}", "--out", "o", "--curve", "latin.csv"],
+                 "--curve latin.csv: cannot read the mean curve: 'utf-8' codec can't decode",
+                 id="curve_not_utf8"),
 ]
 
 
@@ -392,6 +449,9 @@ BAD_PATHS = [
 def test_cli_refuses_a_bad_path_before_making_the_output(spec_file, tmp_path, argv, names):
     (tmp_path / "somedir").mkdir()
     (tmp_path / "taken").write_text("")
+    (tmp_path / "latin.json").write_bytes('{"config": {"label": "exé_a"}}'.encode("latin-1"))
+    (tmp_path / "latin.csv").write_bytes(
+        "# seed=1\ntime_ms,population,m_s,y_bar,se\n0.0,exé_a,0.2,0.1,0.0\n".encode("latin-1"))
     before = sorted(tmp_path.iterdir())
     r = run_cli([a.replace("{spec}", str(spec_file)) for a in argv], tmp_path)
     assert r.returncode == 2, r.stderr
@@ -473,7 +533,7 @@ def test_cli_chaos_sweep_refuses_an_interaction_free_spec(tmp_path):
     assert "Traceback" not in r.stderr
     for n in (4, 8, 16):
         assert f"D({n}) = 0" in r.stderr
-    assert not (tmp_path / "cs" / "meancurve.csv").exists()  # the curve waits for the sweep
+    assert not (tmp_path / "cs").exists()  # --out waits for the sweep
 
 
 def test_cli_refuses_trajectories_larger_than_memory(tmp_path):
@@ -488,7 +548,7 @@ def test_cli_refuses_trajectories_larger_than_memory(tmp_path):
     for name in ("spec.n_paths = 2000000", "spec.config.thin = 1",
                  "spec.config.grid.n_steps = 100000", f"store {8 * 5 * 2_000_000 * 100_001 * 1024} bytes"):
         assert name in r.stderr
-    assert not (tmp_path / "big" / "ensemble.csv").exists()
+    assert not (tmp_path / "big").exists()
 
 
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
@@ -567,6 +627,23 @@ def test_cli_refuses_a_curve_of_other_populations(spec_file, tmp_path):
     assert "Traceback" not in r.stderr
     assert ("mean curve populations ['nobody', 'inh'] do not match "
             "the configuration's populations ['exc', 'inh']") in r.stderr
+    assert not (tmp_path / "cs").exists()
+
+
+def test_cli_refuses_a_curve_on_another_grid(spec_file, tmp_path):
+    # the right hash and populations, but every node at twice its time
+    cfg = parse_spec(spec_file.read_text()).config
+    n_nodes = cfg.grid.n_steps + 1
+    curve = MeanCurve(times=2.0 * cfg.grid.times(), labels=cfg.labels,
+                      m_s=np.full((2, n_nodes), 0.2), y_bar=np.full((2, n_nodes), 0.1))
+    path = tmp_path / "meancurve.csv"
+    write_meancurve_csv(curve, config_hash(cfg), cfg.seed, path)
+    r = run_cli(["chaos-sweep", "--spec", str(spec_file), "--out", "cs", "--curve", str(path)],
+                tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "mean curve grid does not match the configuration grid" in r.stderr
+    assert not (tmp_path / "cs").exists()
 
 
 def test_cli_refuses_a_curve_outside_the_unit_interval(spec_file, tmp_path):
@@ -584,6 +661,7 @@ def test_cli_refuses_a_curve_outside_the_unit_interval(spec_file, tmp_path):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert "interaction curve y_bar of population 'inh' is 1.5 at node 3, outside [0, 1]" in r.stderr
+    assert not (tmp_path / "cs").exists()
 
 
 def test_cli_error_reporting_is_complete(tmp_path):

@@ -40,7 +40,7 @@ from neuromf.network import (
 from neuromf.parallel import simulate_paths
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import BlockNoise, Component, block_stream
-from neuromf.stepping import CirParams, TimeGrid, step_cir, step_euler_confined
+from neuromf.stepping import TimeGrid, step_cir, step_euler_confined
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +610,7 @@ def _reference_step(cfg: NetworkConfig, st: NeuronStates, ybar, draws, t: float)
         if sign_preserving:
             for g, lg in enumerate(cfg.labels):
                 pair = cfg.pairs[(pop.label, lg)]
-                cir = CirParams(theta=pair.theta, j_mean=pair.j_mean, sigma_j=pair.sigma_j)
-                j[g, :, lo:hi] = step_cir(st.j[g, :, lo:hi], cir, dt, draws[Component.j(g)][:, lo:hi] * sqrt_dt)
+                j[g, :, lo:hi] = step_cir(st.j[g, :, lo:hi], pair, dt, draws[Component.j(g)][:, lo:hi] * sqrt_dt)
     return _states(out, j)
 
 

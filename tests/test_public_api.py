@@ -14,12 +14,12 @@ from neuromf.meanfield import MeanFieldSolution
 REMOVED = {
     "neuromf.rng": ["RngStreamKey", "gaussian_increments", "MAX_NEURON", "StepDraws",
                     "BlockNoise.init_stream"],
-    "neuromf.stepping": ["step_euler_free"],
+    "neuromf.stepping": ["step_euler_free", "CirParams"],
     "neuromf.model": ["synapse_drift", "synapse_diffusion", "gate_drift", "gate_diffusion",
                       "eval_gate_rates", "gate_fields", "synapse_fields"],
     "neuromf.network": ["step_network_simple", "step_network_sign_preserving", "CoupledPaths",
                         "step_network", "draw_initial_states", "network_noise",
-                        "Dist.lognormal", "Dist.beta"],
+                        "Dist.lognormal", "Dist.beta", "MeanCurve.node_distance"],
     "neuromf.meanfield": ["estimate_ms", "wasserstein2_marginal", "limit_config"],
     "neuromf.chaos": ["marginal_chaos_check", "MarginalCheck"],
     "neuromf.configio": ["config_from_dict"],
@@ -77,7 +77,7 @@ def public_surface() -> tuple[int, int]:
 
 def test_public_surface_count():
     # retired or added surface moves these numbers; change them on purpose only
-    assert public_surface() == (64, 149)
+    assert public_surface() == (63, 148)
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -1,9 +1,11 @@
 """Step kernels and the keyed noise streams."""
 
+import ast
 import math
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuromf.errors import SimulationDiverged
+from neuromf.model import PairParams
 from neuromf import network, rng
 from neuromf.network import coupled_distance_paths, simulate
 from neuromf.presets import fhn_two_pop
 from neuromf.rng import _BLOCK_FLAG, BlockNoise, Component, block_stream
-from neuromf.stepping import CirParams, TimeGrid, step_cir, step_euler_confined
+from neuromf.stepping import TimeGrid, step_cir, step_euler_confined
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -124,7 +127,7 @@ def test_finite_checks_pass_finite_inputs_whose_sum_overflows():
 # square-root mean-reverting step
 
 
-CIR = CirParams(theta=0.5, j_mean=1.0, sigma_j=0.2)
+CIR = PairParams(v_rev=0.0, theta=0.5, j_mean=1.0, sigma_j=0.2)
 
 
 def test_cir_fixed_point():
@@ -231,6 +234,26 @@ def test_key_range_validation():
         Component.j(8)
 
 
+# numpy's random generators and bit generators, and its legacy global state
+_RANDOM_BUILDERS = {"Generator", "default_rng", "Philox", "PCG64", "PCG64DXSM", "MT19937",
+                    "SFC64", "SeedSequence", "RandomState", "BitGenerator"}
+
+
+def test_only_rng_builds_random_generators():
+    # one noise-addressing scheme: every random source is a keyed `rng` stream
+    package = Path(rng.__file__).parent
+    builders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.split(".")[-1] in _RANDOM_BUILDERS or ".random." in f".{name}":
+                    builders.append(f"{path.name}:{node.lineno} {name}")
+    assert builders == []
+
+
 # ---------------------------------------------------------------------------
 # block noise buffer
 
@@ -273,7 +296,7 @@ def flat_draws(seed, path_ids, components, n_cols, n_steps):
 
 
 # (budget in steps, expected buffer sets, expected block length)
-SHORT_BLOCKS = [(1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 2), (5, 2, 2)]
+SHORT_BLOCKS = [(1, 2, 1), (2, 2, 1), (3, 2, 1), (4, 2, 2), (5, 2, 2)]
 
 
 @pytest.mark.parametrize("budget_steps, n_sets, block", SHORT_BLOCKS)
@@ -357,29 +380,6 @@ def test_block_noise_without_streams_serves_empty_steps(ids, comps, monkeypatch)
         draws = dict(zip(bn.components, bn.step(k)))
         assert all(draws[c].shape == (len(ids), 3) for c in comps)
     assert threading.active_count() == before
-
-
-def test_block_noise_single_set_fills_in_line(monkeypatch):
-    # one-step budget: one buffer set, filled by the engine with no thread
-    ids, comps, n_cols, n_steps = [4, 6], [0, 2], 5, 9
-    monkeypatch.setattr(rng, "NOISE_BUDGET_BYTES", 8 * len(ids) * len(comps) * n_cols)
-    bn = BlockNoise(seed=8, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
-    assert (len(bn._sets), bn.block) == (1, 1)
-    flat = flat_draws(8, ids, comps, n_cols, n_steps)
-    started = []
-    real_thread = threading.Thread
-
-    def spy(*args, **kwargs):
-        started.append(kwargs.get("name"))
-        return real_thread(*args, **kwargs)
-
-    monkeypatch.setattr(threading, "Thread", spy)
-    for k in range(n_steps):
-        draws = dict(zip(bn.components, bn.step(k)))
-        for c in comps:
-            for b, p in enumerate(ids):
-                assert np.array_equal(draws[c][b], flat[(p, c)][k])
-    assert started == []
 
 
 def test_block_noise_values_hold_under_fast_thread_switching(monkeypatch):
