@@ -300,7 +300,8 @@ def parse_spec(text: str, command: str | None = None) -> ExperimentSpec:
     spec = ExperimentSpec(**r.kwargs("spec", ExperimentSpec, d, config=config))
     if spec.command is not None and spec.command not in COMMANDS:
         r.err("spec.command", f"must be one of {list(COMMANDS)}")
-    if command is not None:
+    # `validate` checks a spec by the rules of the command it names
+    if command is not None and not (command == "validate" and spec.command is not None):
         if spec.command is not None and spec.command != command:
             r.err("spec.command", f"spec says {spec.command!r} but the CLI invoked {command!r}")
         spec.command = command

@@ -353,7 +353,6 @@ class _Run:
     decay_rate: np.ndarray
     cutoff: SimpleNamespace
     gates: SimpleNamespace | None
-    pairs: list[SimpleNamespace]   # per source g: v_rev, j_mean, sigma_j, theta columns
     # simple variant: the sources whose conductance noise reaches some column
     # of the run, each with the mask of those columns (None: all of them);
     # a column with sigma_j = 0 gets no term at all, not a signed zero
@@ -369,10 +368,11 @@ class _Run:
         return 4 if self.is_hh else 1
 
 
-def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
+def _make_run(config: NetworkConfig, members: list[int], pairs: SimpleNamespace) -> _Run:
     pops = [config.populations[a][0] for a in members]
     sizes = [config.populations[a][1] for a in members]
     slices = config.population_slices()
+    lo, hi = slices[members[0]][0], slices[members[-1]][1]
     is_hh = pops[0].is_hh
     if is_hh:
         membrane = _columns([p.membrane for p in pops], sizes,
@@ -382,23 +382,17 @@ def _make_run(config: NetworkConfig, members: list[int]) -> _Run:
     else:
         membrane = _columns([p.membrane for p in pops], sizes, ("a", "b", "c"))
         gates = None
-    pairs = [
-        _columns([config.pairs[(p.label, lg)] for p in pops], sizes,
-                 ("v_rev", "j_mean", "sigma_j", "theta"))
-        for lg in config.labels
-    ]
     j_noise = {}
     if config.conductance is Conductance.SIMPLE:
-        for g, pair in enumerate(pairs):
-            on = pair.sigma_j != 0.0
+        for g, sigma_j in enumerate(pairs.sigma_j[:, 0, lo:hi]):
+            on = sigma_j != 0.0
             if on.any():
                 j_noise[g] = None if on.all() else on
     return _Run(
-        lo=slices[members[0]][0], hi=slices[members[-1]][1],
-        label=", ".join(p.label for p in pops), is_hh=is_hh, membrane=membrane,
+        lo=lo, hi=hi, label=", ".join(p.label for p in pops), is_hh=is_hh, membrane=membrane,
         **vars(_columns(pops, sizes, ("sigma_v", "rise_rate", "decay_rate"))),
         cutoff=_columns([p.cutoff for p in pops], sizes, ("support_lo", "support_hi", "ramp")),
-        gates=gates, pairs=pairs, j_noise=j_noise,
+        gates=gates, j_noise=j_noise,
     )
 
 
@@ -411,7 +405,9 @@ class _Plan:
     conductance: Conductance
     runs: list[_Run]
     sigmoid: SimpleNamespace   # every column's sigmoid parameters
-    cir: SimpleNamespace | None  # sign-preserving: theta, j_mean, sigma_j, each (P, 1, n_cols)
+    # every column's pair constants v_rev, j_mean, sigma_j and theta, each
+    # (P, 1, n_cols): row g holds the pairs whose source is population g
+    pairs: SimpleNamespace
     any_hh: bool
     any_fhn: bool
     k: int                     # proportions per column: y, and the gates when some population is HH
@@ -434,7 +430,13 @@ def _make_plan(config: NetworkConfig) -> _Plan:
     config.validate_or_raise()
     pops = [p for p, _ in config.populations]
     P = len(pops)
-    runs = [_make_run(config, list(members))
+    labels = config.labels
+    pairs = SimpleNamespace(**{
+        name: np.repeat(np.array([[getattr(config.pairs[(a, g)], name) for a in labels] for g in labels],
+                                 dtype=float), config.sizes, axis=1)[:, None, :]
+        for name in ("v_rev", "j_mean", "sigma_j", "theta")
+    })
+    runs = [_make_run(config, list(members), pairs)
             for _, members in groupby(range(P), key=lambda a: pops[a].is_hh)]
     any_hh = any(p.is_hh for p in pops)
     # V first, then the proportions next to each other: one slice per step
@@ -442,22 +444,15 @@ def _make_plan(config: NetworkConfig) -> _Plan:
     if any_hh:
         comps += [int(Component.GATE_N), int(Component.GATE_M), int(Component.GATE_H)]
     comps += [Component.j(g) for g in range(P)]
-    cir = None
-    if config.conductance is Conductance.SIGN_PRESERVING:
-        cir = SimpleNamespace(**{
-            name: np.stack([np.concatenate([getattr(run.pairs[g], name) for run in runs])
-                            for g in range(P)])[:, None, :]
-            for name in ("theta", "j_mean", "sigma_j")
-        })
     return _Plan(
         pops=pops,
-        labels=config.labels,
+        labels=labels,
         slices=config.population_slices(),
         n_cols=config.total_neurons,
         conductance=config.conductance,
         runs=runs,
         sigmoid=_columns([p.sigmoid for p in pops], config.sizes, ("c_max", "lam", "v_half")),
-        cir=cir,
+        pairs=pairs,
         any_hh=any_hh,
         any_fhn=not all(p.is_hh for p in pops),
         k=4 if any_hh else 1,
@@ -553,9 +548,8 @@ def _workspace(plan: _Plan, n_paths: int) -> SimpleNamespace:
             work=np.empty((2, k, B, w)),
             gates=np.empty((2, 3, B, w)) if run.is_hh else None,
         ))
-    cir = None
-    if plan.cir is not None:
-        cir = np.empty((2, len(plan.pops), B, plan.n_cols))
+    sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
+    cir = np.empty((2, len(plan.pops), B, plan.n_cols)) if sign_preserving else None
     return SimpleNamespace(runs=runs, cir=cir)
 
 
@@ -571,13 +565,15 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, yb
     noise_v = np.multiply(run.sigma_v, draws[0][:, cols], out=ws.noise_v)
     term, dv = ws.work[0, 0], ws.work[1, 0]
     j_draws = draws[plan.j_rows]
-    for g, pair in enumerate(run.pairs):
-        np.subtract(vs, pair.v_rev, out=dv)
-        np.multiply(dv, pair.j_mean if st.j is None else st.j[g][:, cols], out=term)
+    p = plan.pairs  # views of the run's columns, (P, 1, w) each
+    v_rev, j_mean, sigma_j = p.v_rev[..., cols], p.j_mean[..., cols], p.sigma_j[..., cols]
+    for g in range(len(plan.pops)):
+        np.subtract(vs, v_rev[g], out=dv)
+        np.multiply(dv, j_mean[g] if st.j is None else st.j[g][:, cols], out=term)
         np.multiply(term, ybars[g], out=term)
         np.subtract(drift_v, term, out=drift_v)
         if g in run.j_noise:
-            np.multiply(dv, pair.sigma_j, out=term)
+            np.multiply(dv, sigma_j[g], out=term)
             np.multiply(term, ybars[g], out=term)
             np.multiply(term, j_draws[g][:, cols], out=term)
             mask = run.j_noise[g]
@@ -614,7 +610,7 @@ def _advance(plan: _Plan, st: NeuronStates, new: NeuronStates, ybar: np.ndarray,
         _advance_run(plan, run, st, new, ybars, draws, t, run_ws)
     if step_j and st.j is not None:
         dw = np.multiply(draws[plan.j_rows], plan.sqrt_dt, out=ws.cir[0])
-        step_cir(st.j, plan.cir, plan.dt, dw, out=new.j, work=ws.cir[1])
+        step_cir(st.j, plan.pairs, plan.dt, dw, out=new.j, work=ws.cir[1])
 
 
 def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> None:
@@ -763,16 +759,27 @@ class PathEnsemble:
         return self.data["v"].shape[0]
 
 
-def _check_fits(n_bytes: int, n_paths: int, thin: int, n_steps: int) -> None:
-    """Refuse, before anything is allocated, trajectories larger than physical memory."""
+def _stored(plan: _Plan, thin: int) -> tuple[list[int], list[str]]:
+    """The nodes stored, every `thin`-th and the last, and the components stored at each."""
+    idx = list(range(0, plan.n_steps + 1, thin))
+    if idx[-1] != plan.n_steps:
+        idx.append(plan.n_steps)
+    return idx, ["v", "y"] + (["w"] if plan.any_fhn else []) + (list(GATES) if plan.any_hh else [])
+
+
+def _check_fits(plan: _Plan, thin: int, n_paths: int) -> None:
+    """Refuse, before anything is allocated, trajectories of `n_paths` larger than physical memory."""
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
         return
+    idx, names = _stored(plan, thin)
+    arrays = len(names) + (len(plan.pops) if plan.conductance is Conductance.SIGN_PRESERVING else 0)
+    n_bytes = 8 * arrays * n_paths * len(idx) * plan.n_cols
     if n_bytes > limit:
         raise ConfigError([
             f"spec.n_paths = {n_paths}, spec.config.thin = {thin} and "
-            f"spec.config.grid.n_steps = {n_steps} store {n_bytes} bytes of trajectories, "
+            f"spec.config.grid.n_steps = {plan.n_steps} store {n_bytes} bytes of trajectories, "
             f"more than the {limit} bytes of physical memory"
         ])
 
@@ -786,17 +793,13 @@ class _Storage:
     """
 
     def __init__(self, plan: _Plan, thin: int, n_paths: int):
-        idx = list(range(0, plan.n_steps + 1, thin))
-        if idx[-1] != plan.n_steps:
-            idx.append(plan.n_steps)
+        _check_fits(plan, thin, n_paths)
+        idx, names = _stored(plan, thin)
         self.steps = np.asarray(idx, dtype=int)
         self.slots = {k: i for i, k in enumerate(idx)}
         self.last = plan.n_steps
-        names = ["v", "y"] + (["w"] if plan.any_fhn else []) + (list(GATES) if plan.any_hh else [])
         shape = (n_paths, len(idx), plan.n_cols)
         sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
-        arrays = len(names) + (len(plan.pops) if sign_preserving else 0)
-        _check_fits(8 * arrays * math.prod(shape), n_paths, thin, plan.n_steps)
         self.data = {name: np.empty(shape) for name in names}
         self.j = np.empty(shape + (len(plan.pops),)) if sign_preserving else None
         tracked = ["y"] + (list(GATES) if plan.any_hh else []) + (["j"] if sign_preserving else [])

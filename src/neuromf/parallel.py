@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError
-from .network import NetworkConfig, PathEnsemble, simulate
+from .network import NetworkConfig, PathEnsemble, _check_fits, _make_plan, simulate
 
 WORKERS_ENV = "NEUROMF_WORKERS"
 
@@ -48,6 +48,8 @@ def simulate_paths(config: NetworkConfig, n_paths: int) -> PathEnsemble:
         return simulate(config, n_paths=n_paths)
     from concurrent.futures import ProcessPoolExecutor  # a single worker never needs it
 
+    # the whole ensemble, which the parent assembles, must fit, not each worker's share
+    _check_fits(_make_plan(config), config.thin, n_paths)
     ranges = _chunk_ranges(n_paths, workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_simulate_chunk, [config] * len(ranges),

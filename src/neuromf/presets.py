@@ -8,6 +8,9 @@ models.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Callable
+
 from .model import (
     CurrentSpec,
     CutoffSpec,
@@ -22,12 +25,11 @@ from .network import Conductance, Dist, InitialLaw, NetworkConfig
 from .stepping import TimeGrid
 
 
-def _fhn_population(label: str, sigma_v: float = 0.2, lam: float = 2.0,
-                    v_half: float = -1.0) -> PopulationParams:
+def _fhn_population(label: str, lam: float = 2.0, v_half: float = -1.0) -> PopulationParams:
     return PopulationParams(
         label=label,
         membrane=FhnMembrane(a=0.7, b=0.8, c=0.08),
-        sigma_v=sigma_v,
+        sigma_v=0.2,
         rise_rate=1.1,
         decay_rate=0.19,
         sigmoid=SigmoidParams(c_max=1.0, lam=lam, v_half=v_half),
@@ -35,17 +37,39 @@ def _fhn_population(label: str, sigma_v: float = 0.2, lam: float = 2.0,
     )
 
 
-def _fhn_init(labels: list[str], j_means: dict[str, float],
-              conductance: Conductance) -> InitialLaw:
-    j = None
-    if conductance is Conductance.SIGN_PRESERVING:
-        j = {l: Dist.const(j_means[l]) for l in labels}
-    return InitialLaw(
-        v=Dist.normal(-1.2, 0.2),
-        y=Dist.uniform(0.05, 0.25),
-        w=Dist.normal(-0.62, 0.1),
-        j=j,
+def _hh_population(label: str, i_ext: float) -> PopulationParams:
+    return PopulationParams(
+        label=label,
+        membrane=HhMembrane(i_ext=CurrentSpec(kind="const", amplitude=i_ext)),
+        sigma_v=1.0,
+        rise_rate=1.1,
+        decay_rate=0.19,
+        sigmoid=SigmoidParams(c_max=1.0, lam=0.2, v_half=-40.0),
+        cutoff=CutoffSpec(),
+        gates=GateRates(),
     )
+
+
+_FHN_LAW = InitialLaw(v=Dist.normal(-1.2, 0.2), y=Dist.uniform(0.05, 0.25), w=Dist.normal(-0.62, 0.1))
+
+
+def _two_pop(pops: tuple[PopulationParams, PopulationParams], n_per_pop: int,
+             pair: Callable[[str, str], PairParams], law: InitialLaw, conductance: Conductance,
+             grid: TimeGrid, seed: int, thin: int) -> NetworkConfig:
+    """Two populations of `n_per_pop` neurons each, whose (target, source)
+    pairs take `pair(target, source)` and whose neurons start from `law`.
+
+    In the sign-preserving variant each conductance J^{a<-g} starts at its
+    pair's mean, `Dist.const(pairs[(a, g)].j_mean)`.
+    """
+    labels = [p.label for p in pops]
+    pairs = {(a, g): pair(a, g) for a in labels for g in labels}
+    sign_preserving = conductance is Conductance.SIGN_PRESERVING
+    init = {a: replace(law, j={g: Dist.const(pairs[(a, g)].j_mean) for g in labels})
+               if sign_preserving else law
+            for a in labels}
+    return NetworkConfig(populations=[(p, n_per_pop) for p in pops], pairs=pairs,
+                         conductance=conductance, grid=grid, seed=seed, init=init, thin=thin)
 
 
 def fhn_two_pop(seed: int = 2024, n_per_pop: int = 8, t_end: float = 20.0,
@@ -60,29 +84,13 @@ def fhn_two_pop(seed: int = 2024, n_per_pop: int = 8, t_end: float = 20.0,
     quantitatively tight; transmitter release is made voltage-sensitive
     near rest by centering the sigmoid just above the resting potential.
     """
-    exc = _fhn_population("exc")
-    inh = _fhn_population("inh")
-    labels = ["exc", "inh"]
-    pairs = {
-        ("exc", "exc"): PairParams(v_rev=1.5, j_mean=0.3, sigma_j=sigma_j, theta=0.5),
-        ("exc", "inh"): PairParams(v_rev=-2.5, j_mean=0.2, sigma_j=sigma_j, theta=0.5),
-        ("inh", "exc"): PairParams(v_rev=1.5, j_mean=0.3, sigma_j=sigma_j, theta=0.5),
-        ("inh", "inh"): PairParams(v_rev=-2.5, j_mean=0.2, sigma_j=sigma_j, theta=0.5),
+    by_source = {
+        "exc": PairParams(v_rev=1.5, j_mean=0.3, sigma_j=sigma_j, theta=0.5),
+        "inh": PairParams(v_rev=-2.5, j_mean=0.2, sigma_j=sigma_j, theta=0.5),
     }
-    j_means_exc = {"exc": 0.3, "inh": 0.2}
-    init = {
-        "exc": _fhn_init(labels, j_means_exc, conductance),
-        "inh": _fhn_init(labels, j_means_exc, conductance),
-    }
-    return NetworkConfig(
-        populations=[(exc, n_per_pop), (inh, n_per_pop)],
-        pairs=pairs,
-        conductance=conductance,
-        grid=TimeGrid(t_end=t_end, n_steps=n_steps),
-        seed=seed,
-        init=init,
-        thin=thin,
-    )
+    return _two_pop((_fhn_population("exc"), _fhn_population("inh")), n_per_pop,
+                    lambda a, g: by_source[g], _FHN_LAW, conductance,
+                    TimeGrid(t_end=t_end, n_steps=n_steps), seed, thin)
 
 
 def fhn_chaos_sweep(seed: int = 2024, n_per_pop: int = 8, t_end: float = 20.0,
@@ -93,45 +101,11 @@ def fhn_chaos_sweep(seed: int = 2024, n_per_pop: int = 8, t_end: float = 20.0,
     transmitter proportion steer spike decisions; this is the regime where
     the finite network departs visibly from its limit copies.
     """
-    pops = [_fhn_population("exc_a", sigma_v=0.2, lam=4.0, v_half=0.0),
-            _fhn_population("exc_b", sigma_v=0.2, lam=4.0, v_half=0.0)]
-    labels = ["exc_a", "exc_b"]
-    jm = {"exc_a": 1.0, "exc_b": 1.0}
-    pairs = {
-        (a, g): PairParams(v_rev=2.0, j_mean=1.0, sigma_j=0.15, theta=0.5)
-        for a in labels for g in labels
-    }
-    init = {
-        l: InitialLaw(
-            v=Dist.normal(-1.2, 0.2),
-            y=Dist.uniform(0.05, 0.25),
-            w=Dist.normal(-0.62, 0.1),
-            j={k: Dist.const(jm[k]) for k in labels},
-        )
-        for l in labels
-    }
-    return NetworkConfig(
-        populations=[(pops[0], n_per_pop), (pops[1], n_per_pop)],
-        pairs=pairs,
-        conductance=Conductance.SIGN_PRESERVING,
-        grid=TimeGrid(t_end=t_end, n_steps=n_steps),
-        seed=seed,
-        init=init,
-        thin=thin,
-    )
-
-
-def _hh_population(label: str, i_ext: float, sigma_v: float = 1.0) -> PopulationParams:
-    return PopulationParams(
-        label=label,
-        membrane=HhMembrane(i_ext=CurrentSpec(kind="const", amplitude=i_ext)),
-        sigma_v=sigma_v,
-        rise_rate=1.1,
-        decay_rate=0.19,
-        sigmoid=SigmoidParams(c_max=1.0, lam=0.2, v_half=-40.0),
-        cutoff=CutoffSpec(),
-        gates=GateRates(),
-    )
+    pair = PairParams(v_rev=2.0, j_mean=1.0, sigma_j=0.15, theta=0.5)
+    return _two_pop((_fhn_population("exc_a", lam=4.0, v_half=0.0),
+                     _fhn_population("exc_b", lam=4.0, v_half=0.0)), n_per_pop,
+                    lambda a, g: pair, _FHN_LAW, Conductance.SIGN_PRESERVING,
+                    TimeGrid(t_end=t_end, n_steps=n_steps), seed, thin)
 
 
 def hh_two_pop(seed: int = 2024, n_per_pop: int = 128, t_end: float = 50.0,
@@ -141,49 +115,22 @@ def hh_two_pop(seed: int = 2024, n_per_pop: int = 128, t_end: float = 50.0,
     Constant applied current keeps part of the ensemble spiking, so the
     gate variables traverse a wide range of [0, 1] during the run.
     """
-    exc = _hh_population("exc", i_ext=8.0)
-    inh = _hh_population("inh", i_ext=5.0)
-    labels = ["exc", "inh"]
-    pairs = {
-        ("exc", "exc"): PairParams(v_rev=0.0, j_mean=0.4, sigma_j=0.1, theta=0.5),
-        ("exc", "inh"): PairParams(v_rev=-80.0, j_mean=0.3, sigma_j=0.1, theta=0.5),
-        ("inh", "exc"): PairParams(v_rev=0.0, j_mean=0.4, sigma_j=0.1, theta=0.5),
-        ("inh", "inh"): PairParams(v_rev=-80.0, j_mean=0.3, sigma_j=0.1, theta=0.5),
+    by_source = {
+        "exc": PairParams(v_rev=0.0, j_mean=0.4, sigma_j=0.1, theta=0.5),
+        "inh": PairParams(v_rev=-80.0, j_mean=0.3, sigma_j=0.1, theta=0.5),
     }
-    jm = {"exc": 0.4, "inh": 0.3}
-
-    def law() -> InitialLaw:
-        return InitialLaw(
-            v=Dist.normal(-65.0, 2.0),
-            y=Dist.uniform(0.05, 0.15),
-            n=Dist.uniform(0.27, 0.37),
-            m=Dist.uniform(0.02, 0.09),
-            h=Dist.uniform(0.55, 0.65),
-            j={k: Dist.const(jm[k]) for k in labels},
-        )
-
-    return NetworkConfig(
-        populations=[(exc, n_per_pop), (inh, n_per_pop)],
-        pairs=pairs,
-        conductance=Conductance.SIGN_PRESERVING,
-        grid=TimeGrid(t_end=t_end, n_steps=n_steps),
-        seed=seed,
-        init={"exc": law(), "inh": law()},
-        thin=thin,
-    )
+    law = InitialLaw(v=Dist.normal(-65.0, 2.0), y=Dist.uniform(0.05, 0.15),
+                     n=Dist.uniform(0.27, 0.37), m=Dist.uniform(0.02, 0.09),
+                     h=Dist.uniform(0.55, 0.65))
+    return _two_pop((_hh_population("exc", i_ext=8.0), _hh_population("inh", i_ext=5.0)), n_per_pop,
+                    lambda a, g: by_source[g], law, Conductance.SIGN_PRESERVING,
+                    TimeGrid(t_end=t_end, n_steps=n_steps), seed, thin)
 
 
 def interaction_free(config: NetworkConfig) -> NetworkConfig:
     """The same network with every connection switched off (zero conductance)."""
-    from dataclasses import replace as _replace
-
     pairs = {k: PairParams(v_rev=p.v_rev, j_mean=0.0, sigma_j=0.0, theta=p.theta or 0.5)
              for k, p in config.pairs.items()}
-    init = dict(config.init)
-    if config.conductance is Conductance.SIGN_PRESERVING:
-        init = {
-            label: InitialLaw(v=law.v, y=law.y, w=law.w, n=law.n, m=law.m, h=law.h,
-                              j={k: Dist.const(0.0) for k in law.j})
-            for label, law in config.init.items()
-        }
-    return _replace(config, pairs=pairs, init=init)
+    init = {label: replace(law, j=None if law.j is None else dict.fromkeys(law.j, Dist.const(0.0)))
+            for label, law in config.init.items()}
+    return replace(config, pairs=pairs, init=init)

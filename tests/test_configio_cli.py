@@ -32,13 +32,14 @@ from neuromf.model import (
     PopulationParams,
     SigmoidParams,
 )
-from neuromf.network import Dist, InitialLaw, NetworkConfig
+from neuromf.network import Conductance, Dist, InitialLaw, NetworkConfig
 from neuromf.presets import fhn_chaos_sweep, fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import Component, block_stream
 from neuromf.stepping import TimeGrid
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
-SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
+SCHEMA_DOC = ROOT / "docs" / "config_schema.md"
 
 
 def read_config(d: dict) -> NetworkConfig:
@@ -94,6 +95,43 @@ def test_round_trip_fhn_and_hh():
         again = read_config(config_to_dict(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+
+# (spec file, the preset call it holds, that config's hash)
+PINNED_SPECS = [
+    pytest.param(ROOT / "specs" / "demo_fhn.json",
+                 lambda: fhn_two_pop(seed=2024, t_end=10.0, n_steps=1000, thin=10),
+                 "e81aa24a3f0fbb0c", id="demo_fhn"),
+    pytest.param(ROOT / "specs" / "demo_hh.json",
+                 lambda: hh_two_pop(seed=2024, n_per_pop=16, t_end=20.0, n_steps=2000, thin=20),
+                 "205bb639e0d0f424", id="demo_hh"),
+    pytest.param(GOLDEN / "spec.json",
+                 lambda: fhn_two_pop(seed=424242, n_per_pop=4, t_end=0.8, n_steps=80, thin=20),
+                 "8aa8999e819b56bb", id="golden"),
+]
+
+
+@pytest.mark.parametrize("path, preset, digest", PINNED_SPECS)
+def test_spec_files_hold_the_presets(path, preset, digest):
+    config = parse_spec(path.read_text(encoding="utf-8")).config
+    assert config == preset()
+    assert config_hash(config) == config_hash(preset()) == digest
+
+
+# (preset call, hash of its config, hash of its interaction-free config)
+PINNED_PRESETS = [
+    pytest.param(fhn_two_pop, "0d6ea7330626528f", "5e8a42e897044dd4", id="fhn"),
+    pytest.param(lambda: fhn_two_pop(conductance=Conductance.SIMPLE),
+                 "53b044a5db13ff36", "7101b6f1f7f3b953", id="fhn_simple"),
+    pytest.param(fhn_chaos_sweep, "4d4d5b9e07ad7f2a", "1b36d5381c880175", id="fhn_chaos_sweep"),
+    pytest.param(hh_two_pop, "6c118a4af1ee6ab5", "73f606c0f9f1a8d2", id="hh"),
+]
+
+
+@pytest.mark.parametrize("preset, digest, free_digest", PINNED_PRESETS)
+def test_preset_values_are_pinned(preset, digest, free_digest):
+    assert config_hash(preset()) == digest
+    assert config_hash(interaction_free(preset())) == free_digest
 
 
 BETA = {"kind": "beta", "alpha": 2.0, "beta": 5.0}
@@ -313,6 +351,15 @@ def test_command_cross_check():
         parse_spec(json.dumps(d), command="meanfield")
 
 
+def test_config_error_survives_pickling():
+    # a worker's error reaches the parent through pickle
+    import pickle
+    e = ConfigError(["spec.n_paths: must be >= 1", "config.thin: must be >= 1"])
+    again = pickle.loads(pickle.dumps(e))
+    assert str(again) == str(e)
+    assert again.errors == e.errors
+
+
 def test_non_json_rejected():
     with pytest.raises(ConfigError):
         parse_spec("not json {")
@@ -380,6 +427,26 @@ def spec_file(tmp_path):
 
 def test_cli_validate_ok(spec_file, tmp_path):
     res = run_cli(["validate", "--spec", str(spec_file)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "all properties hold" in res.stdout
+
+
+@pytest.mark.parametrize("sweep_n, code", [([8, 16, 32], 0), ([8, 16], 2)])
+def test_cli_validate_checks_a_spec_by_the_command_it_names(tmp_path, sweep_n, code):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(command="chaos-sweep", sweep_n=sweep_n)))
+    res = run_cli(["validate", "--spec", str(path)], tmp_path)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if code:
+        assert "spec.sweep_n: chaos-sweep needs at least three sizes" in res.stderr
+    else:
+        assert "all properties hold" in res.stdout
+
+
+@pytest.mark.parametrize("name", ["demo_fhn.json", "demo_hh.json"])
+def test_cli_validate_accepts_the_demo_specs(tmp_path, name):
+    res = run_cli(["validate", "--spec", str(ROOT / "specs" / name)], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "all properties hold" in res.stdout
 
@@ -536,13 +603,15 @@ def test_cli_chaos_sweep_refuses_an_interaction_free_spec(tmp_path):
     assert not (tmp_path / "cs").exists()  # --out waits for the sweep
 
 
-def test_cli_refuses_trajectories_larger_than_memory(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_refuses_trajectories_larger_than_memory(tmp_path, workers):
     # 2,000,000 paths x 1024 neurons x 100,001 stored nodes, five arrays:
-    # about 8e18 bytes, refused before anything is allocated
+    # about 8e18 bytes, refused before anything is allocated, whatever the
+    # worker count
     config = fhn_two_pop(n_per_pop=512, n_steps=100_000, t_end=1000.0, thin=1)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(tiny_spec_dict(n_paths=2_000_000, config=config_to_dict(config))))
-    r = run_cli(["simulate", "--spec", str(path), "--out", "big"], tmp_path, {"NEUROMF_WORKERS": "1"})
+    r = run_cli(["simulate", "--spec", str(path), "--out", "big"], tmp_path, {"NEUROMF_WORKERS": workers})
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     for name in ("spec.n_paths = 2000000", "spec.config.thin = 1",

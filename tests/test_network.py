@@ -225,6 +225,19 @@ def test_no_paths_give_an_empty_ensemble(monkeypatch, workers):
         assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_memory_refusal_counts_the_whole_ensemble(monkeypatch, workers):
+    # 4 paths x 8 neurons x 11 stored nodes, five arrays: 14,080 bytes, over
+    # the 8192 reported; each of 2 workers' shares alone would fit
+    cfg = fhn_two_pop(n_per_pop=4, n_steps=10, t_end=0.1, thin=1)
+    monkeypatch.setattr(network.os, "sysconf", lambda name: 8192 if name == "SC_PHYS_PAGES" else 1)
+    monkeypatch.setenv("NEUROMF_WORKERS", workers)
+    with pytest.raises(ConfigError) as exc:
+        simulate_paths(cfg, 4)
+    assert "spec.n_paths = 4" in str(exc.value)
+    assert "store 14080 bytes" in str(exc.value)
+
+
 def test_thinning_keeps_endpoints():
     cfg = fhn_two_pop(n_steps=55, t_end=0.55, thin=10)
     ens = simulate(cfg, n_paths=1)
