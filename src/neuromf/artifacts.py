@@ -271,7 +271,7 @@ def write_ensemble_csv(ens: PathEnsemble, path: Path) -> None:
     The file is written path by path; within a path every component is
     formatted in one numpy pass over its (stored time, neuron) slabs.
     """
-    comp_names = [c for c in ("v", "y", "w", "n", "m", "h") if c in ens.data]
+    comp_names = list(ens.data)
     j_cols = [f"j_{l}" for l in ens.labels] if ens.j is not None else []
     header = ["path", "time_ms", "neuron", "population"] + comp_names + j_cols
     n_paths = ens.data["v"].shape[0]

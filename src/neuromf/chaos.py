@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .network import CouplingRun, MeanCurve, NetworkConfig, coupled_distance_paths
+from .network import CouplingRun, MeanCurve, NetworkConfig, _check_batch_fits, coupled_distance_paths
 
 
 # scipy.special.stdtrit(df, 0.975) for df = 1 ... 30, the two-sided 95% Student t
@@ -120,7 +120,8 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
 
     One mean curve serves every N, since the limit does not depend on N.
     The sweep refuses size lists that cannot keep the proportions integral,
-    fewer than two paths (no standard error) and, after the runs, fewer
+    fewer than two paths (no standard error), a largest size whose coupled
+    pair cannot fit one batch in physical memory and, after the runs, fewer
     than three sizes with a positive D (no rate to fit).
     """
     if len(ns) < 3:
@@ -131,6 +132,7 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     if sorted(set(ns)) != list(ns):
         raise ConfigError(["sweep sizes must be strictly increasing"])
     configs = [base_config.with_total_neurons(n) for n in ns]  # raises on proportion drift
+    _check_batch_fits(configs[-1], 2, False, f"spec.sweep_n = {list(ns)}: the coupled pair at N = {ns[-1]}")
     d_hat, se = [], []
     runs = []
     for cfg in configs:

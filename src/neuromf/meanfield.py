@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import (MEANFIELD_PATH_BASE, MeanCurve, NetworkConfig, PathEnsemble, _CurveDrive,
-                      _drive, _make_plan, _NodeStats, simulate)
+from .network import (MEANFIELD_PATH_BASE, MeanCurve, NetworkConfig, PathEnsemble, _check_batch_fits,
+                      _CurveDrive, _drive, _make_plan, _NodeStats, simulate)
 from .stepping import TimeGrid
 
 
@@ -116,11 +116,16 @@ def _copy_stats(config: NetworkConfig, m_copies: int, y_bar: np.ndarray | None) 
     """m_S, its SE and the driving y_bar of `m_copies` limit copies per population.
 
     The copies follow the (P, n_steps + 1) curve `y_bar`, or, when it is None,
-    the causal drive's curve; only their node statistics are kept.
+    the causal drive's curve; only their node statistics are kept.  Copies
+    whose one batch cannot fit in physical memory are refused before
+    anything is allocated.
     """
-    plan = _make_plan(_limit_config(config, m_copies))
+    copies = _limit_config(config, m_copies)
+    copies.validate_or_raise()
+    _check_batch_fits(copies, 1, True, f"spec.m_copies = {m_copies} limit copies per population")
+    plan = _make_plan(copies)
     stats = _NodeStats(plan, ("s",))
-    drive = _CausalDrive(config, stats) if y_bar is None else _CurveDrive(plan, y_bar)
+    drive = _CausalDrive(config, stats) if y_bar is None else _CurveDrive(copies, y_bar)
     # one path is one batch at any cap: the causal drive reads every copy at node k
     _drive(plan, 1, MEANFIELD_PATH_BASE, [drive], [stats])
     means, ses = stats.finalize()
@@ -151,7 +156,6 @@ def solve_fixed_point(config: NetworkConfig, m_copies: int = 10_000, tol: float 
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    config.validate_or_raise()
     zero = np.zeros((len(config.labels), config.grid.n_steps + 1))
     m_s, se, _ = _copy_stats(config, m_copies, zero)
     curve = _curve_from_stats(config, m_s, se)
@@ -208,7 +212,6 @@ def solve_causal(config: NetworkConfig, m_copies: int, tol: float) -> MeanFieldS
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    config.validate_or_raise()
     m_s, se, y_bar = _copy_stats(config, m_copies, None)
     curve = _curve_from_stats(config, m_s, se)
     # the last node drives no step; its gap is at most the one before it

@@ -426,8 +426,7 @@ class _Plan:
 
 
 def _make_plan(config: NetworkConfig) -> _Plan:
-    """The validated configuration, laid out for the engine."""
-    config.validate_or_raise()
+    """A validated configuration, laid out for the engine."""
     pops = [p for p, _ in config.populations]
     P = len(pops)
     labels = config.labels
@@ -627,7 +626,7 @@ def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> 
 class _NetworkDrive:
     """Each path's own per-population means of y, (B, P)."""
 
-    def __init__(self, plan: _Plan, path_offset: int, n_paths: int):
+    def __init__(self, config: NetworkConfig, path_offset: int, n_paths: int):
         last = path_offset + n_paths - 1
         if last >= MEANFIELD_PATH_BASE:
             first = max(path_offset, MEANFIELD_PATH_BASE)
@@ -635,7 +634,7 @@ class _NetworkDrive:
                 f"network path id {first} is at or above MEANFIELD_PATH_BASE = 2**21, "
                 f"where the limit copies draw their noise; network paths "
                 f"{path_offset}..{last} must stay below {MEANFIELD_PATH_BASE}")
-        self.slices = plan.slices
+        self.slices = config.population_slices()
 
     def interaction(self, k: int, st: NeuronStates) -> np.ndarray:
         return population_sums(st.y, self.slices)
@@ -646,28 +645,29 @@ class _CurveDrive:
 
     The curve is a `MeanCurve`, which must live on the run's grid and hold
     its populations in their order, or that curve's `y_bar` array.  Every
-    check of a fixed curve is made here, before any per-path array exists.
+    check of a fixed curve is made here, before any per-column array exists.
     """
 
-    def __init__(self, plan: _Plan, curve: MeanCurve | np.ndarray):
+    def __init__(self, config: NetworkConfig, curve: MeanCurve | np.ndarray):
+        n_nodes, labels = config.grid.n_steps + 1, config.labels
         if isinstance(curve, MeanCurve):
-            if len(curve.times) != plan.n_steps + 1 or not np.allclose(
-                    curve.times, plan.times, rtol=0, atol=1e-12):
+            if len(curve.times) != n_nodes or not np.allclose(
+                    curve.times, config.grid.times(), rtol=0, atol=1e-12):
                 raise ConfigError(["mean curve grid does not match the configuration grid"])
-            if list(curve.labels) != plan.labels:
+            if list(curve.labels) != labels:
                 raise ConfigError([f"mean curve populations {list(curve.labels)} do not match "
-                                   f"the configuration's populations {plan.labels}"])
+                                   f"the configuration's populations {labels}"])
             curve = curve.y_bar
         curve = np.asarray(curve, dtype=float)
-        if curve.shape != (len(plan.pops), plan.n_steps + 1):
+        if curve.shape != (len(labels), n_nodes):
             raise ConfigError([
                 f"interaction curve shape {curve.shape} does not match "
-                f"(populations, nodes) = ({len(plan.pops)}, {plan.n_steps + 1})"
+                f"(populations, nodes) = ({len(labels)}, {n_nodes})"
             ])
         bad = np.argwhere(~((curve >= 0.0) & (curve <= 1.0)))  # NaN too
         if len(bad):
             a, k = bad[0]
-            raise ConfigError([f"interaction curve y_bar of population {plan.labels[a]!r} is "
+            raise ConfigError([f"interaction curve y_bar of population {labels[a]!r} is "
                                f"{float(curve[a, k])} at node {k}, outside [0, 1]"])
         self.curve = curve
 
@@ -734,6 +734,39 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers:
                 obs.observe(rows, k + 1, states)
 
 
+def _check_memory(n_bytes: int, head: str, tail: str = "") -> None:
+    """Refuse `n_bytes`, named by `head` and `tail`, when they exceed physical memory."""
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such query on this platform
+        return
+    if n_bytes > limit:
+        raise ConfigError([f"{head} {n_bytes} bytes{tail}, more than the {limit} bytes of physical memory"])
+
+
+def _check_batch_fits(config: NetworkConfig, systems: int, stats: bool, what: str) -> None:
+    """Refuse, before anything is allocated, a `_drive` batch over `config` that cannot fit.
+
+    A batch spans at least one path, and per column it allocates at least
+    these float64 arrays: the plan's vectors (sigmoid, pair constants,
+    membrane, rate and cutoff coefficients); two states and the activation
+    per system, and the network's two conductance states; the run
+    workspaces and the CIR step's; two one-step noise sets; with `stats`,
+    the node-statistic deviations.  The count is a lower bound, so no batch
+    that fits is refused.
+    """
+    P = len(config.populations)
+    any_hh = any(p.is_hh for p, _ in config.populations)
+    sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
+    per_col = (12 + 4 * P
+               + systems * (2 * (2 + (4 if any_hh else 1)) + 1)
+               + (4 * P if sign_preserving else 0)
+               + 8
+               + 2 * (2 + (3 if any_hh else 0) + P)
+               + (1 if stats else 0))
+    _check_memory(8 * per_col * config.total_neurons, f"{what}: one batch holds at least")
+
+
 # ---------------------------------------------------------------------------
 # trajectory storage
 
@@ -759,53 +792,40 @@ class PathEnsemble:
         return self.data["v"].shape[0]
 
 
-def _stored(plan: _Plan, thin: int) -> tuple[list[int], list[str]]:
-    """The nodes stored, every `thin`-th and the last, and the components stored at each."""
-    idx = list(range(0, plan.n_steps + 1, thin))
-    if idx[-1] != plan.n_steps:
-        idx.append(plan.n_steps)
-    return idx, ["v", "y"] + (["w"] if plan.any_fhn else []) + (list(GATES) if plan.any_hh else [])
-
-
-def _check_fits(plan: _Plan, thin: int, n_paths: int) -> None:
-    """Refuse, before anything is allocated, trajectories of `n_paths` larger than physical memory."""
-    try:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no such query on this platform
-        return
-    idx, names = _stored(plan, thin)
-    arrays = len(names) + (len(plan.pops) if plan.conductance is Conductance.SIGN_PRESERVING else 0)
-    n_bytes = 8 * arrays * n_paths * len(idx) * plan.n_cols
-    if n_bytes > limit:
-        raise ConfigError([
-            f"spec.n_paths = {n_paths}, spec.config.thin = {thin} and "
-            f"spec.config.grid.n_steps = {plan.n_steps} store {n_bytes} bytes of trajectories, "
-            f"more than the {limit} bytes of physical memory"
-        ])
-
-
 class _Storage:
     """Thinned trajectories of every path, and extremes over every node.
 
-    `w` is stored when some population is FHN and the gates when some is
-    HH; the columns of the other variant hold zeros, and the gate extremes
-    are taken over the HH columns only.
+    The one layout of an ensemble, read from a validated configuration and
+    refused, before anything is allocated, when larger than physical memory:
+    every `thin`-th node and the last; `w` when some population is FHN and
+    the gates, their extremes over the HH columns only, when some is HH; the
+    conductances when sign-preserving.  It fills from `_drive` or by `merge`.
     """
 
-    def __init__(self, plan: _Plan, thin: int, n_paths: int):
-        _check_fits(plan, thin, n_paths)
-        idx, names = _stored(plan, thin)
+    def __init__(self, config: NetworkConfig, n_paths: int):
+        n_steps, thin = config.grid.n_steps, config.thin
+        idx = list(range(0, n_steps + 1, thin))
+        if idx[-1] != n_steps:
+            idx.append(n_steps)
+        hh = [p.is_hh for p, _ in config.populations]
+        names = ["v", "y"] + (["w"] if not all(hh) else []) + (list(GATES) if any(hh) else [])
+        sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
+        arrays = len(names) + (len(hh) if sign_preserving else 0)
+        sizes = ", ".join(f"spec.config.populations[{a}].n = {n}" for a, n in enumerate(config.sizes))
+        _check_memory(8 * arrays * n_paths * len(idx) * config.total_neurons,
+                      f"spec.n_paths = {n_paths}, spec.config.thin = {thin}, "
+                      f"spec.config.grid.n_steps = {n_steps} and {sizes} store", " of trajectories")
+        self.config = config
         self.steps = np.asarray(idx, dtype=int)
         self.slots = {k: i for i, k in enumerate(idx)}
-        self.last = plan.n_steps
-        shape = (n_paths, len(idx), plan.n_cols)
-        sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
+        self.last = n_steps
+        shape = (n_paths, len(idx), config.total_neurons)
         self.data = {name: np.empty(shape) for name in names}
-        self.j = np.empty(shape + (len(plan.pops),)) if sign_preserving else None
-        tracked = ["y"] + (list(GATES) if plan.any_hh else []) + (["j"] if sign_preserving else [])
+        self.j = np.empty(shape + (len(hh),)) if sign_preserving else None
+        tracked = ["y"] + (list(GATES) if any(hh) else []) + (["j"] if sign_preserving else [])
         self.extremes = {name: (math.inf, -math.inf) for name in tracked}
-        self.hh_cols = slice(None) if not (plan.any_hh and plan.any_fhn) else np.concatenate(
-            [np.arange(run.lo, run.hi) for run in plan.runs if run.is_hh])
+        self.hh_cols = slice(None) if all(hh) or not any(hh) else np.concatenate(
+            [np.arange(lo, hi) for (lo, hi), is_hh in zip(config.population_slices(), hh) if is_hh])
         self._bounds: list[tuple[np.ndarray, np.ndarray]] = []
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
@@ -839,6 +859,25 @@ class _Storage:
                 if name in GATES:
                     b_lo, b_hi = b_lo[:, self.hh_cols], b_hi[:, self.hh_cols]
             self.extremes[name] = (min(lo, float(b_lo.min())), max(hi, float(b_hi.max())))
+
+    def merge(self, first: int, part: PathEnsemble) -> None:
+        """Another process's ensemble of the same configuration, as paths `first` on."""
+        rows = slice(first, first + part.n_paths)
+        for name, out in self.data.items():
+            out[rows] = part.data[name]
+        if self.j is not None:
+            self.j[rows] = part.j
+        self.extremes = {name: (min(lo, part.extremes[name][0]), max(hi, part.extremes[name][1]))
+                         for name, (lo, hi) in self.extremes.items()}
+
+    def ensemble(self, block_means=None, block_se=None) -> PathEnsemble:
+        from .configio import config_hash  # local import: configio builds on this module
+
+        c = self.config
+        return PathEnsemble(times=c.grid.times()[self.steps], store_steps=self.steps, labels=c.labels,
+                            pop_of=c.population_of(), data=self.data, j=self.j, seed=c.seed,
+                            config_hash=config_hash(c), extremes=self.extremes,
+                            block_means=block_means, block_se=block_se)
 
 
 class _NodeStats:
@@ -926,24 +965,14 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     a pure function of (config, path indices): batching, worker count, and
     buffer sizes cannot change a single bit.
     """
+    config.validate_or_raise()
+    drive = (_NetworkDrive(config, path_offset, n_paths) if interaction is None
+             else _CurveDrive(config, interaction))
+    store = _Storage(config, n_paths)
     plan = _make_plan(config)
-    drive = (_NetworkDrive(plan, path_offset, n_paths) if interaction is None
-             else _CurveDrive(plan, interaction))
-    store = _Storage(plan, config.thin, n_paths)
     stats = _NodeStats(plan, ("y", "s")) if collect_node_stats else None
     _drive(plan, n_paths, path_offset, [drive], [store] + ([stats] if stats else []))
-
-    from .configio import config_hash  # local import: configio builds on this module
-
-    block_means = block_se = None
-    if stats is not None:
-        block_means, block_se = stats.finalize()
-    return PathEnsemble(
-        times=plan.times[store.steps], store_steps=store.steps, labels=plan.labels,
-        pop_of=config.population_of(), data=store.data, j=store.j,
-        seed=config.seed, config_hash=config_hash(config), extremes=store.extremes,
-        block_means=block_means, block_se=block_se,
-    )
+    return store.ensemble(*(stats.finalize() if stats else ()))
 
 
 # ---------------------------------------------------------------------------
@@ -1022,9 +1051,10 @@ def coupled_distance_paths(config: NetworkConfig, ybar_curve: MeanCurve | np.nda
     and must stay below `MEANFIELD_PATH_BASE`; paths run in batches capped
     by `MAX_BATCH_COLS`.
     """
+    config.validate_or_raise()
+    # the drives check path ids and curve before any per-column array exists
+    drives = [_NetworkDrive(config, 0, n_paths), _CurveDrive(config, ybar_curve)]
     plan = _make_plan(config)
-    # the drives check path ids and curve before any per-path array exists
-    drives = [_NetworkDrive(plan, 0, n_paths), _CurveDrive(plan, ybar_curve)]
     gap = _CouplingGap(n_paths, np.asarray([lo for lo, _ in plan.slices]))
     _drive(plan, n_paths, 0, drives, [gap])
     return gap.run

@@ -11,12 +11,9 @@ integer >= 1.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
-
-import numpy as np
 
 from .errors import ConfigError
-from .network import NetworkConfig, PathEnsemble, _check_fits, _make_plan, simulate
+from .network import NetworkConfig, PathEnsemble, _Storage, simulate
 
 WORKERS_ENV = "NEUROMF_WORKERS"
 
@@ -48,18 +45,11 @@ def simulate_paths(config: NetworkConfig, n_paths: int) -> PathEnsemble:
         return simulate(config, n_paths=n_paths)
     from concurrent.futures import ProcessPoolExecutor  # a single worker never needs it
 
-    # the whole ensemble, which the parent assembles, must fit, not each worker's share
-    _check_fits(_make_plan(config), config.thin, n_paths)
+    config.validate_or_raise()
+    store = _Storage(config, n_paths)  # the whole ensemble must fit, not each worker's share
     ranges = _chunk_ranges(n_paths, workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_simulate_chunk, [config] * len(ranges),
-                              [lo for lo, _ in ranges], [hi for _, hi in ranges]))
-    first = parts[0]
-    data = {k: np.concatenate([p.data[k] for p in parts], axis=0) for k in first.data}
-    j = (np.concatenate([p.j for p in parts], axis=0) if first.j is not None else None)
-    extremes = {}
-    for name in first.extremes:
-        los = [p.extremes[name][0] for p in parts]
-        his = [p.extremes[name][1] for p in parts]
-        extremes[name] = (min(los), max(his))
-    return replace(first, data=data, j=j, extremes=extremes)
+        parts = pool.map(_simulate_chunk, [config] * len(ranges), *zip(*ranges))
+        for (lo, _), part in zip(ranges, parts):  # in path order
+            store.merge(lo, part)
+    return store.ensemble()

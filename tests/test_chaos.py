@@ -190,6 +190,19 @@ def test_sweep_needs_two_paths_before_solving(monkeypatch):
     assert "n_paths = 1" in str(exc.value)
 
 
+def test_sweep_refuses_a_largest_pair_that_cannot_fit_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran a coupled pair before sizing its largest one")
+
+    monkeypatch.setattr(chaos, "run_coupled", no_run)
+    cfg = fhn_two_pop(n_steps=20, t_end=0.2)
+    ns = [16, 32, 1 << 38]  # 2**37 neurons per population at the last size
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, ns, 4, constant_curve(cfg))
+    assert f"spec.sweep_n = {ns}: the coupled pair at N = {1 << 38}" in str(exc.value)
+    assert "bytes of physical memory" in str(exc.value)
+
+
 def test_sweep_rejects_proportion_drift():
     cfg = fhn_two_pop(n_steps=20, t_end=0.2)  # proportions (1/2, 1/2)
     with pytest.raises(ConfigError):

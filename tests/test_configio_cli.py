@@ -620,6 +620,46 @@ def test_cli_refuses_trajectories_larger_than_memory(tmp_path, workers):
     assert not (tmp_path / "big").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_refuses_huge_populations_before_the_plan(tmp_path, workers):
+    # 2**37 neurons per population: the per-column plan alone would take
+    # terabytes, so the trajectories are refused before it is built
+    config = fhn_two_pop(n_per_pop=1 << 37, n_steps=10, t_end=0.1, thin=10)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(n_paths=2, config=config_to_dict(config))))
+    r = run_cli(["simulate", "--spec", str(path), "--out", "big"], tmp_path, {"NEUROMF_WORKERS": workers})
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    for name in (f"spec.config.populations[0].n = {1 << 37}", f"spec.config.populations[1].n = {1 << 37}",
+                 f"store {8 * 5 * 2 * 2 * (1 << 38)} bytes of trajectories"):
+        assert name in r.stderr
+    assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize("command", ["meanfield", "chaos-sweep"])
+def test_cli_refuses_copies_that_cannot_fit(tmp_path, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(m_copies=1 << 37)))
+    r = run_cli([command, "--spec", str(path), "--out", "big"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"spec.m_copies = {1 << 37} limit copies per population: one batch holds at least" in r.stderr
+    assert not (tmp_path / "big").exists()
+
+
+def test_cli_chaos_sweep_refuses_a_largest_size_that_cannot_fit(tmp_path):
+    # the curve is solved from 200 copies; the sweep then refuses its last
+    # size, 2**37 neurons per population, before its first coupled run
+    ns = [8, 16, 1 << 38]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(sweep_n=ns)))
+    r = run_cli(["chaos-sweep", "--spec", str(path), "--out", "big"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"spec.sweep_n = {ns}: the coupled pair at N = {1 << 38}: one batch holds at least" in r.stderr
+    assert not (tmp_path / "big").exists()
+
+
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
     code = "import sys, neuromf.cli; print('scipy.stats' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=package_env(),

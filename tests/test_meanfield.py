@@ -360,3 +360,14 @@ def test_causal_solve_without_interaction_matches_zero_curve():
     assert np.array_equal(sol.curve.m_s, ens.block_means["s"])
     assert sol.distances == [0.0]
 
+
+@pytest.mark.parametrize("solve", [solve_causal, solve_fixed_point])
+def test_copies_that_cannot_fit_are_refused_before_the_plan(solve):
+    # 2**37 copies per population: the plan's vectors alone would take
+    # terabytes, so the refusal must come before any is allocated
+    cfg = fhn_two_pop(n_steps=10, t_end=0.1)
+    with pytest.raises(ConfigError) as exc:
+        solve(cfg, m_copies=1 << 37, tol=1e-3)
+    assert f"spec.m_copies = {1 << 37}" in str(exc.value)
+    assert "bytes of physical memory" in str(exc.value)
+

@@ -238,6 +238,23 @@ def test_memory_refusal_counts_the_whole_ensemble(monkeypatch, workers):
     assert "store 14080 bytes" in str(exc.value)
 
 
+# 2**37 neurons per population: the engine's per-column arrays alone would
+# take terabytes, so every refusal below must come before any is allocated
+HUGE = 1 << 37
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_trajectories_of_huge_populations_are_refused_before_the_plan(monkeypatch, workers):
+    cfg = fhn_two_pop(n_per_pop=HUGE, n_steps=10, t_end=0.1, thin=5)
+    monkeypatch.setenv("NEUROMF_WORKERS", workers)
+    for run in (lambda: simulate(cfg, 2), lambda: simulate_paths(cfg, 2)):
+        with pytest.raises(ConfigError) as exc:
+            run()
+        msg = str(exc.value)
+        assert f"spec.config.populations[0].n = {HUGE}" in msg
+        assert f"store {8 * 5 * 2 * 3 * 2 * HUGE} bytes of trajectories" in msg
+
+
 def test_thinning_keeps_endpoints():
     cfg = fhn_two_pop(n_steps=55, t_end=0.55, thin=10)
     ens = simulate(cfg, n_paths=1)
@@ -758,6 +775,25 @@ def test_mixed_network_gate_extremes_span_the_hh_columns():
     for gate in GATES:
         stored = ens.data[gate][:, :, lo:hi]
         assert ens.extremes[gate] == (float(stored.min()), float(stored.max())), gate
+
+
+@pytest.mark.parametrize("variant", ["sign_preserving", "simple"])
+def test_uneven_parts_assemble_the_whole_ensemble(monkeypatch, variant):
+    # 5 paths over 3 workers are parts of 2, 2 and 1 paths; the parent's
+    # storage must put each where one worker would, extremes included
+    cfg = _mixed_fhn_hh_fhn()
+    cfg = cfg if variant == "sign_preserving" else _as_simple(cfg)
+    monkeypatch.setenv("NEUROMF_WORKERS", "1")
+    one = simulate_paths(cfg, 5)
+    monkeypatch.setenv("NEUROMF_WORKERS", "3")
+    three = simulate_paths(cfg, 5)
+    for f in fields(one):
+        assert _same_value(getattr(one, f.name), getattr(three, f.name)), f.name
+    assert (three.j is None) == (variant == "simple")
+    lo, hi = cfg.population_slices()[cfg.labels.index("hh")]
+    for gate in GATES:
+        stored = three.data[gate][:, :, lo:hi]
+        assert three.extremes[gate] == (float(stored.min()), float(stored.max())), gate
 
 
 def test_simple_variant_pair_without_conductance_noise_adds_no_term(monkeypatch):
