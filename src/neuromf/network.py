@@ -718,20 +718,23 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers:
             eval_sigmoid(plan.sigmoid, st.v, out=st.s)
         for obs in observers:
             obs.observe(rows, 0, states)
-        for k in range(plan.n_steps):
-            draws = noise.step(k)
-            new = [pair[(k + 1) % 2] for pair in pairs]
-            # the network steps first: the copies then read its conductances
-            # at node k, which it keeps in the other state
-            for i, drive in enumerate(drives):
-                _advance(plan, states[i], new[i], drive.interaction(k, states[i]), draws, times[k], ws,
-                         step_j=i == 0)
-            for st in new:
-                _ensure_finite(st.v, k + 1, times[k + 1], ids)
-                eval_sigmoid(plan.sigmoid, st.v, out=st.s)
-            states = new
-            for obs in observers:
-                obs.observe(rows, k + 1, states)
+        try:  # a run that raises part-way still ends the noise's helper thread
+            for k in range(plan.n_steps):
+                draws = noise.step(k)
+                new = [pair[(k + 1) % 2] for pair in pairs]
+                # the network steps first: the copies then read its conductances
+                # at node k, which it keeps in the other state
+                for i, drive in enumerate(drives):
+                    _advance(plan, states[i], new[i], drive.interaction(k, states[i]), draws, times[k], ws,
+                             step_j=i == 0)
+                for st in new:
+                    _ensure_finite(st.v, k + 1, times[k + 1], ids)
+                    eval_sigmoid(plan.sigmoid, st.v, out=st.s)
+                states = new
+                for obs in observers:
+                    obs.observe(rows, k + 1, states)
+        finally:
+            noise._close()
 
 
 def _check_memory(n_bytes: int, head: str, tail: str = "") -> None:
@@ -744,6 +747,10 @@ def _check_memory(n_bytes: int, head: str, tail: str = "") -> None:
         raise ConfigError([f"{head} {n_bytes} bytes{tail}, more than the {limit} bytes of physical memory"])
 
 
+def _sizes(config: NetworkConfig) -> str:
+    return ", ".join(f"spec.config.populations[{a}].n = {n}" for a, n in enumerate(config.sizes))
+
+
 def _check_batch_fits(config: NetworkConfig, systems: int, stats: bool, what: str) -> None:
     """Refuse, before anything is allocated, a `_drive` batch over `config` that cannot fit.
 
@@ -753,7 +760,7 @@ def _check_batch_fits(config: NetworkConfig, systems: int, stats: bool, what: st
     per system, and the network's two conductance states; the run
     workspaces and the CIR step's; two one-step noise sets; with `stats`,
     the node-statistic deviations.  The count is a lower bound, so no batch
-    that fits is refused.
+    that fits is refused: `BlockNoise` keeps two sets of at least one step.
     """
     P = len(config.populations)
     any_hh = any(p.is_hh for p, _ in config.populations)
@@ -811,10 +818,9 @@ class _Storage:
         names = ["v", "y"] + (["w"] if not all(hh) else []) + (list(GATES) if any(hh) else [])
         sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
         arrays = len(names) + (len(hh) if sign_preserving else 0)
-        sizes = ", ".join(f"spec.config.populations[{a}].n = {n}" for a, n in enumerate(config.sizes))
         _check_memory(8 * arrays * n_paths * len(idx) * config.total_neurons,
                       f"spec.n_paths = {n_paths}, spec.config.thin = {thin}, "
-                      f"spec.config.grid.n_steps = {n_steps} and {sizes} store", " of trajectories")
+                      f"spec.config.grid.n_steps = {n_steps} and {_sizes(config)} store", " of trajectories")
         self.config = config
         self.steps = np.asarray(idx, dtype=int)
         self.slots = {k: i for i, k in enumerate(idx)}
@@ -963,12 +969,15 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     elementwise ones of a population-by-population step, in the same
     order.  Paths run in batches capped by `MAX_BATCH_COLS`.  Results are
     a pure function of (config, path indices): batching, worker count, and
-    buffer sizes cannot change a single bit.
+    buffer sizes cannot change a single bit.  A run whose trajectories, or
+    whose batch of one path, cannot fit in physical memory is refused before
+    anything is allocated.
     """
     config.validate_or_raise()
     drive = (_NetworkDrive(config, path_offset, n_paths) if interaction is None
              else _CurveDrive(config, interaction))
     store = _Storage(config, n_paths)
+    _check_batch_fits(config, 1, collect_node_stats, _sizes(config))
     plan = _make_plan(config)
     stats = _NodeStats(plan, ("y", "s")) if collect_node_stats else None
     _drive(plan, n_paths, path_offset, [drive], [store] + ([stats] if stats else []))

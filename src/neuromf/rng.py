@@ -20,12 +20,18 @@ the engine steps through the block in one, a helper thread fills the next
 block into the other (numpy releases the interpreter lock while it fills).
 A block's fill is a list of tasks, one per stream; when the engine reaches
 a block whose fill is unfinished, it takes the remaining tasks itself
-instead of waiting, so the two threads share the fill.
+instead of waiting, so the two threads share the fill.  A block is the
+shortest at which each task draws at least `_TASK_NORMALS` values, capped
+by the memory budget, so wide steps get short blocks and the buffers do
+not grow with the column count.  One helper thread serves a `BlockNoise`
+from its first block to its last, fed through a queue.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
+import weakref
 from enum import IntEnum
 
 import numpy as np
@@ -35,6 +41,11 @@ MAX_PATH = 1 << 22
 MAX_COMPONENT = 1 << 16
 _BLOCK_FLAG = np.uint64(1 << 62)
 NOISE_BUDGET_BYTES = 1 << 25  # both buffer sets of a `BlockNoise`, read when one is built
+# normals one fill task draws at least, when the budget allows (96 KiB).  Each
+# task passes the interpreter lock from the engine to the helper and back, so
+# short tasks slow the engine: against 62-step blocks, a solve of 2 x 2000
+# copies on a 2-vCPU VM took 7% longer with tasks of 8192 normals, 2.5% at 12288
+_TASK_NORMALS = 12288
 
 
 class Component(IntEnum):
@@ -90,6 +101,7 @@ class _Fill:
     def __init__(self, tasks: list):
         self._tasks = tasks[::-1]  # popped from the end: taken in list order
         self._lock = threading.Lock()
+        self.helping = threading.Lock()  # held by the helper thread while it works on this fill
         self.failure: list[BaseException] = []
 
     def work(self) -> None:
@@ -100,10 +112,30 @@ class _Fill:
                     return
                 out, gen = self._tasks.pop()
             try:
-                out[...] = gen.standard_normal(out.shape)
+                gen.standard_normal(out=out)
             except BaseException as e:  # raised by every step that needs this block
                 with self._lock:
                     self.failure.append(e)
+
+    def finish(self) -> None:
+        """Run the tasks left, wait for the helper's task in flight, then raise the first failure."""
+        self.work()
+        with self.helping:
+            pass
+        if self.failure:
+            raise self.failure[0]
+
+    def fail(self, error: BaseException) -> None:
+        """End the fill: no task is taken after the ones in flight."""
+        with self._lock:
+            self.failure.append(error)
+
+
+def _serve(fills: queue.SimpleQueue) -> None:
+    """A helper thread's loop: work each fill put on `fills`, until None."""
+    while (fill := fills.get()) is not None:
+        with fill.helping:
+            fill.work()
 
 
 class BlockNoise:
@@ -114,25 +146,33 @@ class BlockNoise:
     element (k * n_cols + i) of the block stream (seed, path_ids[b],
     components[c]).  Callers that want a component by tag look its row up
     by position, e.g. `dict(zip(noise.components, noise.step(k)))`.  Values
-    are independent of the block length, which is chosen from a memory
-    budget and is at most an eighth of the run once that exceeds 16 steps.  Each buffer set is one
-    (block, n_components, n_paths, n_cols) array.
+    are independent of the block length.  Each buffer set is one
+    (n_components, n_paths, block, n_cols) array, so a stream's steps are
+    contiguous and its fill draws straight into them.
 
-    The budget, `NOISE_BUDGET_BYTES`, holds two buffer sets of `block`
-    steps, and there are always two sets, each of at least one step: a run
-    of one step, or a step wider than half the budget, gets two one-step
-    sets, which may then exceed the budget.  A block's fill is a list of
-    tasks, one per (component, path) stream.  While the engine steps
-    through the block in one set, a helper thread takes the next block's
-    tasks into the other; when the engine reaches that block before its
-    fill is done, it takes the remaining tasks itself and then waits only
-    for the task in flight.  The first block is filled the same way, helper
-    and engine together.  Only one block is in fill at a time and each
-    stream is drawn by one thread in step order, so every value is the one
-    a synchronous fill would give.  The array `step(k)` returns is a view
-    of the current set and is valid only until `step` leaves the current
-    block: the helper thread then writes into it, so holding on to one is a
-    data race.
+    A block is the shortest at which every fill task draws at least
+    `_TASK_NORMALS` normals (`n_cols` per step), capped by a memory budget
+    and by the run: two blocks hold at most `NOISE_BUDGET_BYTES` and 512
+    steps, and span at most a quarter of the run once that exceeds 32
+    steps.  There are always two sets, each of at least one step: a run of
+    one step, or a step wider than half the budget, gets two one-step sets,
+    which may then exceed the budget.
+
+    A block's fill is a list of tasks, one per (component, path) stream.
+    While the engine steps through the block in one set, a helper thread
+    takes the next block's tasks into the other; when the engine reaches
+    that block before its fill is done, it takes the remaining tasks itself
+    and then waits only for the task in flight.  The first block is filled
+    the same way, helper and engine together.  Only one block is in fill at
+    a time and each stream is drawn by one thread in step order, so every
+    value is the one a synchronous fill would give.  The array `step(k)`
+    returns is a view of the current set and is valid only until `step`
+    leaves the current block: the helper thread then writes into it, so
+    holding on to one is a data race.
+
+    One helper thread, started by the first step, serves every block; it
+    ends when the last block is served, when a fill fails, on `_close`, or
+    once the `BlockNoise` is garbage.
     """
 
     def __init__(self, seed: int, path_ids: list[int], components: list[int],
@@ -148,46 +188,70 @@ class BlockNoise:
         # helper has nothing to fill while the engine steps the last block
         whole = int(min(max(1, NOISE_BUDGET_BYTES // max(per_step, 1)), 512, max(n_steps, 1),
                         max(32, n_steps // 4)))
-        self.block = max(1, whole // 2)
+        self.block = max(1, min(whole // 2, -(-_TASK_NORMALS // max(self.n_cols, 1))))
         self._gens = {
             (p, c): block_stream(self.seed, p, c)
             for p in self.path_ids for c in self.components
         }
+        # a stream's steps are contiguous, so each task draws straight into them
         self._sets = [
-            np.empty((self.block, len(self.components), len(self.path_ids), self.n_cols))
+            np.empty((len(self.components), len(self.path_ids), self.block, self.n_cols))
             for _ in range(2)
         ]
         self._buf = self._sets[0]
         self._next = 0  # the set the next block goes into
-        self._pending: tuple[_Fill, threading.Thread] | None = None
+        self._pending: _Fill | None = None
         self._lo = -1
         self._hi = -1
+        self._fills: queue.SimpleQueue = queue.SimpleQueue()
+        self._helper: threading.Thread | None = None
+        # the finalizer holds the queue, not this object, so an abandoned
+        # source still ends its helper
+        self._stop = weakref.finalize(self, self._fills.put, None)
 
     def _refill(self, k0: int) -> None:
         """Serve the block starting at step k0; start filling the one after it."""
         if self._pending is None:
-            self._pending = self._start(self._sets[self._next], k0)
-        fill, thread = self._pending
-        fill.work()  # the engine takes the tasks the helper has not reached
-        thread.join()
-        if fill.failure:
-            raise fill.failure[0]
+            self._pending = self._start(k0)
+        try:
+            self._pending.finish()  # the engine takes the tasks the helper has not reached
+        except BaseException:
+            self._close()
+            raise
         self._pending = None
         self._buf = self._sets[self._next]
         self._next = 1 - self._next
         self._lo, self._hi = k0, min(k0 + self.block, self.n_steps)
         if self._hi < self.n_steps:
-            self._pending = self._start(self._sets[self._next], self._hi)
+            self._pending = self._start(self._hi)
+        else:
+            self._close()
 
-    def _start(self, buf: np.ndarray, k0: int) -> tuple[_Fill, threading.Thread]:
-        """The fill of the block from step k0 into `buf`, a helper thread on it."""
-        count = min(self.block, self.n_steps - k0)
-        fill = _Fill([(buf[:count, i, b, :], self._gens[(p, c)])
+    def _start(self, k0: int) -> _Fill:
+        """The fill of the block from step k0 into the next set, handed to the helper."""
+        buf, count = self._sets[self._next], min(self.block, self.n_steps - k0)
+        fill = _Fill([(buf[i, b, :count], self._gens[(p, c)])
                       for i, c in enumerate(self.components)
                       for b, p in enumerate(self.path_ids)])
-        thread = threading.Thread(target=fill.work, name="neuromf-noise-fill")
-        thread.start()
-        return fill, thread
+        if self._helper is None:  # a daemon: a source alive at exit must not hold it up
+            self._helper = threading.Thread(target=_serve, args=(self._fills,),
+                                            name="neuromf-noise-fill", daemon=True)
+            self._helper.start()
+        self._fills.put(fill)
+        return fill
+
+    def _close(self) -> None:
+        """End the helper thread; a block still in fill is never served.
+
+        The fill stops after its task in flight, and every later step that
+        needs its block raises.  Closing twice does nothing more.
+        """
+        if self._pending is not None:
+            self._pending.fail(RuntimeError("the noise source was closed before this block was filled"))
+        self._stop()
+        if self._helper is not None:
+            self._helper.join()
+            self._helper = None
 
     def step(self, k: int) -> np.ndarray:
         """Raw N(0, 1) draws for step k, shape (n_components, n_paths, n_cols).
@@ -202,4 +266,4 @@ class BlockNoise:
             if self._hi not in (-1, k):
                 raise IndexError("BlockNoise must be consumed in step order")
             self._refill(k)
-        return self._buf[k - self._lo]
+        return self._buf[:, :, k - self._lo]

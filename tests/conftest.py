@@ -1,7 +1,10 @@
 """Shared test helpers."""
 
 import os
+import threading
 from pathlib import Path
+
+import pytest
 
 import neuromf
 
@@ -21,3 +24,19 @@ def package_env(**extra: str) -> dict[str, str]:
     inherited = env.get("PYTHONPATH", "").split(os.pathsep)
     env["PYTHONPATH"] = os.pathsep.join(p for p in [PACKAGE_ROOT, *inherited] if p)
     return env
+
+
+def live_fill_threads(timeout: float = 5.0) -> list[threading.Thread]:
+    """The `BlockNoise` helper threads still alive after a join of `timeout` seconds each."""
+    left = [t for t in threading.enumerate() if t.name == "neuromf-noise-fill"]
+    for t in left:
+        t.join(timeout)
+    return [t for t in left if t.is_alive()]
+
+
+@pytest.fixture(autouse=True)
+def no_fill_thread_outlives_a_test():
+    yield
+    alive = live_fill_threads()
+    if alive:
+        pytest.fail(f"{len(alive)} noise helper thread(s) still alive after the test")

@@ -636,6 +636,21 @@ def test_cli_refuses_huge_populations_before_the_plan(tmp_path, workers):
     assert not (tmp_path / "big").exists()
 
 
+def test_cli_refuses_a_simulate_batch_larger_than_memory(tmp_path, monkeypatch, capsys):
+    # in process, with 64 MiB of physical memory reported: the trajectories
+    # fit, the engine batch of one path does not
+    from neuromf import cli, network
+
+    config = fhn_two_pop(n_per_pop=100_000, n_steps=2, t_end=0.02, thin=2)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tiny_spec_dict(n_paths=1, config=config_to_dict(config))))
+    monkeypatch.delenv("NEUROMF_WORKERS", raising=False)
+    monkeypatch.setattr(network.os, "sysconf", lambda name: (64 << 20) if name == "SC_PHYS_PAGES" else 1)
+    assert cli.main(["simulate", "--spec", str(path), "--out", str(tmp_path / "big")]) == 2
+    assert "one batch holds at least 81600000 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
+
+
 @pytest.mark.parametrize("command", ["meanfield", "chaos-sweep"])
 def test_cli_refuses_copies_that_cannot_fit(tmp_path, command):
     path = tmp_path / "spec.json"

@@ -238,6 +238,22 @@ def test_memory_refusal_counts_the_whole_ensemble(monkeypatch, workers):
     assert "store 14080 bytes" in str(exc.value)
 
 
+def test_simulate_refuses_an_engine_batch_larger_than_memory(monkeypatch):
+    # 2 x 100,000 neurons: 15.3 MiB of trajectories fit in the 64 MiB
+    # reported, but one path's engine batch holds at least 81.6 MB, and the
+    # limit copies' batch, which adds the node statistics, 83.2 MB
+    from neuromf.meanfield import simulate_limit_given_ybar
+
+    monkeypatch.setattr(network.os, "sysconf", lambda name: (64 << 20) if name == "SC_PHYS_PAGES" else 1)
+    sizes = "spec.config.populations[0].n = 100000, spec.config.populations[1].n = 100000"
+    cfg = fhn_two_pop(n_per_pop=100_000, n_steps=2, t_end=0.02, thin=2)
+    for run, n_bytes in ((lambda: simulate(cfg, 1), 81_600_000),
+                         (lambda: simulate_limit_given_ybar(np.zeros((2, 3)), cfg, 100_000), 83_200_000)):
+        with pytest.raises(ConfigError) as exc:
+            run()
+        assert f"{sizes}: one batch holds at least {n_bytes} bytes" in str(exc.value)
+
+
 # 2**37 neurons per population: the engine's per-column arrays alone would
 # take terabytes, so every refusal below must come before any is allocated
 HUGE = 1 << 37

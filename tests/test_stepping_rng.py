@@ -1,6 +1,7 @@
 """Step kernels and the keyed noise streams."""
 
 import ast
+import gc
 import math
 import re
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import live_fill_threads
 from neuromf.errors import SimulationDiverged
 from neuromf.model import PairParams
 from neuromf import network, rng
@@ -342,13 +344,13 @@ class _GatedGenerator:
     def __init__(self, gen, engine: int, drew: threading.Event, drawers: list):
         self.gen, self.engine, self.drew, self.drawers = gen, engine, drew, drawers
 
-    def standard_normal(self, shape):
+    def standard_normal(self, out):
         if threading.get_ident() == self.engine:
             self.drew.set()
         else:
             self.drew.wait(timeout=5.0)
         self.drawers.append(threading.get_ident())
-        return self.gen.standard_normal(shape)
+        return self.gen.standard_normal(out=out)
 
 
 def test_block_noise_engine_helps_fill_the_first_block(monkeypatch):
@@ -411,11 +413,11 @@ class _FailingGenerator:
     def __init__(self, gen, error):
         self.gen, self.error, self.calls = gen, error, 0
 
-    def standard_normal(self, shape):
+    def standard_normal(self, out):
         self.calls += 1
         if self.calls > 1:
             raise self.error
-        return self.gen.standard_normal(shape)
+        return self.gen.standard_normal(out=out)
 
 
 def test_block_noise_fill_error_reaches_the_consuming_step(monkeypatch):
@@ -432,7 +434,7 @@ def test_block_noise_fill_error_reaches_the_consuming_step(monkeypatch):
         assert exc.value is error
 
 
-def test_no_fill_thread_outlives_the_engine():
+def test_no_fill_thread_outlives_the_engine(monkeypatch):
     # 1200 steps make eight blocks of 150, so seven fills run ahead
     config = fhn_two_pop(n_per_pop=3, n_steps=1200, t_end=1.2, thin=100)
     before = threading.active_count()
@@ -441,10 +443,32 @@ def test_no_fill_thread_outlives_the_engine():
     coupled_distance_paths(config, np.full((2, 1201), 0.2), n_paths=2)
     assert threading.active_count() == before
 
+    # a run that diverges part-way, with the next block in fill
+    def diverge_at_step_5(v, k, t, path_ids):
+        if k == 5:
+            raise SimulationDiverged("non-finite membrane potential at step 5")
 
-# (paths, components, columns, steps): the simulate_hh and the N = 1024
-# chaos_sweep_fhn shapes of the benchmark
-BENCH_SHAPES = [(32, 7, 16, 1000), (48, 4, 1024, 150)]
+    monkeypatch.setattr(network, "_ensure_finite", diverge_at_step_5)
+    with pytest.raises(SimulationDiverged) as exc:  # its traceback holds the run's noise source
+        simulate(config, n_paths=2)
+    assert not live_fill_threads()
+    assert "step 5" in str(exc.value)
+    assert threading.active_count() == before
+
+    # a source dropped after 3 of its 97 steps, its helper waiting for work
+    bn = BlockNoise(seed=1, path_ids=[0], components=[0], n_cols=11, n_steps=97)
+    for k in range(3):
+        bn.step(k)
+    assert bn._helper.is_alive()
+    del bn
+    gc.collect()
+    assert not live_fill_threads()
+    assert threading.active_count() == before
+
+
+# (paths, components, columns, steps): the simulate_hh, the N = 1024
+# chaos_sweep_fhn and the meanfield_fhn copy shapes of the benchmark
+BENCH_SHAPES = [(32, 7, 16, 1000), (48, 4, 1024, 150), (1, 4, 4000, 500)]
 
 
 @pytest.mark.parametrize("n_paths, n_comps, n_cols, n_steps", BENCH_SHAPES)
@@ -455,6 +479,26 @@ def test_block_noise_buffers_stay_within_one_single_buffer(n_paths, n_comps, n_c
                     n_cols=n_cols, n_steps=n_steps)
     assert len(bn._sets) == 2
     assert sum(buf.nbytes for buf in bn._sets) <= single
+
+
+def test_block_noise_at_the_meanfield_shape_holds_four_steps(monkeypatch):
+    # 4000 columns: a 4-step block is the shortest whose fill tasks draw
+    # 12,288 normals each, where the budget alone would allow 62 steps
+    ids, comps, n_cols, n_steps = [0], [0, 1, 2, 3], 4000, 500
+    with monkeypatch.context() as m:
+        m.setattr(rng, "_TASK_NORMALS", 1 << 40)
+        budget_only = BlockNoise(seed=9, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
+    assert budget_only.block == 62
+    assert sum(buf.nbytes for buf in budget_only._sets) == 15_872_000
+    bn = BlockNoise(seed=9, path_ids=ids, components=comps, n_cols=n_cols, n_steps=n_steps)
+    assert bn.block == 4
+    assert sum(buf.nbytes for buf in bn._sets) == 2 * 4 * 4 * 4000 * 8 == 1_024_000
+    flat = flat_draws(9, ids, comps, n_cols, n_steps)
+    for k in range(n_steps):
+        draws = bn.step(k)
+        for i, c in enumerate(comps):
+            assert np.array_equal(draws[i][0], flat[(0, c)][k])
+    assert bn._pending is None
 
 
 def test_generator_draw_concatenation():
