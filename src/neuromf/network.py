@@ -42,14 +42,20 @@ from .model import (
     proportion_rates,
     recovery_drift,
 )
-from .rng import BlockNoise, Component
+from .rng import BlockNoise, Component, _aligned
 from .stepping import TimeGrid, step_cir, step_euler_confined
 
 # Network paths take ids below this base; limit-copy ensembles draw from
 # ids at or above it, so that under one seed they never share streams.
 MEANFIELD_PATH_BASE = 1 << 21
 
-MAX_BATCH_COLS = 1 << 19  # cap on a batch's columns, paths times neurons; read at each run
+# cap on a batch's columns, paths times neurons; read at each run.  At
+# 51-63 float64 arrays per column a batch of 1 << 14 columns holds 6.4-7.9
+# MiB of them.  On criterion 5's N = 1024 shape (300 paths, 100 steps, a
+# 2-vCPU AVX-512 VM) one batch of all paths took 4.0 s; batches of 48, 32
+# and 16 paths 3.1-3.6 s, 8 paths 3.5-3.6 s, 4 paths 4.1-4.3 s; and peak
+# memory fell from 129 MiB to 78 at 48 paths and 52 at 16
+MAX_BATCH_COLS = 1 << 14
 
 
 class Conductance(str, Enum):
@@ -308,12 +314,17 @@ def population_sums(y: np.ndarray, slices: Sequence[tuple[int, int]]) -> np.ndar
 # engine
 
 
+def _repeat(values, sizes: Sequence[int]) -> np.ndarray:
+    """`values`, (..., len(sizes)), each repeated over its columns along the last axis."""
+    values = np.asarray(values, dtype=float)
+    out = _aligned(values.shape[:-1] + (sum(sizes),))
+    out[...] = np.repeat(values, sizes, axis=-1)
+    return out
+
+
 def _columns(items: Sequence, sizes: Sequence[int], names: Sequence[str]) -> SimpleNamespace:
     """One column vector per attribute: each item's value repeated over its columns."""
-    return SimpleNamespace(**{
-        name: np.repeat(np.array([getattr(it, name) for it in items], dtype=float), sizes)
-        for name in names
-    })
+    return SimpleNamespace(**{name: _repeat([getattr(it, name) for it in items], sizes) for name in names})
 
 
 class _ColumnCurrent:
@@ -325,7 +336,7 @@ class _ColumnCurrent:
     def __init__(self, specs: list, sizes: list[int]):
         self.specs = specs
         self.bounds = [(sum(sizes[:i]), sum(sizes[:i + 1])) for i in range(len(sizes))]
-        self.values = np.empty(sum(sizes))
+        self.values = _aligned(sum(sizes))
 
     def __call__(self, t: float) -> np.ndarray:
         for spec, (lo, hi) in zip(self.specs, self.bounds):
@@ -431,8 +442,8 @@ def _make_plan(config: NetworkConfig) -> _Plan:
     P = len(pops)
     labels = config.labels
     pairs = SimpleNamespace(**{
-        name: np.repeat(np.array([[getattr(config.pairs[(a, g)], name) for a in labels] for g in labels],
-                                 dtype=float), config.sizes, axis=1)[:, None, :]
+        name: _repeat([[getattr(config.pairs[(a, g)], name) for a in labels] for g in labels],
+                      config.sizes)[:, None, :]
         for name in ("v_rev", "j_mean", "sigma_j", "theta")
     })
     runs = [_make_run(config, list(members), pairs)
@@ -505,8 +516,9 @@ def _zero_states(plan: _Plan, n_paths: int, s: np.ndarray, j: np.ndarray | None 
     """A state of zeros over the activation buffer `s`; `j` given, the conductances are that array itself."""
     B, N, P = n_paths, plan.n_cols, len(plan.pops)
     if j is None and plan.conductance is Conductance.SIGN_PRESERVING:
-        j = np.zeros((P, B, N))
-    return NeuronStates(v=np.zeros((B, N)), w=np.zeros((B, N)), x=np.zeros((plan.k, B, N)), j=j, s=s)
+        j = _aligned((P, B, N), zero=True)
+    return NeuronStates(v=_aligned((B, N), zero=True), w=_aligned((B, N), zero=True),
+                        x=_aligned((plan.k, B, N), zero=True), j=j, s=s)
 
 
 def _draw_initial(plan: _Plan, path_ids: Sequence[int], st: NeuronStates) -> None:
@@ -542,13 +554,13 @@ def _workspace(plan: _Plan, n_paths: int) -> SimpleNamespace:
     for run in plan.runs:
         w, k = run.hi - run.lo, run.k
         runs.append(SimpleNamespace(
-            drift_v=np.empty((B, w)), noise_v=np.empty((B, w)),
-            rates=np.empty((2, k, B, w)), fields=np.empty((2, k, B, w)),
-            work=np.empty((2, k, B, w)),
-            gates=np.empty((2, 3, B, w)) if run.is_hh else None,
+            drift_v=_aligned((B, w)), noise_v=_aligned((B, w)),
+            rates=_aligned((2, k, B, w)), fields=_aligned((2, k, B, w)),
+            work=_aligned((2, k, B, w)),
+            gates=_aligned((2, 3, B, w)) if run.is_hh else None,
         ))
     sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
-    cir = np.empty((2, len(plan.pops), B, plan.n_cols)) if sign_preserving else None
+    cir = _aligned((2, len(plan.pops), B, plan.n_cols)) if sign_preserving else None
     return SimpleNamespace(runs=runs, cir=cir)
 
 
@@ -694,47 +706,55 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers:
     overwritten at node k + 2; the activation, at node k + 1.
 
     A batch holds as many paths as fit in `MAX_BATCH_COLS` columns (at
-    least one), read when the call starts.
+    least one), read when the call starts.  Each batch runs in
+    `_drive_batch`, so only one batch's noise buffers, workspace,
+    activation buffers and states are alive at a time: they are freed
+    before the next batch allocates its own.  All of them start on a
+    64-byte boundary (`rng._aligned`).
     """
     batch = max(1, min(n_paths, MAX_BATCH_COLS // max(plan.n_cols, 1)))
-    times = plan.times
     for b0 in range(0, n_paths, batch):
         ids = [path_offset + i for i in range(b0, min(b0 + batch, n_paths))]
-        rows = slice(b0, b0 + len(ids))
-        noise = BlockNoise(plan.seed, ids, plan.components, plan.n_cols, plan.n_steps)
-        ws = _workspace(plan, len(ids))
-        # one activation buffer per system; the copy systems' conductances
-        # are the network's own arrays
-        s_bufs = [np.empty((len(ids), plan.n_cols)) for _ in drives]
-        pairs = [[_zero_states(plan, len(ids), s_bufs[0]) for _ in range(2)]]
-        pairs += [[_zero_states(plan, len(ids), s, j=net.j) for net in pairs[0]] for s in s_bufs[1:]]
-        first = pairs[0][0]
-        _draw_initial(plan, ids, first)
-        for pair in pairs[1:]:
-            for name in ("v", "w", "x"):
-                np.copyto(getattr(pair[0], name), getattr(first, name))
-        states = [pair[0] for pair in pairs]
-        for st in states:
-            eval_sigmoid(plan.sigmoid, st.v, out=st.s)
-        for obs in observers:
-            obs.observe(rows, 0, states)
-        try:  # a run that raises part-way still ends the noise's helper thread
-            for k in range(plan.n_steps):
-                draws = noise.step(k)
-                new = [pair[(k + 1) % 2] for pair in pairs]
-                # the network steps first: the copies then read its conductances
-                # at node k, which it keeps in the other state
-                for i, drive in enumerate(drives):
-                    _advance(plan, states[i], new[i], drive.interaction(k, states[i]), draws, times[k], ws,
-                             step_j=i == 0)
-                for st in new:
-                    _ensure_finite(st.v, k + 1, times[k + 1], ids)
-                    eval_sigmoid(plan.sigmoid, st.v, out=st.s)
-                states = new
-                for obs in observers:
-                    obs.observe(rows, k + 1, states)
-        finally:
-            noise._close()
+        _drive_batch(plan, ids, slice(b0, b0 + len(ids)), drives, observers)
+
+
+def _drive_batch(plan: _Plan, ids: list[int], rows: slice, drives: list, observers: list) -> None:
+    """One batch of `_drive`: the paths `ids`, at `rows` of the path axis."""
+    times = plan.times
+    noise = BlockNoise(plan.seed, ids, plan.components, plan.n_cols, plan.n_steps)
+    ws = _workspace(plan, len(ids))
+    # one activation buffer per system; the copy systems' conductances
+    # are the network's own arrays
+    s_bufs = [_aligned((len(ids), plan.n_cols)) for _ in drives]
+    pairs = [[_zero_states(plan, len(ids), s_bufs[0]) for _ in range(2)]]
+    pairs += [[_zero_states(plan, len(ids), s, j=net.j) for net in pairs[0]] for s in s_bufs[1:]]
+    first = pairs[0][0]
+    _draw_initial(plan, ids, first)
+    for pair in pairs[1:]:
+        for name in ("v", "w", "x"):
+            np.copyto(getattr(pair[0], name), getattr(first, name))
+    states = [pair[0] for pair in pairs]
+    for st in states:
+        eval_sigmoid(plan.sigmoid, st.v, out=st.s)
+    for obs in observers:
+        obs.observe(rows, 0, states)
+    try:  # a run that raises part-way still ends the noise's helper thread
+        for k in range(plan.n_steps):
+            draws = noise.step(k)
+            new = [pair[(k + 1) % 2] for pair in pairs]
+            # the network steps first: the copies then read its conductances
+            # at node k, which it keeps in the other state
+            for i, drive in enumerate(drives):
+                _advance(plan, states[i], new[i], drive.interaction(k, states[i]), draws, times[k], ws,
+                         step_j=i == 0)
+            for st in new:
+                _ensure_finite(st.v, k + 1, times[k + 1], ids)
+                eval_sigmoid(plan.sigmoid, st.v, out=st.s)
+            states = new
+            for obs in observers:
+                obs.observe(rows, k + 1, states)
+    finally:
+        noise._close()
 
 
 def _check_memory(n_bytes: int, head: str, tail: str = "") -> None:
@@ -818,7 +838,8 @@ class _Storage:
         names = ["v", "y"] + (["w"] if not all(hh) else []) + (list(GATES) if any(hh) else [])
         sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
         arrays = len(names) + (len(hh) if sign_preserving else 0)
-        _check_memory(8 * arrays * n_paths * len(idx) * config.total_neurons,
+        self.path_bytes = 8 * arrays * len(idx) * config.total_neurons  # one path's trajectories
+        _check_memory(self.path_bytes * n_paths,
                       f"spec.n_paths = {n_paths}, spec.config.thin = {thin}, "
                       f"spec.config.grid.n_steps = {n_steps} and {_sizes(config)} store", " of trajectories")
         self.config = config
@@ -846,6 +867,7 @@ class _Storage:
                 np.maximum(hi, a, out=hi)
         if k == self.last:
             self._reduce_bounds()
+            self._bounds = []  # freed before the next batch allocates
         slot = self.slots.get(k)
         if slot is None:
             return
@@ -967,11 +989,12 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     membrane variant, evaluating every field in one call over all the
     run's columns with per-column parameters; the operations are the
     elementwise ones of a population-by-population step, in the same
-    order.  Paths run in batches capped by `MAX_BATCH_COLS`.  Results are
-    a pure function of (config, path indices): batching, worker count, and
-    buffer sizes cannot change a single bit.  A run whose trajectories, or
-    whose batch of one path, cannot fit in physical memory is refused before
-    anything is allocated.
+    order.  Paths run in batches capped by `MAX_BATCH_COLS`, one batch
+    alive at a time, over 64-byte-aligned buffers (`_drive`).  Results are
+    a pure function of (config, path indices): batching, worker count,
+    buffer sizes and alignment cannot change a single bit.  A run whose
+    trajectories, or whose batch of one path, cannot fit in physical memory
+    is refused before anything is allocated.
     """
     config.validate_or_raise()
     drive = (_NetworkDrive(config, path_offset, n_paths) if interaction is None
@@ -1024,11 +1047,14 @@ class _CouplingGap:
         self.reps = reps
         comps = {name: np.zeros(n_paths) for name in ("v", "y", "w", "gates")}
         self.run = CouplingRun(sup_sq=np.zeros(n_paths), comp_sup_sq=comps, max_gap_all=0.0)
+        self._gap: np.ndarray | None = None  # the batch's full-width |v gap|
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
-        if k == 0:
-            return  # both systems start from the same draws
         st_n, st_t = states
+        if k == 0:  # both systems start from the same draws
+            self._gap = None  # the last batch's buffer goes before this one's is made
+            self._gap = _aligned(st_n.v.shape)
+            return
         reps = self.reps
         dv = (st_n.v[:, reps] - st_t.v[:, reps]) ** 2
         dx = (st_n.x[..., reps] - st_t.x[..., reps]) ** 2
@@ -1041,7 +1067,7 @@ class _CouplingGap:
         for name, c in contrib.items():
             sup = self.run.comp_sup_sq[name][rows]
             np.maximum(sup, c, out=sup)
-        gap = np.subtract(st_n.v, st_t.v)  # one full-width temporary
+        gap = np.subtract(st_n.v, st_t.v, out=self._gap)
         np.abs(gap, out=gap)
         self.run.max_gap_all = max(self.run.max_gap_all, float(gap.max()))
 
@@ -1058,7 +1084,8 @@ def coupled_distance_paths(config: NetworkConfig, ybar_curve: MeanCurve | np.nda
     (P, n_steps + 1) `y_bar` array, with values in [0, 1].  The distances
     are taken at the first neuron of each population.  Path ids run from 0
     and must stay below `MEANFIELD_PATH_BASE`; paths run in batches capped
-    by `MAX_BATCH_COLS`.
+    by `MAX_BATCH_COLS`, one batch alive at a time, over 64-byte-aligned
+    buffers (`_drive`), and the distances are the same bits at any cap.
     """
     config.validate_or_raise()
     # the drives check path ids and curve before any per-column array exists

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 
 from .errors import ConfigError
-from .network import NetworkConfig, PathEnsemble, _Storage, simulate
+from .network import NetworkConfig, PathEnsemble, _check_memory, _Storage, simulate
 
 WORKERS_ENV = "NEUROMF_WORKERS"
 
@@ -48,6 +48,11 @@ def simulate_paths(config: NetworkConfig, n_paths: int) -> PathEnsemble:
     config.validate_or_raise()
     store = _Storage(config, n_paths)  # the whole ensemble must fit, not each worker's share
     ranges = _chunk_ranges(n_paths, workers)
+    # while a part is stored, its pickled bytes or the next finished part wait beside it
+    in_transit = sum(sorted(hi - lo for lo, hi in ranges)[-2:])
+    _check_memory(store.path_bytes * (n_paths + in_transit),
+                  f"spec.n_paths = {n_paths} over {WORKERS_ENV} = {workers} workers holds the ensemble "
+                  f"and its two largest parts in transit, at least")
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(_simulate_chunk, [config] * len(ranges), *zip(*ranges))
         for (lo, _), part in zip(ranges, parts):  # in path order

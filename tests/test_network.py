@@ -1,6 +1,7 @@
 """The interacting-network engine: structure, determinism, couplings."""
 
 import math
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -194,6 +195,45 @@ def test_node_stats_merge_across_batches(preset, monkeypatch):
         np.testing.assert_allclose(many.block_se[name], one.block_se[name], rtol=1e-12, atol=0)
 
 
+def test_batches_never_overlap_in_memory(monkeypatch):
+    # each batch frees its noise buffers, workspace, activation buffers and
+    # states before the next batch builds its own: whenever a batch builds
+    # its noise source, no other one is alive
+    live = weakref.WeakSet()
+    alive_at_build = []
+
+    class Counted(BlockNoise):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live.add(self)
+            alive_at_build.append(len(live))
+
+    monkeypatch.setattr(network, "BlockNoise", Counted)
+    cfg = fhn_two_pop(n_per_pop=4, n_steps=20, t_end=0.2)
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 2 * cfg.total_neurons)  # batches of 2, 2 and 1 paths
+    simulate(cfg, n_paths=5)
+    assert alive_at_build == [1] * 3
+    coupled_distance_paths(cfg, np.full((2, 21), 0.15), 5)
+    assert alive_at_build == [1] * 6
+
+
+def test_default_cap_gives_the_bits_of_one_wide_batch(monkeypatch):
+    # 20 paths x 1024 neurons: the default cap splits them into batches with
+    # a short last one, 1 << 19 columns run them as one batch
+    cfg = fhn_two_pop(n_per_pop=512, n_steps=10, t_end=0.1)
+    per_batch = network.MAX_BATCH_COLS // cfg.total_neurons
+    assert 1 <= per_batch < 20 and 20 % per_batch
+    curve = np.full((2, 11), 0.15)
+    narrow = coupled_distance_paths(cfg, curve, 20)
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 1 << 19)
+    wide = coupled_distance_paths(cfg, curve, 20)
+    assert np.array_equal(_bits(narrow.sup_sq), _bits(wide.sup_sq))
+    assert narrow.comp_sup_sq.keys() == wide.comp_sup_sq.keys()
+    for name in narrow.comp_sup_sq:
+        assert np.array_equal(_bits(narrow.comp_sup_sq[name]), _bits(wide.comp_sup_sq[name])), name
+    assert narrow.max_gap_all == wide.max_gap_all and narrow.max_gap_all > 0.0
+
+
 def _same_value(x, y) -> bool:
     if isinstance(x, dict):
         return isinstance(y, dict) and x.keys() == y.keys() and all(_same_value(x[k], y[k]) for k in x)
@@ -236,6 +276,21 @@ def test_memory_refusal_counts_the_whole_ensemble(monkeypatch, workers):
         simulate_paths(cfg, 4)
     assert "spec.n_paths = 4" in str(exc.value)
     assert "store 14080 bytes" in str(exc.value)
+
+
+def test_workers_refuse_an_ensemble_whose_parts_in_transit_cannot_fit(monkeypatch):
+    # 4 paths x 8 neurons x 11 stored nodes, five arrays: 14,080 bytes fit in
+    # the 24,576 reported; two workers' parts of 7,040 bytes each, in
+    # transit beside the whole ensemble, make 28,160
+    cfg = fhn_two_pop(n_per_pop=4, n_steps=10, t_end=0.1, thin=1)
+    monkeypatch.setattr(network.os, "sysconf", lambda name: 24576 if name == "SC_PHYS_PAGES" else 1)
+    monkeypatch.setenv("NEUROMF_WORKERS", "1")
+    assert simulate_paths(cfg, 4).n_paths == 4
+    monkeypatch.setenv("NEUROMF_WORKERS", "2")
+    with pytest.raises(ConfigError) as exc:
+        simulate_paths(cfg, 4)
+    assert ("spec.n_paths = 4 over NEUROMF_WORKERS = 2 workers holds the ensemble and its two "
+            "largest parts in transit, at least 28160 bytes") in str(exc.value)
 
 
 def test_simulate_refuses_an_engine_batch_larger_than_memory(monkeypatch):
@@ -766,6 +821,41 @@ def test_engine_step_matches_per_population_reference(cfg):
     P, n_nodes = len(cfg.populations), cfg.grid.n_steps + 1
     curve = np.repeat(np.linspace(0.1, 0.4, P)[:, None], n_nodes, axis=1)
     _replay(cfg, simulate(cfg, n_paths=3, interaction=curve), interaction=curve)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fhn_two_pop(n_per_pop=3, n_steps=8, t_end=0.08),
+    lambda: hh_two_pop(n_per_pop=3, n_steps=8, t_end=0.08),
+    _mixed_fhn_hh_fhn,
+], ids=["fhn", "hh", "mixed"])
+def test_engine_buffers_start_on_cache_lines(make, monkeypatch):
+    # every state of both coupled systems, in every batch, and every noise
+    # buffer set start on a 64-byte boundary
+    def aligned(a: np.ndarray) -> bool:
+        return a.ctypes.data % 64 == 0
+
+    seen = []
+
+    class Watched(network._CouplingGap):
+        def observe(self, rows, k, states):
+            seen.append([name for st in states for name in ("v", "w", "x", "s", "j")
+                         if not aligned(getattr(st, name))])
+            super().observe(rows, k, states)
+
+    sets = []
+
+    class Noise(BlockNoise):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sets.extend(aligned(buf) for buf in self._sets)
+
+    monkeypatch.setattr(network, "_CouplingGap", Watched)
+    monkeypatch.setattr(network, "BlockNoise", Noise)
+    cfg = make()
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 2 * cfg.total_neurons)  # batches of 2, 2 and 1 paths
+    coupled_distance_paths(cfg, np.full((len(cfg.populations), cfg.grid.n_steps + 1), 0.15), 5)
+    assert seen == [[]] * (3 * (cfg.grid.n_steps + 1))
+    assert sets == [True] * 6
 
 
 def test_mixed_network_stores_every_component(tmp_path):
