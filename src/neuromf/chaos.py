@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .network import CouplingRun, MeanCurve, NetworkConfig, _check_batch_fits, coupled_distance_paths
+from .network import (CouplingRun, MeanCurve, NetworkConfig, _check_batch_fits, _CouplingGap,
+                      coupled_distance_paths)
 
 
 # scipy.special.stdtrit(df, 0.975) for df = 1 ... 30, the two-sided 95% Student t
@@ -132,7 +133,8 @@ def sweep(base_config: NetworkConfig, ns: list[int], n_paths: int,
     if sorted(set(ns)) != list(ns):
         raise ConfigError(["sweep sizes must be strictly increasing"])
     configs = [base_config.with_total_neurons(n) for n in ns]  # raises on proportion drift
-    _check_batch_fits(configs[-1], 2, False, f"spec.sweep_n = {list(ns)}: the coupled pair at N = {ns[-1]}")
+    _check_batch_fits(configs[-1], 2, [_CouplingGap],
+                      f"spec.sweep_n = {list(ns)}: the coupled pair at N = {ns[-1]}")
     d_hat, se = [], []
     runs = []
     for cfg in configs:

@@ -122,7 +122,7 @@ def _copy_stats(config: NetworkConfig, m_copies: int, y_bar: np.ndarray | None) 
     """
     copies = _limit_config(config, m_copies)
     copies.validate_or_raise()
-    _check_batch_fits(copies, 1, True, f"spec.m_copies = {m_copies} limit copies per population")
+    _check_batch_fits(copies, 1, [_NodeStats], f"spec.m_copies = {m_copies} limit copies per population")
     plan = _make_plan(copies)
     stats = _NodeStats(plan, ("s",))
     drive = _CausalDrive(config, stats) if y_bar is None else _CurveDrive(copies, y_bar)

@@ -49,12 +49,13 @@ from .stepping import TimeGrid, step_cir, step_euler_confined
 # ids at or above it, so that under one seed they never share streams.
 MEANFIELD_PATH_BASE = 1 << 21
 
-# cap on a batch's columns, paths times neurons; read at each run.  At
-# 51-63 float64 arrays per column a batch of 1 << 14 columns holds 6.4-7.9
-# MiB of them.  On criterion 5's N = 1024 shape (300 paths, 100 steps, a
-# 2-vCPU AVX-512 VM) one batch of all paths took 4.0 s; batches of 48, 32
-# and 16 paths 3.1-3.6 s, 8 paths 3.5-3.6 s, 4 paths 4.1-4.3 s; and peak
-# memory fell from 129 MiB to 78 at 48 paths and 52 at 16
+# cap on a batch's columns, systems times paths times neurons; read at each
+# run.  A coupled batch is one stacked state, so at N = 1024 it spans 8
+# paths, and each numpy call of its step still covers 1 << 14 elements; its
+# noise then holds 32 streams, 6.3 MB.  Unstacked, on criterion 5's N = 1024
+# shape (300 paths, 100 steps, a 2-vCPU AVX-512 VM), one batch of all paths
+# took 4.0 s; batches of 48, 32 and 16 paths 3.1-3.6 s, 8 paths 3.5-3.6 s,
+# 4 paths 4.1-4.3 s: the width of the operations sets the knee
 MAX_BATCH_COLS = 1 << 14
 
 
@@ -409,6 +410,7 @@ def _make_run(config: NetworkConfig, members: list[int], pairs: SimpleNamespace)
 
 @dataclass
 class _Plan:
+    config: NetworkConfig
     pops: list[PopulationParams]
     labels: list[str]
     slices: list[tuple[int, int]]
@@ -436,37 +438,44 @@ class _Plan:
         return slice(1 + self.k, len(self.components))
 
 
+def _run_members(config: NetworkConfig) -> list[list[int]]:
+    """The populations of each `_Run`: maximal blocks of adjacent ones that share a membrane variant."""
+    hh = [p.is_hh for p, _ in config.populations]
+    return [list(members) for _, members in groupby(range(len(hh)), key=hh.__getitem__)]
+
+
+def _components(config: NetworkConfig) -> list[int]:
+    """The noise components of a step: V, then the proportions next to each other (one slice), then J(g)."""
+    comps = [int(Component.V), int(Component.Y)]
+    if any(p.is_hh for p, _ in config.populations):
+        comps += [int(Component.GATE_N), int(Component.GATE_M), int(Component.GATE_H)]
+    return comps + [Component.j(g) for g in range(len(config.populations))]
+
+
 def _make_plan(config: NetworkConfig) -> _Plan:
     """A validated configuration, laid out for the engine."""
     pops = [p for p, _ in config.populations]
-    P = len(pops)
     labels = config.labels
     pairs = SimpleNamespace(**{
         name: _repeat([[getattr(config.pairs[(a, g)], name) for a in labels] for g in labels],
                       config.sizes)[:, None, :]
         for name in ("v_rev", "j_mean", "sigma_j", "theta")
     })
-    runs = [_make_run(config, list(members), pairs)
-            for _, members in groupby(range(P), key=lambda a: pops[a].is_hh)]
     any_hh = any(p.is_hh for p in pops)
-    # V first, then the proportions next to each other: one slice per step
-    comps = [int(Component.V), int(Component.Y)]
-    if any_hh:
-        comps += [int(Component.GATE_N), int(Component.GATE_M), int(Component.GATE_H)]
-    comps += [Component.j(g) for g in range(P)]
     return _Plan(
+        config=config,
         pops=pops,
         labels=labels,
         slices=config.population_slices(),
         n_cols=config.total_neurons,
         conductance=config.conductance,
-        runs=runs,
+        runs=[_make_run(config, members, pairs) for members in _run_members(config)],
         sigmoid=_columns([p.sigmoid for p in pops], config.sizes, ("c_max", "lam", "v_half")),
         pairs=pairs,
         any_hh=any_hh,
         any_fhn=not all(p.is_hh for p in pops),
         k=4 if any_hh else 1,
-        components=comps,
+        components=_components(config),
         init_laws=[config.init[l] for l in config.labels],
         seed=config.seed,
         times=config.grid.times(),
@@ -485,8 +494,13 @@ class NeuronStates:
     j holds the sign-preserving conductances, (P, B, n), one contiguous
     slab per source; None in the simple variant.  The columns of a
     population that lacks a component hold zeros in it.  s holds the
-    activation S(v), (B, n); the two states of a system share one such
-    buffer, which the driver fills for the node the system has reached.
+    activation S(v), (B, n); the two states of a batch share one such
+    buffer, which the driver fills for the node the batch has reached.
+
+    A coupled batch is one stacked state of S systems: v, w and s are
+    (S, B, n) and x is (K, S, B, n), each system's block padded to whole
+    cache lines, and j is the network's alone.  `_by_system` views it as
+    one state per system.
     """
 
     v: np.ndarray
@@ -512,13 +526,11 @@ class NeuronStates:
         return self.x[3]
 
 
-def _zero_states(plan: _Plan, n_paths: int, s: np.ndarray, j: np.ndarray | None = None) -> NeuronStates:
-    """A state of zeros over the activation buffer `s`; `j` given, the conductances are that array itself."""
-    B, N, P = n_paths, plan.n_cols, len(plan.pops)
-    if j is None and plan.conductance is Conductance.SIGN_PRESERVING:
-        j = _aligned((P, B, N), zero=True)
-    return NeuronStates(v=_aligned((B, N), zero=True), w=_aligned((B, N), zero=True),
-                        x=_aligned((plan.k, B, N), zero=True), j=j, s=s)
+def _by_system(st: NeuronStates, systems: int) -> list[NeuronStates]:
+    """One state per system of a batch's state: views of a stacked one, which all read the network's j."""
+    if systems == 1:
+        return [st]
+    return [NeuronStates(v=st.v[i], w=st.w[i], x=st.x[:, i], j=st.j, s=st.s[i]) for i in range(systems)]
 
 
 def _draw_initial(plan: _Plan, path_ids: Sequence[int], st: NeuronStates) -> None:
@@ -547,21 +559,95 @@ def _draw_initial(plan: _Plan, path_ids: Sequence[int], st: NeuronStates) -> Non
                     st.j[g, b, lo:hi] = law.j[lg].sample(jgens[g], size)
 
 
-def _workspace(plan: _Plan, n_paths: int) -> SimpleNamespace:
-    """The scratch of one batch: every intermediate of a step is written here."""
-    B = n_paths
+# a run's scratch: every intermediate of its step is written here
+_RUN_SCRATCH = ("drift_v", "noise_v", "rates", "fields", "work", "gates")
+
+# an array of a batch: `rng._aligned(block, lead=lead)`, as (lead, block)
+_Shapes = dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _batch_layout(config: NetworkConfig, n_paths: int, systems: int) -> _Shapes:
+    """Every array `_drive_batch` allocates for `n_paths` paths of `systems` systems, by name.
+
+    Two states, one per parity: v, w, the proportions x and, sign-preserving,
+    the network's conductances j (named `state0.v` and so on, and zeroed);
+    the activation s; each run's scratch (`run0.rates` and so on) and the
+    CIR step's.  One system's arrays are C-contiguous, as `NeuronStates`
+    describes them.  A coupled batch's carry the system axis last in their
+    `lead`, so each system's (B, columns) block starts on a cache line; it
+    also stacks the systems' aggregates in `ybar`, and a run without
+    conductance noise keeps one membrane-noise block, which reads only the
+    shared draws, for all of them.
+    """
+    B, n, P = n_paths, config.total_neurons, len(config.populations)
+    pops, labels = [p for p, _ in config.populations], config.labels
+
+    def stacked(outer: tuple[int, ...], block: tuple[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return (outer + (systems,), block) if systems > 1 else ((), outer + block)
+
+    k = 4 if any(p.is_hh for p in pops) else 1
+    sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
+    layout: _Shapes = {}
+    for i in range(2):
+        layout |= {f"state{i}.v": stacked((), (B, n)), f"state{i}.w": stacked((), (B, n)),
+                   f"state{i}.x": stacked((k,), (B, n))}
+        if sign_preserving:
+            layout[f"state{i}.j"] = ((), (P, B, n))
+    layout["s"] = stacked((), (B, n))
+    if systems > 1:
+        layout["ybar"] = stacked((), (B, P))
+    for i, members in enumerate(_run_members(config)):
+        w, hh = sum(config.sizes[a] for a in members), pops[members[0]].is_hh
+        k_run = 4 if hh else 1
+        # as `_make_run` finds it: some (target, source) pair of the run has conductance noise
+        j_noise = not sign_preserving and any(config.pairs[(labels[a], g)].sigma_j != 0.0
+                                              for a in members for g in labels)
+        layout |= {f"run{i}.drift_v": stacked((), (B, w)),
+                   f"run{i}.noise_v": stacked((), (B, w)) if j_noise or systems == 1 else ((1,), (B, w)),
+                   **{f"run{i}.{name}": stacked((2, k_run), (B, w)) for name in ("rates", "fields", "work")}}
+        if hh:
+            layout[f"run{i}.gates"] = stacked((2, 3), (B, w))
+    if sign_preserving:
+        layout["cir"] = ((), (2, P, B, n))
+    return layout
+
+
+def _plan_shapes(config: NetworkConfig) -> _Shapes:
+    """The arrays `_make_plan` allocates: its time grid and its per-column vectors, by name."""
+    n, P = config.total_neurons, len(config.populations)
+    shapes: _Shapes = {"plan.times": ((), (config.grid.n_steps + 1,))}
+    shapes |= {f"plan.sigmoid.{name}": ((), (n,)) for name in ("c_max", "lam", "v_half")}
+    shapes |= {f"plan.pairs.{name}": ((), (P, n)) for name in ("v_rev", "j_mean", "sigma_j", "theta")}
+    for i, members in enumerate(_run_members(config)):
+        w = sum(config.sizes[a] for a in members)
+        names = ["sigma_v", "rise_rate", "decay_rate", "support_lo", "support_hi", "ramp"]
+        if config.populations[members[0]][0].is_hh:
+            names += ["g_na", "g_k", "g_l", "e_na", "e_k", "e_l", "i_ext", "clamp_lo", "clamp_hi", "clamp_v"]
+        else:
+            names += ["a", "b", "c"]
+        shapes |= {f"plan.run{i}.{name}": ((), (w,)) for name in names}
+    return shapes
+
+
+def _noise_shapes(config: NetworkConfig, n_paths: int) -> _Shapes:
+    """A batch's `BlockNoise` buffer sets, each (components, paths, block, columns)."""
+    n, C = config.total_neurons, len(_components(config))
+    block = rng._block_steps(n_paths * C, n, config.grid.n_steps)
+    return {f"noise{i}": ((), (C, n_paths, block, n)) for i in range(2)}
+
+
+def _workspace(plan: _Plan, arrays: dict[str, np.ndarray], systems: int) -> SimpleNamespace:
+    """The scratch of one batch, from its arrays.
+
+    Each run's `dw` receives the proportions' increments: one set, which
+    every system of a stacked batch reads.
+    """
     runs = []
-    for run in plan.runs:
-        w, k = run.hi - run.lo, run.k
-        runs.append(SimpleNamespace(
-            drift_v=_aligned((B, w)), noise_v=_aligned((B, w)),
-            rates=_aligned((2, k, B, w)), fields=_aligned((2, k, B, w)),
-            work=_aligned((2, k, B, w)),
-            gates=_aligned((2, 3, B, w)) if run.is_hh else None,
-        ))
-    sign_preserving = plan.conductance is Conductance.SIGN_PRESERVING
-    cir = _aligned((2, len(plan.pops), B, plan.n_cols)) if sign_preserving else None
-    return SimpleNamespace(runs=runs, cir=cir)
+    for i in range(len(plan.runs)):
+        run = SimpleNamespace(**{name: arrays.get(f"run{i}.{name}") for name in _RUN_SCRATCH})
+        run.dw = run.work[0] if systems == 1 else run.work[0][:, :1]
+        runs.append(run)
+    return SimpleNamespace(runs=runs, cir=arrays.get("cir"), ybar=arrays.get("ybar"))
 
 
 def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, ybars: list,
@@ -569,11 +655,11 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, yb
     """The run's new v, proportions and w into `new`: one model call per field over all its columns."""
     dt, sqrt_dt = plan.dt, plan.sqrt_dt
     cols, k = run.cols, run.k
-    vs = st.v[:, cols]
-    xs = st.x[:k, :, cols]
-    q = (xs[1], xs[2], xs[3]) if run.is_hh else st.w[:, cols]
+    vs = st.v[..., cols]
+    xs = st.x[:k, ..., cols]
+    q = (xs[1], xs[2], xs[3]) if run.is_hh else st.w[..., cols]
     drift_v = eval_membrane_drift(run, t, vs, q, out=ws.drift_v, work=ws.work[:, 0])
-    noise_v = np.multiply(run.sigma_v, draws[0][:, cols], out=ws.noise_v)
+    noise_v = np.multiply(run.sigma_v, draws[0][..., cols], out=ws.noise_v)
     term, dv = ws.work[0, 0], ws.work[1, 0]
     j_draws = draws[plan.j_rows]
     p = plan.pairs  # views of the run's columns, (P, 1, w) each
@@ -586,49 +672,52 @@ def _advance_run(plan: _Plan, run: _Run, st: NeuronStates, new: NeuronStates, yb
         if g in run.j_noise:
             np.multiply(dv, sigma_j[g], out=term)
             np.multiply(term, ybars[g], out=term)
-            np.multiply(term, j_draws[g][:, cols], out=term)
+            np.multiply(term, j_draws[g][..., cols], out=term)
             mask = run.j_noise[g]
             np.subtract(noise_v, term, out=noise_v, where=True if mask is None else mask)
-    new_v = new.v[:, cols]
+    new_v = new.v[..., cols]
     np.multiply(drift_v, dt, out=drift_v)
     np.add(vs, drift_v, out=new_v)
     np.multiply(noise_v, sqrt_dt, out=noise_v)
     np.add(new_v, noise_v, out=new_v)
 
-    rho, zeta = proportion_rates(run, vs, st.s[:, cols], out=ws.rates, work=ws.gates)
+    rho, zeta = proportion_rates(run, vs, st.s[..., cols], out=ws.rates, work=ws.gates)
     drift, diffusion = proportion_fields(rho, zeta, xs, run.cutoff, out=ws.fields, work=ws.work)
-    dw = np.multiply(draws[1:1 + k, :, cols], sqrt_dt, out=ws.work[0])
-    step_euler_confined(xs, drift, diffusion, dt, dw, out=new.x[:k, :, cols], work=ws.work[1])
+    dw = np.multiply(draws[1:1 + k, ..., cols], sqrt_dt, out=ws.dw)
+    step_euler_confined(xs, drift, diffusion, dt, dw, out=new.x[:k, ..., cols], work=ws.work[1])
 
     if not run.is_hh:
         rd = recovery_drift(run.membrane, vs, q, out=ws.work[0, 0], work=ws.work[1, 0])
         np.multiply(rd, dt, out=rd)
-        np.add(q, rd, out=new.w[:, cols])
+        np.add(q, rd, out=new.w[..., cols])
 
 
 def _advance(plan: _Plan, st: NeuronStates, new: NeuronStates, ybar: np.ndarray, draws: np.ndarray,
-             t: float, ws: SimpleNamespace, step_j: bool) -> None:
+             t: float, ws: SimpleNamespace) -> None:
     """One Euler step of every column from `st` into `new`, one pass per run of same-variant populations.
 
-    ybar holds a drive's (..., P) aggregates; each source's column
-    broadcasts against the (B, block) state slices.  draws is the step's
-    (C, B, n) noise, rows in `plan.components` order.  Without `step_j` the
-    conductances are not stepped: the limit copies read the network's
-    conductance paths, which `new.j` already is.
+    st and new are one system's states or a coupled batch's stacked ones.
+    ybar holds the (..., P) aggregates the step reads, (S, B, P) when
+    stacked; each source's column broadcasts against the state slices.
+    draws is the step's (C, B, n) noise, rows in `plan.components` order,
+    which every system of a stacked state reads.  The conductances, the
+    network's alone, step last: every system reads them at node k.
     """
     ybars = [ybar[..., g, None] for g in range(len(plan.pops))]
+    shared = draws if st.v.ndim == 2 else draws[:, None]  # broadcast over the system axis
     for run, run_ws in zip(plan.runs, ws.runs):
-        _advance_run(plan, run, st, new, ybars, draws, t, run_ws)
-    if step_j and st.j is not None:
+        _advance_run(plan, run, st, new, ybars, shared, t, run_ws)
+    if st.j is not None:
         dw = np.multiply(draws[plan.j_rows], plan.sqrt_dt, out=ws.cir[0])
         step_cir(st.j, plan.pairs, plan.dt, dw, out=new.j, work=ws.cir[1])
 
 
 def _ensure_finite(v: np.ndarray, k: int, t: float, path_ids: Sequence[int]) -> None:
-    # one pass, as in stepping: the exact test runs only when the sum is not finite
+    # one pass, as in stepping: the exact test runs only when the sum is not
+    # finite.  A stacked v is searched system by system, the network first
     if math.isfinite(v.sum()) or np.isfinite(v).all():
         return
-    b, col = np.argwhere(~np.isfinite(v))[0]
+    b, col = np.argwhere(~np.isfinite(v))[0][-2:]
     raise SimulationDiverged(
         f"non-finite membrane potential at step {k} (t = {t:.6g} ms), "
         f"path {path_ids[int(b)]}, neuron {int(col)}"
@@ -698,61 +787,63 @@ def _drive(plan: _Plan, n_paths: int, path_offset: int, drives: list, observers:
     conductance paths.  After the initial draw and after every step, each
     observer sees `observe(rows, k, states)`: the batch's rows of the path
     axis, the node and one state per system, whose `s` holds S(v) at that
-    node.  The activation is evaluated once per system and node; the step
-    reads it for the synaptic opening rate.
+    node.  The activation is evaluated once per node; the step reads it
+    for the synaptic opening rate.
 
-    Each system owns two states per batch and steps from one into the
-    other in turn, so the arrays an observer sees at node k are
-    overwritten at node k + 2; the activation, at node k + 1.
+    A batch owns two states and steps from one into the other in turn, so
+    the arrays an observer sees at node k are overwritten at node k + 2;
+    the activation, at node k + 1.  With more than one system the state is
+    stacked (`NeuronStates`), so each numpy call of a step advances every
+    system; the network's conductances and its population sums are taken
+    on its own block.
 
-    A batch holds as many paths as fit in `MAX_BATCH_COLS` columns (at
-    least one), read when the call starts.  Each batch runs in
-    `_drive_batch`, so only one batch's noise buffers, workspace,
-    activation buffers and states are alive at a time: they are freed
-    before the next batch allocates its own.  All of them start on a
-    64-byte boundary (`rng._aligned`).
+    A batch holds as many paths as fit in `MAX_BATCH_COLS` columns of all
+    systems together (at least one), read when the call starts.  Each batch
+    runs in `_drive_batch`, so only one batch's noise buffers, workspace,
+    activation buffer and states are alive at a time: they are freed before
+    the next batch allocates its own.  All of them start on a 64-byte
+    boundary (`rng._aligned`).
     """
-    batch = max(1, min(n_paths, MAX_BATCH_COLS // max(plan.n_cols, 1)))
+    batch = max(1, min(n_paths, MAX_BATCH_COLS // max(len(drives) * plan.n_cols, 1)))
     for b0 in range(0, n_paths, batch):
         ids = [path_offset + i for i in range(b0, min(b0 + batch, n_paths))]
         _drive_batch(plan, ids, slice(b0, b0 + len(ids)), drives, observers)
 
 
 def _drive_batch(plan: _Plan, ids: list[int], rows: slice, drives: list, observers: list) -> None:
-    """One batch of `_drive`: the paths `ids`, at `rows` of the path axis."""
-    times = plan.times
+    """One batch of `_drive`: the paths `ids`, at `rows` of the path axis, in the arrays of `_batch_layout`."""
+    times, systems = plan.times, len(drives)
     noise = BlockNoise(plan.seed, ids, plan.components, plan.n_cols, plan.n_steps)
-    ws = _workspace(plan, len(ids))
-    # one activation buffer per system; the copy systems' conductances
-    # are the network's own arrays
-    s_bufs = [_aligned((len(ids), plan.n_cols)) for _ in drives]
-    pairs = [[_zero_states(plan, len(ids), s_bufs[0]) for _ in range(2)]]
-    pairs += [[_zero_states(plan, len(ids), s, j=net.j) for net in pairs[0]] for s in s_bufs[1:]]
-    first = pairs[0][0]
-    _draw_initial(plan, ids, first)
-    for pair in pairs[1:]:
-        for name in ("v", "w", "x"):
-            np.copyto(getattr(pair[0], name), getattr(first, name))
-    states = [pair[0] for pair in pairs]
-    for st in states:
-        eval_sigmoid(plan.sigmoid, st.v, out=st.s)
+    arrays = {name: _aligned(block, zero=name.startswith("state"), lead=lead)
+              for name, (lead, block) in _batch_layout(plan.config, len(ids), systems).items()}
+    ws = _workspace(plan, arrays, systems)
+    pair = [NeuronStates(**{name: arrays.get(f"state{i}.{name}") for name in ("v", "w", "x", "j")},
+                         s=arrays["s"]) for i in range(2)]
+    views = [_by_system(st, systems) for st in pair]
+    first = pair[0]
+    _draw_initial(plan, ids, views[0][0])
+    if systems > 1:  # every system starts from the network's draws
+        np.copyto(first.v[1:], first.v[:1])
+        np.copyto(first.w[1:], first.w[:1])
+        np.copyto(first.x[:, 1:], first.x[:, :1])
+    eval_sigmoid(plan.sigmoid, first.v, out=first.s)
     for obs in observers:
-        obs.observe(rows, 0, states)
+        obs.observe(rows, 0, views[0])
     try:  # a run that raises part-way still ends the noise's helper thread
         for k in range(plan.n_steps):
             draws = noise.step(k)
-            new = [pair[(k + 1) % 2] for pair in pairs]
-            # the network steps first: the copies then read its conductances
-            # at node k, which it keeps in the other state
-            for i, drive in enumerate(drives):
-                _advance(plan, states[i], new[i], drive.interaction(k, states[i]), draws, times[k], ws,
-                         step_j=i == 0)
-            for st in new:
-                _ensure_finite(st.v, k + 1, times[k + 1], ids)
-                eval_sigmoid(plan.sigmoid, st.v, out=st.s)
-            states = new
+            if systems == 1:
+                ybar = drives[0].interaction(k, views[k % 2][0])
+            else:  # each system's aggregates into its block of the stack
+                for i, (drive, st) in enumerate(zip(drives, views[k % 2])):
+                    ws.ybar[i] = drive.interaction(k, st)
+                ybar = ws.ybar
+            new = pair[(k + 1) % 2]
+            _advance(plan, pair[k % 2], new, ybar, draws, times[k], ws)
+            _ensure_finite(new.v, k + 1, times[k + 1], ids)
+            eval_sigmoid(plan.sigmoid, new.v, out=new.s)
             for obs in observers:
-                obs.observe(rows, k + 1, states)
+                obs.observe(rows, k + 1, views[(k + 1) % 2])
     finally:
         noise._close()
 
@@ -771,27 +862,19 @@ def _sizes(config: NetworkConfig) -> str:
     return ", ".join(f"spec.config.populations[{a}].n = {n}" for a, n in enumerate(config.sizes))
 
 
-def _check_batch_fits(config: NetworkConfig, systems: int, stats: bool, what: str) -> None:
+def _check_batch_fits(config: NetworkConfig, systems: int, observers: Sequence[type], what: str) -> None:
     """Refuse, before anything is allocated, a `_drive` batch over `config` that cannot fit.
 
-    A batch spans at least one path, and per column it allocates at least
-    these float64 arrays: the plan's vectors (sigmoid, pair constants,
-    membrane, rate and cutoff coefficients); two states and the activation
-    per system, and the network's two conductance states; the run
-    workspaces and the CIR step's; two one-step noise sets; with `stats`,
-    the node-statistic deviations.  The count is a lower bound, so no batch
-    that fits is refused: `BlockNoise` keeps two sets of at least one step.
+    A batch spans at least one path.  Its bytes are those of the arrays it
+    holds, the plan's included, named by `_plan_shapes`, `_batch_layout`
+    (for `systems` systems), `_noise_shapes` and the `batch_shapes` of
+    each class in `observers`, the arrays its instance makes for a batch.
     """
-    P = len(config.populations)
-    any_hh = any(p.is_hh for p, _ in config.populations)
-    sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
-    per_col = (12 + 4 * P
-               + systems * (2 * (2 + (4 if any_hh else 1)) + 1)
-               + (4 * P if sign_preserving else 0)
-               + 8
-               + 2 * (2 + (3 if any_hh else 0) + P)
-               + (1 if stats else 0))
-    _check_memory(8 * per_col * config.total_neurons, f"{what}: one batch holds at least")
+    shapes = _plan_shapes(config) | _batch_layout(config, 1, systems) | _noise_shapes(config, 1)
+    for obs in observers:
+        shapes |= obs.batch_shapes(config, 1)
+    n_bytes = sum(rng._aligned_bytes(block, lead) for lead, block in shapes.values())
+    _check_memory(n_bytes, f"{what}: one batch holds at least")
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +937,16 @@ class _Storage:
         self.hh_cols = slice(None) if all(hh) or not any(hh) else np.concatenate(
             [np.arange(lo, hi) for (lo, hi), is_hh in zip(config.population_slices(), hh) if is_hh])
         self._bounds: list[tuple[np.ndarray, np.ndarray]] = []
+
+    @staticmethod
+    def batch_shapes(config: NetworkConfig, n_paths: int) -> _Shapes:
+        """The running extremes of a batch: two copies of its proportions and its conductances."""
+        B, n, P = n_paths, config.total_neurons, len(config.populations)
+        k = 4 if any(p.is_hh for p, _ in config.populations) else 1
+        shapes = {f"store.{bound}.x": ((), (k, B, n)) for bound in ("lo", "hi")}
+        if config.conductance is Conductance.SIGN_PRESERVING:
+            shapes |= {f"store.{bound}.j": ((), (P, B, n)) for bound in ("lo", "hi")}
+        return shapes
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
         st = states[0]
@@ -925,6 +1018,10 @@ class _NodeStats:
         self.m2 = {name: np.zeros((P, n_nodes)) for name in self.names}
         self.count = np.zeros(P, dtype=int)
         self._dev: list[np.ndarray] = []  # per population, the batch's (B, size) deviations
+
+    @staticmethod
+    def batch_shapes(config: NetworkConfig, n_paths: int) -> _Shapes:
+        return {f"stats.dev{a}": ((), (n_paths, n)) for a, n in enumerate(config.sizes)}
 
     def observe(self, rows: slice, node: int, states: list[NeuronStates]) -> None:
         st = states[0]
@@ -1000,7 +1097,7 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     drive = (_NetworkDrive(config, path_offset, n_paths) if interaction is None
              else _CurveDrive(config, interaction))
     store = _Storage(config, n_paths)
-    _check_batch_fits(config, 1, collect_node_stats, _sizes(config))
+    _check_batch_fits(config, 1, [_Storage] + ([_NodeStats] if collect_node_stats else []), _sizes(config))
     plan = _make_plan(config)
     stats = _NodeStats(plan, ("y", "s")) if collect_node_stats else None
     _drive(plan, n_paths, path_offset, [drive], [store] + ([stats] if stats else []))
@@ -1044,10 +1141,16 @@ class _CouplingGap:
     """Running sups of the network-copy gap, one entry per path."""
 
     def __init__(self, n_paths: int, reps: np.ndarray):
-        self.reps = reps
+        steps = np.diff(reps)
+        # evenly spaced columns as a slice, whose views cost less than a gather
+        self.reps = slice(reps[0], reps[-1] + 1, steps[0]) if len(set(steps)) == 1 else reps
         comps = {name: np.zeros(n_paths) for name in ("v", "y", "w", "gates")}
         self.run = CouplingRun(sup_sq=np.zeros(n_paths), comp_sup_sq=comps, max_gap_all=0.0)
         self._gap: np.ndarray | None = None  # the batch's full-width |v gap|
+
+    @staticmethod
+    def batch_shapes(config: NetworkConfig, n_paths: int) -> _Shapes:
+        return {"gap": ((), (n_paths, config.total_neurons))}
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
         st_n, st_t = states
@@ -1056,14 +1159,18 @@ class _CouplingGap:
             self._gap = _aligned(st_n.v.shape)
             return
         reps = self.reps
-        dv = (st_n.v[:, reps] - st_t.v[:, reps]) ** 2
-        dx = (st_n.x[..., reps] - st_t.x[..., reps]) ** 2
-        dw = (st_n.w[:, reps] - st_t.w[:, reps]) ** 2
-        dg = (dx[1] + dx[2]) + dx[3] if len(dx) > 1 else np.zeros_like(dv)
-        contrib = {"v": dv.sum(axis=1), "y": dx[0].sum(axis=1), "w": dw.sum(axis=1),
-                   "gates": dg.sum(axis=1)}
+        dv = st_n.v[:, reps] - st_t.v[:, reps]
+        dx = st_n.x[..., reps] - st_t.x[..., reps]
+        dw = st_n.w[:, reps] - st_t.w[:, reps]
+        for d in (dv, dx, dw):
+            np.multiply(d, d, out=d)
+        contrib = {"v": dv.sum(axis=1), "y": dx[0].sum(axis=1), "w": dw.sum(axis=1)}
+        total = (contrib["v"] + contrib["y"]) + contrib["w"]
+        if len(dx) > 1:  # the gates' gap, summed over the gates first; without gates it stays 0
+            contrib["gates"] = ((dx[1] + dx[2]) + dx[3]).sum(axis=1)
+            total += contrib["gates"]
         sup = self.run.sup_sq[rows]
-        np.maximum(sup, sum(contrib.values()), out=sup)
+        np.maximum(sup, total, out=sup)
         for name, c in contrib.items():
             sup = self.run.comp_sup_sq[name][rows]
             np.maximum(sup, c, out=sup)
@@ -1083,8 +1190,10 @@ def coupled_distance_paths(config: NetworkConfig, ybar_curve: MeanCurve | np.nda
     the configuration's grid and of its populations, in order, or a
     (P, n_steps + 1) `y_bar` array, with values in [0, 1].  The distances
     are taken at the first neuron of each population.  Path ids run from 0
-    and must stay below `MEANFIELD_PATH_BASE`; paths run in batches capped
-    by `MAX_BATCH_COLS`, one batch alive at a time, over 64-byte-aligned
+    and must stay below `MEANFIELD_PATH_BASE`.  A batch of the pair is one
+    stacked state of both systems, so each numpy call of a step advances
+    both; paths run in batches of at most `MAX_BATCH_COLS` columns of both
+    systems together, one batch alive at a time, over 64-byte-aligned
     buffers (`_drive`), and the distances are the same bits at any cap.
     """
     config.validate_or_raise()

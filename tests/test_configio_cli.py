@@ -647,7 +647,7 @@ def test_cli_refuses_a_simulate_batch_larger_than_memory(tmp_path, monkeypatch, 
     monkeypatch.delenv("NEUROMF_WORKERS", raising=False)
     monkeypatch.setattr(network.os, "sysconf", lambda name: (64 << 20) if name == "SC_PHYS_PAGES" else 1)
     assert cli.main(["simulate", "--spec", str(path), "--out", str(tmp_path / "big")]) == 2
-    assert "one batch holds at least 81600000 bytes" in capsys.readouterr().err
+    assert "one batch holds at least 91202456 bytes" in capsys.readouterr().err
     assert not (tmp_path / "big").exists()
 
 

@@ -1,15 +1,17 @@
 """The interacting-network engine: structure, determinism, couplings."""
 
+import itertools
 import math
+import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from neuromf import network
-from neuromf.errors import ConfigError
+from neuromf.errors import ConfigError, SimulationDiverged
 from neuromf.model import (
     GATES,
     CurrentSpec,
@@ -165,7 +167,7 @@ def test_batch_size_does_not_change_results(monkeypatch):
     # the coupled pair: batches of two paths, the last one short
     curve = np.full((2, 51), 0.15)
     c = coupled_distance_paths(cfg, curve, 5)
-    d = capped(32, coupled_distance_paths, cfg, curve, 5)
+    d = capped(64, coupled_distance_paths, cfg, curve, 5)
     assert np.array_equal(_bits(c.sup_sq), _bits(d.sup_sq))
     assert c.comp_sup_sq.keys() == d.comp_sup_sq.keys()
     for name in c.comp_sup_sq:
@@ -175,7 +177,7 @@ def test_batch_size_does_not_change_results(monkeypatch):
     cfg = hh_two_pop(n_per_pop=4, n_steps=20, t_end=0.2)
     curve = np.full((2, 21), 0.15)
     c = coupled_distance_paths(cfg, curve, 5)
-    d = capped(16, coupled_distance_paths, cfg, curve, 5)
+    d = capped(32, coupled_distance_paths, cfg, curve, 5)
     assert np.array_equal(_bits(c.sup_sq), _bits(d.sup_sq))
     for name in c.comp_sup_sq:
         assert np.array_equal(_bits(c.comp_sup_sq[name]), _bits(d.comp_sup_sq[name])), name
@@ -213,15 +215,16 @@ def test_batches_never_overlap_in_memory(monkeypatch):
     monkeypatch.setattr(network, "MAX_BATCH_COLS", 2 * cfg.total_neurons)  # batches of 2, 2 and 1 paths
     simulate(cfg, n_paths=5)
     assert alive_at_build == [1] * 3
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 4 * cfg.total_neurons)  # the pair: 2, 2 and 1 paths
     coupled_distance_paths(cfg, np.full((2, 21), 0.15), 5)
     assert alive_at_build == [1] * 6
 
 
 def test_default_cap_gives_the_bits_of_one_wide_batch(monkeypatch):
-    # 20 paths x 1024 neurons: the default cap splits them into batches with
-    # a short last one, 1 << 19 columns run them as one batch
+    # 20 paths x 1024 neurons: the default cap splits the pair into batches
+    # with a short last one, 1 << 19 columns run them as one batch
     cfg = fhn_two_pop(n_per_pop=512, n_steps=10, t_end=0.1)
-    per_batch = network.MAX_BATCH_COLS // cfg.total_neurons
+    per_batch = network.MAX_BATCH_COLS // (2 * cfg.total_neurons)
     assert 1 <= per_batch < 20 and 20 % per_batch
     curve = np.full((2, 11), 0.15)
     narrow = coupled_distance_paths(cfg, curve, 20)
@@ -232,6 +235,53 @@ def test_default_cap_gives_the_bits_of_one_wide_batch(monkeypatch):
     for name in narrow.comp_sup_sq:
         assert np.array_equal(_bits(narrow.comp_sup_sq[name]), _bits(wide.comp_sup_sq[name])), name
     assert narrow.max_gap_all == wide.max_gap_all and narrow.max_gap_all > 0.0
+
+
+def test_the_cap_counts_the_columns_of_every_system(monkeypatch):
+    # a coupled batch is one stacked state of both systems: at N = 1024 it
+    # spans half the paths a one-system batch does, and at least one path
+    widths = []
+
+    class Recorded(BlockNoise):
+        def __init__(self, seed, path_ids, *args, **kwargs):
+            super().__init__(seed, path_ids, *args, **kwargs)
+            widths.append(len(path_ids))
+
+    monkeypatch.setattr(network, "BlockNoise", Recorded)
+    for n_per_pop in (512, 8192):
+        cfg = fhn_two_pop(n_per_pop=n_per_pop, n_steps=1, t_end=0.01)
+        n = cfg.total_neurons
+        pair, one = max(1, network.MAX_BATCH_COLS // (2 * n)), network.MAX_BATCH_COLS // n
+        assert (pair, one) == ((8, 16) if n == 1024 else (1, 1))
+        coupled_distance_paths(cfg, np.full((2, 2), 0.15), 20)
+        assert widths == [pair] * (20 // pair) + [20 % pair] * bool(20 % pair)
+        widths.clear()
+        simulate(cfg, n_paths=20)
+        assert widths == [one] * (20 // one) + [20 % one] * bool(20 % one)
+        widths.clear()
+
+
+def test_copies_that_diverge_alone_are_named_by_path_and_step(monkeypatch):
+    # batches of 2, 2 and 1 paths; from step 6 on, the copies of the second
+    # path of the second batch, path 3, read a NaN interaction, the network
+    # its own means
+    cfg = fhn_two_pop(n_per_pop=4, n_steps=20, t_end=0.2)
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 4 * cfg.total_neurons)
+    read_curve = network._CurveDrive.interaction
+    batches = []
+
+    def spoilt(self, k, st):
+        if k == 0:
+            batches.append(k)
+        ybar = np.tile(read_curve(self, k, st), (st.v.shape[0], 1))
+        if len(batches) == 2 and k >= 6:
+            ybar[1] = np.nan
+        return ybar
+
+    monkeypatch.setattr(network._CurveDrive, "interaction", spoilt)
+    with pytest.raises(SimulationDiverged, match=r"at step 7 \(t = 0\.07 ms\), path 3, neuron 0$"):
+        coupled_distance_paths(cfg, np.full((2, 21), 0.15), 5)
+    assert len(batches) == 2
 
 
 def _same_value(x, y) -> bool:
@@ -295,15 +345,16 @@ def test_workers_refuse_an_ensemble_whose_parts_in_transit_cannot_fit(monkeypatc
 
 def test_simulate_refuses_an_engine_batch_larger_than_memory(monkeypatch):
     # 2 x 100,000 neurons: 15.3 MiB of trajectories fit in the 64 MiB
-    # reported, but one path's engine batch holds at least 81.6 MB, and the
-    # limit copies' batch, which adds the node statistics, 83.2 MB
+    # reported, but one path's engine batch holds at least 91.2 MB, its
+    # storage's running extremes included, and the limit copies' batch,
+    # which adds the node statistics, 92.8 MB
     from neuromf.meanfield import simulate_limit_given_ybar
 
     monkeypatch.setattr(network.os, "sysconf", lambda name: (64 << 20) if name == "SC_PHYS_PAGES" else 1)
     sizes = "spec.config.populations[0].n = 100000, spec.config.populations[1].n = 100000"
     cfg = fhn_two_pop(n_per_pop=100_000, n_steps=2, t_end=0.02, thin=2)
-    for run, n_bytes in ((lambda: simulate(cfg, 1), 81_600_000),
-                         (lambda: simulate_limit_given_ybar(np.zeros((2, 3)), cfg, 100_000), 83_200_000)):
+    for run, n_bytes in ((lambda: simulate(cfg, 1), 91_202_456),
+                         (lambda: simulate_limit_given_ybar(np.zeros((2, 3)), cfg, 100_000), 92_802_584)):
         with pytest.raises(ConfigError) as exc:
             run()
         assert f"{sizes}: one batch holds at least {n_bytes} bytes" in str(exc.value)
@@ -590,6 +641,8 @@ def test_coupled_gap_is_taken_at_the_first_neuron_of_each_population():
     # of the wrong node would show here.
     curve = np.full((2, 31), 0.15)
     for cfg in (fhn_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, conductance=Conductance.SIMPLE, thin=1),
+                fhn_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, conductance=Conductance.SIMPLE, sigma_j=0.0,
+                            thin=1),
                 fhn_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, thin=1),
                 hh_two_pop(n_per_pop=3, n_steps=30, t_end=0.3, thin=1)):
         run = coupled_distance_paths(cfg, curve, 3)
@@ -852,7 +905,7 @@ def test_engine_buffers_start_on_cache_lines(make, monkeypatch):
     monkeypatch.setattr(network, "_CouplingGap", Watched)
     monkeypatch.setattr(network, "BlockNoise", Noise)
     cfg = make()
-    monkeypatch.setattr(network, "MAX_BATCH_COLS", 2 * cfg.total_neurons)  # batches of 2, 2 and 1 paths
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", 4 * cfg.total_neurons)  # the pair: 2, 2 and 1 paths
     coupled_distance_paths(cfg, np.full((len(cfg.populations), cfg.grid.n_steps + 1), 0.15), 5)
     assert seen == [[]] * (3 * (cfg.grid.n_steps + 1))
     assert sets == [True] * 6
@@ -933,3 +986,54 @@ def test_simulate_names_a_missing_pair():
     broken = replace(cfg, pairs={k: p for k, p in cfg.pairs.items() if k != ("exc", "inh")})
     with pytest.raises(ConfigError, match=r"pairs\['exc->inh'\]"):
         simulate(broken, n_paths=2)
+
+
+def _numpy_bytes() -> int:
+    """The bytes of every numpy array allocated since tracing started and still alive."""
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(trace.size for trace in snap.traces)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fhn_two_pop(n_per_pop=1500, n_steps=4, t_end=0.04),
+    lambda: hh_two_pop(n_per_pop=1500, n_steps=4, t_end=0.04),
+    lambda: replace(_mixed_fhn_hh_fhn(), grid=TimeGrid(t_end=0.04, n_steps=4), populations=[
+        (pop, 400 * n) for pop, n in _mixed_fhn_hh_fhn().populations]),
+], ids=["fhn", "hh", "mixed"])
+@pytest.mark.parametrize("variant", ["sign_preserving", "simple"])
+def test_batch_count_covers_the_arrays_a_batch_allocates(make, variant, monkeypatch):
+    # tracemalloc sees numpy's array data in a domain of its own: the plan's
+    # vectors, then, at every node, everything a one-path batch holds.  The
+    # count `_check_batch_fits` refuses by must be no less, for one system
+    # (simulate's storage) and the coupled pair (its gap), with node
+    # statistics and without
+    cfg = make() if variant == "sign_preserving" else _as_simple(make())
+    counted = []
+    monkeypatch.setattr(network, "_check_memory", lambda n_bytes, *args: counted.append(n_bytes))
+    curve = np.full((len(cfg.populations), cfg.grid.n_steps + 1), 0.15)
+    for systems, stats in itertools.product((1, 2), (False, True)):
+        kinds = [network._Storage if systems == 1 else network._CouplingGap]
+        kinds += [network._NodeStats] if stats else []
+        network._check_batch_fits(cfg, systems, kinds, "batch")
+        count, held = counted[-1], []
+
+        class Probe:
+            def observe(self, rows, k, states):
+                held.append(_numpy_bytes() - base)
+
+        tracemalloc.start()
+        try:
+            before = _numpy_bytes()
+            plan = network._make_plan(cfg)
+            plan_bytes = _numpy_bytes() - before
+            observers = [network._Storage(cfg, 1) if systems == 1
+                         else network._CouplingGap(1, np.asarray([lo for lo, _ in plan.slices]))]
+            observers += [network._NodeStats(plan, ("y", "s"))] if stats else []
+            drives = [network._NetworkDrive(cfg, 0, 1), network._CurveDrive(cfg, curve)][:systems]
+            base = _numpy_bytes()
+            network._drive(plan, 1, 0, drives, observers + [Probe()])
+        finally:
+            tracemalloc.stop()
+        assert len(held) == cfg.grid.n_steps + 1
+        assert count >= plan_bytes + max(held), (systems, stats)
