@@ -8,8 +8,8 @@ Four subcommands, all driven by a JSON experiment spec:
     neuromf validate   --spec FILE
 
 Artifacts are plain CSV/JSON tables stamped with the config hash and seed;
-plotting happens out of process.  NEUROMF_WORKERS controls path-level
-parallelism.
+plotting happens out of process.  Each command runs in the one process
+that calls it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from pathlib import Path
 from . import artifacts, chaos, configio, meanfield
 from .errors import ConfigError, SimulationDiverged
 from .model import run_population_checks
-from .network import Conductance
-from .parallel import simulate_paths
+from .network import Conductance, simulate
 
 
 @contextmanager
@@ -63,7 +62,7 @@ def _make_out(path: str) -> Path:
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.spec, "simulate")
     _check_out(args.out)
-    ens = simulate_paths(spec.config, spec.n_paths)
+    ens = simulate(spec.config, n_paths=spec.n_paths)
     out = _make_out(args.out)
     artifacts.write_ensemble_csv(ens, out / "ensemble.csv")
     artifacts.write_ensemble_npz(ens, out / "ensemble.npz")

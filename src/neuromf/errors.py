@@ -14,10 +14,6 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
-    def __reduce__(self):
-        # rebuilt from the list, not from the message: a worker's error reaches its parent whole
-        return type(self), (self.errors,)
-
 
 class VariantMismatchError(TypeError):
     """State vector does not match the population's membrane variant."""

@@ -909,7 +909,9 @@ class _Storage:
     refused, before anything is allocated, when larger than physical memory:
     every `thin`-th node and the last; `w` when some population is FHN and
     the gates, their extremes over the HH columns only, when some is HH; the
-    conductances when sign-preserving.  It fills from `_drive` or by `merge`.
+    conductances when sign-preserving.  It fills from `_drive`, and folds
+    each node's per-row minima and maxima into the extremes as it goes, so
+    it holds no array per batch.
     """
 
     def __init__(self, config: NetworkConfig, n_paths: int):
@@ -921,46 +923,34 @@ class _Storage:
         names = ["v", "y"] + (["w"] if not all(hh) else []) + (list(GATES) if any(hh) else [])
         sign_preserving = config.conductance is Conductance.SIGN_PRESERVING
         arrays = len(names) + (len(hh) if sign_preserving else 0)
-        self.path_bytes = 8 * arrays * len(idx) * config.total_neurons  # one path's trajectories
-        _check_memory(self.path_bytes * n_paths,
+        path_bytes = 8 * arrays * len(idx) * config.total_neurons  # one path's trajectories
+        _check_memory(path_bytes * n_paths,
                       f"spec.n_paths = {n_paths}, spec.config.thin = {thin}, "
                       f"spec.config.grid.n_steps = {n_steps} and {_sizes(config)} store", " of trajectories")
         self.config = config
         self.steps = np.asarray(idx, dtype=int)
         self.slots = {k: i for i, k in enumerate(idx)}
-        self.last = n_steps
         shape = (n_paths, len(idx), config.total_neurons)
         self.data = {name: np.empty(shape) for name in names}
         self.j = np.empty(shape + (len(hh),)) if sign_preserving else None
-        tracked = ["y"] + (list(GATES) if any(hh) else []) + (["j"] if sign_preserving else [])
-        self.extremes = {name: (math.inf, -math.inf) for name in tracked}
-        self.hh_cols = slice(None) if all(hh) or not any(hh) else np.concatenate(
-            [np.arange(lo, hi) for (lo, hi), is_hh in zip(config.population_slices(), hh) if is_hh])
-        self._bounds: list[tuple[np.ndarray, np.ndarray]] = []
-
-    @staticmethod
-    def batch_shapes(config: NetworkConfig, n_paths: int) -> _Shapes:
-        """The running extremes of a batch: two copies of its proportions and its conductances."""
-        B, n, P = n_paths, config.total_neurons, len(config.populations)
-        k = 4 if any(p.is_hh for p, _ in config.populations) else 1
-        shapes = {f"store.{bound}.x": ((), (k, B, n)) for bound in ("lo", "hi")}
-        if config.conductance is Conductance.SIGN_PRESERVING:
-            shapes |= {f"store.{bound}.j": ((), (P, B, n)) for bound in ("lo", "hi")}
-        return shapes
+        # the rows of x, in order, then j's one row
+        self.tracked = ["y"] + (list(GATES) if any(hh) else []) + (["j"] if sign_preserving else [])
+        self.lo = np.full(len(self.tracked), math.inf)
+        self.hi = np.full(len(self.tracked), -math.inf)
+        # (rows of x, columns) reduced together: the gates' rows over the HH columns only
+        k = 4 if any(hh) else 1
+        if all(hh) or not any(hh):
+            self.regions = [(slice(0, k), slice(None))]
+        else:
+            self.regions = [(slice(0, 1), slice(None))] + [
+                (slice(1, k), slice(lo, hi)) for (lo, hi), is_hh in zip(config.population_slices(), hh) if is_hh]
 
     def observe(self, rows: slice, k: int, states: list[NeuronStates]) -> None:
         st = states[0]
-        # elementwise running extremes over the batch's nodes, reduced once per batch
-        tracked = [st.x] + ([st.j] if self.j is not None else [])
-        if k == 0:
-            self._bounds = [(a.copy(), a.copy()) for a in tracked]
-        else:
-            for a, (lo, hi) in zip(tracked, self._bounds):
-                np.minimum(lo, a, out=lo)
-                np.maximum(hi, a, out=hi)
-        if k == self.last:
-            self._reduce_bounds()
-            self._bounds = []  # freed before the next batch allocates
+        for r, c in self.regions:
+            self._fold(r, st.x[r, :, c], (1, 2))
+        if self.j is not None:
+            self._fold(slice(-1, None), st.j, None)
         slot = self.slots.get(k)
         if slot is None:
             return
@@ -969,27 +959,10 @@ class _Storage:
         if self.j is not None:
             self.j[rows, slot] = np.moveaxis(st.j, 0, -1)
 
-    def _reduce_bounds(self) -> None:
-        (x_lo, x_hi), *j_bounds = self._bounds
-        for name, (lo, hi) in self.extremes.items():
-            if name == "j":
-                b_lo, b_hi = j_bounds[0]
-            else:
-                row = 0 if name == "y" else 1 + GATES.index(name)
-                b_lo, b_hi = x_lo[row], x_hi[row]
-                if name in GATES:
-                    b_lo, b_hi = b_lo[:, self.hh_cols], b_hi[:, self.hh_cols]
-            self.extremes[name] = (min(lo, float(b_lo.min())), max(hi, float(b_hi.max())))
-
-    def merge(self, first: int, part: PathEnsemble) -> None:
-        """Another process's ensemble of the same configuration, as paths `first` on."""
-        rows = slice(first, first + part.n_paths)
-        for name, out in self.data.items():
-            out[rows] = part.data[name]
-        if self.j is not None:
-            self.j[rows] = part.j
-        self.extremes = {name: (min(lo, part.extremes[name][0]), max(hi, part.extremes[name][1]))
-                         for name, (lo, hi) in self.extremes.items()}
+    def _fold(self, r: slice, a: np.ndarray, axis: tuple[int, int] | None) -> None:
+        """Fold the minima and maxima of `a` over `axis` into the extremes' rows `r`."""
+        np.minimum(self.lo[r], a.min(axis=axis), out=self.lo[r])
+        np.maximum(self.hi[r], a.max(axis=axis), out=self.hi[r])
 
     def ensemble(self, block_means=None, block_se=None) -> PathEnsemble:
         from .configio import config_hash  # local import: configio builds on this module
@@ -997,7 +970,9 @@ class _Storage:
         c = self.config
         return PathEnsemble(times=c.grid.times()[self.steps], store_steps=self.steps, labels=c.labels,
                             pop_of=c.population_of(), data=self.data, j=self.j, seed=c.seed,
-                            config_hash=config_hash(c), extremes=self.extremes,
+                            config_hash=config_hash(c),
+                            extremes={name: (float(lo), float(hi))
+                                      for name, lo, hi in zip(self.tracked, self.lo, self.hi)},
                             block_means=block_means, block_se=block_se)
 
 
@@ -1088,8 +1063,8 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     elementwise ones of a population-by-population step, in the same
     order.  Paths run in batches capped by `MAX_BATCH_COLS`, one batch
     alive at a time, over 64-byte-aligned buffers (`_drive`).  Results are
-    a pure function of (config, path indices): batching, worker count,
-    buffer sizes and alignment cannot change a single bit.  A run whose
+    a pure function of (config, path indices): batching, buffer sizes and
+    alignment cannot change a single bit.  A run whose
     trajectories, or whose batch of one path, cannot fit in physical memory
     is refused before anything is allocated.
     """
@@ -1097,7 +1072,7 @@ def simulate(config: NetworkConfig, n_paths: int = 1, *, path_offset: int = 0,
     drive = (_NetworkDrive(config, path_offset, n_paths) if interaction is None
              else _CurveDrive(config, interaction))
     store = _Storage(config, n_paths)
-    _check_batch_fits(config, 1, [_Storage] + ([_NodeStats] if collect_node_stats else []), _sizes(config))
+    _check_batch_fits(config, 1, [_NodeStats] if collect_node_stats else [], _sizes(config))
     plan = _make_plan(config)
     stats = _NodeStats(plan, ("y", "s")) if collect_node_stats else None
     _drive(plan, n_paths, path_offset, [drive], [store] + ([stats] if stats else []))

@@ -1,8 +1,8 @@
 """Deterministic stream-keyed noise.
 
 Every random draw in the package is addressed by an explicit key, so any
-sub-computation can be replayed bit for bit regardless of batching, worker
-count, or which other components happen to be simulated alongside it.
+sub-computation can be replayed bit for bit regardless of batching or
+which other components happen to be simulated alongside it.
 This is also what lets the coupling construction hand the exact same
 Brownian increments to an interacting system and to its independent-copy
 counterpart.

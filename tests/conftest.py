@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import neuromf
+from neuromf import network
 
 # Directory that holds the imported ``neuromf`` package: ``src/`` for a
 # source checkout, ``site-packages`` for an installed copy.
@@ -24,6 +25,11 @@ def package_env(**extra: str) -> dict[str, str]:
     inherited = env.get("PYTHONPATH", "").split(os.pathsep)
     env["PYTHONPATH"] = os.pathsep.join(p for p in [PACKAGE_ROOT, *inherited] if p)
     return env
+
+
+def batches_of(monkeypatch, config, paths: int) -> None:
+    """Cap the engine's batches (`network.MAX_BATCH_COLS`) at `paths` paths of `config`."""
+    monkeypatch.setattr(network, "MAX_BATCH_COLS", paths * config.total_neurons)
 
 
 def live_fill_threads(timeout: float = 5.0) -> list[threading.Thread]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import package_env
+from conftest import batches_of, package_env
 
 from neuromf.artifacts import read_meancurve_csv, read_meta, write_meancurve_csv
 from neuromf.configio import (
@@ -351,15 +351,6 @@ def test_command_cross_check():
         parse_spec(json.dumps(d), command="meanfield")
 
 
-def test_config_error_survives_pickling():
-    # a worker's error reaches the parent through pickle
-    import pickle
-    e = ConfigError(["spec.n_paths: must be >= 1", "config.thin: must be >= 1"])
-    again = pickle.loads(pickle.dumps(e))
-    assert str(again) == str(e)
-    assert again.errors == e.errors
-
-
 def test_non_json_rejected():
     with pytest.raises(ConfigError):
         parse_spec("not json {")
@@ -413,9 +404,9 @@ def test_schema_doc_names_every_key_and_default():
 # CLI
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "neuromf", *args], cwd=cwd,
-                          env=package_env(**(env_extra or {})), capture_output=True, text=True)
+                          env=package_env(), capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -469,23 +460,14 @@ def test_cli_simulate_deterministic_bytes(spec_file, tmp_path):
     assert (tmp_path / "a/ensemble.csv").read_bytes() == (tmp_path / "b/ensemble.csv").read_bytes()
 
 
-def test_cli_simulate_worker_count_invariant(spec_file, tmp_path):
-    r1 = run_cli(["simulate", "--spec", str(spec_file), "--out", "w1"], tmp_path,
-                 {"NEUROMF_WORKERS": "1"})
-    r2 = run_cli(["simulate", "--spec", str(spec_file), "--out", "w2"], tmp_path,
-                 {"NEUROMF_WORKERS": "2"})
-    assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
+def test_cli_simulate_batch_split_invariant(spec_file, tmp_path, monkeypatch):
+    # in process: the spec's 2 paths in one batch, then one path per batch
+    from neuromf import cli
+
+    assert cli.main(["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "w1")]) == 0
+    batches_of(monkeypatch, parse_spec(spec_file.read_text()).config, 1)
+    assert cli.main(["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "w2")]) == 0
     assert (tmp_path / "w1/ensemble.csv").read_bytes() == (tmp_path / "w2/ensemble.csv").read_bytes()
-
-
-@pytest.mark.parametrize("workers", ["abc", "0"])
-def test_cli_simulate_refuses_a_bad_worker_count(spec_file, tmp_path, workers):
-    r = run_cli(["simulate", "--spec", str(spec_file), "--out", "w"], tmp_path,
-                {"NEUROMF_WORKERS": workers})
-    assert r.returncode == 2, r.stderr
-    assert "Traceback" not in r.stderr
-    assert f"NEUROMF_WORKERS = {workers!r}" in r.stderr
-    assert not (tmp_path / "w").exists()  # refused before --out is made
 
 
 # (command line, what the refusal names): "{spec}" stands for a good spec;
@@ -603,36 +585,40 @@ def test_cli_chaos_sweep_refuses_an_interaction_free_spec(tmp_path):
     assert not (tmp_path / "cs").exists()  # --out waits for the sweep
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_cli_refuses_trajectories_larger_than_memory(tmp_path, workers):
-    # 2,000,000 paths x 1024 neurons x 100,001 stored nodes, five arrays:
-    # about 8e18 bytes, refused before anything is allocated, whatever the
-    # worker count
+@pytest.mark.parametrize("batch_paths", [1, 2])
+def test_cli_refuses_trajectories_larger_than_memory(tmp_path, monkeypatch, capsys, batch_paths):
+    # in process: 2,000,000 paths x 1024 neurons x 100,001 stored nodes,
+    # five arrays: about 8e18 bytes, refused before anything is allocated,
+    # whatever the batch size
+    from neuromf import cli
+
     config = fhn_two_pop(n_per_pop=512, n_steps=100_000, t_end=1000.0, thin=1)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(tiny_spec_dict(n_paths=2_000_000, config=config_to_dict(config))))
-    r = run_cli(["simulate", "--spec", str(path), "--out", "big"], tmp_path, {"NEUROMF_WORKERS": workers})
-    assert r.returncode == 2, r.stderr
-    assert "Traceback" not in r.stderr
+    batches_of(monkeypatch, config, batch_paths)
+    assert cli.main(["simulate", "--spec", str(path), "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
     for name in ("spec.n_paths = 2000000", "spec.config.thin = 1",
                  "spec.config.grid.n_steps = 100000", f"store {8 * 5 * 2_000_000 * 100_001 * 1024} bytes"):
-        assert name in r.stderr
+        assert name in err
     assert not (tmp_path / "big").exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_cli_refuses_huge_populations_before_the_plan(tmp_path, workers):
-    # 2**37 neurons per population: the per-column plan alone would take
-    # terabytes, so the trajectories are refused before it is built
+@pytest.mark.parametrize("batch_paths", [1, 2])
+def test_cli_refuses_huge_populations_before_the_plan(tmp_path, monkeypatch, capsys, batch_paths):
+    # in process: 2**37 neurons per population, whose per-column plan alone
+    # would take terabytes, so the trajectories are refused before it is built
+    from neuromf import cli
+
     config = fhn_two_pop(n_per_pop=1 << 37, n_steps=10, t_end=0.1, thin=10)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(tiny_spec_dict(n_paths=2, config=config_to_dict(config))))
-    r = run_cli(["simulate", "--spec", str(path), "--out", "big"], tmp_path, {"NEUROMF_WORKERS": workers})
-    assert r.returncode == 2, r.stderr
-    assert "Traceback" not in r.stderr
+    batches_of(monkeypatch, config, batch_paths)
+    assert cli.main(["simulate", "--spec", str(path), "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
     for name in (f"spec.config.populations[0].n = {1 << 37}", f"spec.config.populations[1].n = {1 << 37}",
                  f"store {8 * 5 * 2 * 2 * (1 << 38)} bytes of trajectories"):
-        assert name in r.stderr
+        assert name in err
     assert not (tmp_path / "big").exists()
 
 
@@ -644,10 +630,9 @@ def test_cli_refuses_a_simulate_batch_larger_than_memory(tmp_path, monkeypatch, 
     config = fhn_two_pop(n_per_pop=100_000, n_steps=2, t_end=0.02, thin=2)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(tiny_spec_dict(n_paths=1, config=config_to_dict(config))))
-    monkeypatch.delenv("NEUROMF_WORKERS", raising=False)
     monkeypatch.setattr(network.os, "sysconf", lambda name: (64 << 20) if name == "SC_PHYS_PAGES" else 1)
     assert cli.main(["simulate", "--spec", str(path), "--out", str(tmp_path / "big")]) == 2
-    assert "one batch holds at least 91202456 bytes" in capsys.readouterr().err
+    assert "one batch holds at least 81602200 bytes" in capsys.readouterr().err
     assert not (tmp_path / "big").exists()
 
 

@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import batches_of
 
 from neuromf import network
 from neuromf.errors import ConfigError, SimulationDiverged
@@ -40,7 +41,6 @@ from neuromf.network import (
     population_sums,
     simulate,
 )
-from neuromf.parallel import simulate_paths
 from neuromf.presets import fhn_two_pop, hh_two_pop, interaction_free
 from neuromf.rng import BlockNoise, Component, block_stream
 from neuromf.stepping import TimeGrid, step_cir, step_euler_confined
@@ -154,6 +154,14 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.j, b.j)
 
 
+def _same_value(x, y) -> bool:
+    if isinstance(x, dict):
+        return isinstance(y, dict) and x.keys() == y.keys() and all(_same_value(x[k], y[k]) for k in x)
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and np.array_equal(x, y)
+    return x == y
+
+
 def test_batch_size_does_not_change_results(monkeypatch):
     def capped(cols, fn, *args, **kwargs):
         with monkeypatch.context() as m:
@@ -164,6 +172,10 @@ def test_batch_size_does_not_change_results(monkeypatch):
     a = simulate(cfg, n_paths=5)
     b = capped(16, simulate, cfg, n_paths=5)  # forces many path batches
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
+    assert a.extremes == b.extremes
+    # every field, so that a field added later cannot be dropped
+    for f in fields(a):
+        assert _same_value(getattr(a, f.name), getattr(b, f.name)), f.name
     # the coupled pair: batches of two paths, the last one short
     curve = np.full((2, 51), 0.15)
     c = coupled_distance_paths(cfg, curve, 5)
@@ -284,77 +296,42 @@ def test_copies_that_diverge_alone_are_named_by_path_and_step(monkeypatch):
     assert len(batches) == 2
 
 
-def _same_value(x, y) -> bool:
-    if isinstance(x, dict):
-        return isinstance(y, dict) and x.keys() == y.keys() and all(_same_value(x[k], y[k]) for k in x)
-    if isinstance(x, np.ndarray):
-        return isinstance(y, np.ndarray) and np.array_equal(x, y)
-    return x == y
-
-
-def test_worker_count_does_not_change_results(monkeypatch):
-    cfg = fhn_two_pop(n_steps=50, t_end=0.5)
-    monkeypatch.setenv("NEUROMF_WORKERS", "1")
-    a = simulate_paths(cfg, 4)
-    monkeypatch.setenv("NEUROMF_WORKERS", "4")
-    b = simulate_paths(cfg, 4)
-    assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
-    assert a.extremes == b.extremes
-    # every field, so that a field added later cannot be dropped
-    for f in fields(a):
-        assert _same_value(getattr(a, f.name), getattr(b, f.name)), f.name
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_no_paths_give_an_empty_ensemble(monkeypatch, workers):
+@pytest.mark.parametrize("batch_paths", [1, 2])
+def test_no_paths_give_an_empty_ensemble(monkeypatch, batch_paths):
     cfg = fhn_two_pop(n_steps=5, t_end=0.05)
-    monkeypatch.setenv("NEUROMF_WORKERS", workers)
-    got, want = simulate_paths(cfg, 0), simulate(cfg, 0)
+    want = simulate(cfg, 0)
+    batches_of(monkeypatch, cfg, batch_paths)
+    got = simulate(cfg, 0)
     assert got.data["v"].shape == (0, len(want.times), cfg.total_neurons)
     for f in fields(want):
         assert _same_value(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_memory_refusal_counts_the_whole_ensemble(monkeypatch, workers):
+@pytest.mark.parametrize("batch_paths", [1, 2])
+def test_memory_refusal_counts_the_whole_ensemble(monkeypatch, batch_paths):
     # 4 paths x 8 neurons x 11 stored nodes, five arrays: 14,080 bytes, over
-    # the 8192 reported; each of 2 workers' shares alone would fit
+    # the 8192 reported; a batch's share of 1 or 2 paths alone would fit
     cfg = fhn_two_pop(n_per_pop=4, n_steps=10, t_end=0.1, thin=1)
     monkeypatch.setattr(network.os, "sysconf", lambda name: 8192 if name == "SC_PHYS_PAGES" else 1)
-    monkeypatch.setenv("NEUROMF_WORKERS", workers)
+    batches_of(monkeypatch, cfg, batch_paths)
     with pytest.raises(ConfigError) as exc:
-        simulate_paths(cfg, 4)
+        simulate(cfg, 4)
     assert "spec.n_paths = 4" in str(exc.value)
     assert "store 14080 bytes" in str(exc.value)
 
 
-def test_workers_refuse_an_ensemble_whose_parts_in_transit_cannot_fit(monkeypatch):
-    # 4 paths x 8 neurons x 11 stored nodes, five arrays: 14,080 bytes fit in
-    # the 24,576 reported; two workers' parts of 7,040 bytes each, in
-    # transit beside the whole ensemble, make 28,160
-    cfg = fhn_two_pop(n_per_pop=4, n_steps=10, t_end=0.1, thin=1)
-    monkeypatch.setattr(network.os, "sysconf", lambda name: 24576 if name == "SC_PHYS_PAGES" else 1)
-    monkeypatch.setenv("NEUROMF_WORKERS", "1")
-    assert simulate_paths(cfg, 4).n_paths == 4
-    monkeypatch.setenv("NEUROMF_WORKERS", "2")
-    with pytest.raises(ConfigError) as exc:
-        simulate_paths(cfg, 4)
-    assert ("spec.n_paths = 4 over NEUROMF_WORKERS = 2 workers holds the ensemble and its two "
-            "largest parts in transit, at least 28160 bytes") in str(exc.value)
-
-
 def test_simulate_refuses_an_engine_batch_larger_than_memory(monkeypatch):
     # 2 x 100,000 neurons: 15.3 MiB of trajectories fit in the 64 MiB
-    # reported, but one path's engine batch holds at least 91.2 MB, its
-    # storage's running extremes included, and the limit copies' batch,
-    # which adds the node statistics, 92.8 MB
+    # reported, but one path's engine batch holds at least 81.6 MB (the
+    # storage folds its extremes node by node and holds nothing per batch),
+    # and the limit copies' batch, which adds the node statistics, 83.2 MB
     from neuromf.meanfield import simulate_limit_given_ybar
 
     monkeypatch.setattr(network.os, "sysconf", lambda name: (64 << 20) if name == "SC_PHYS_PAGES" else 1)
     sizes = "spec.config.populations[0].n = 100000, spec.config.populations[1].n = 100000"
     cfg = fhn_two_pop(n_per_pop=100_000, n_steps=2, t_end=0.02, thin=2)
-    for run, n_bytes in ((lambda: simulate(cfg, 1), 91_202_456),
-                         (lambda: simulate_limit_given_ybar(np.zeros((2, 3)), cfg, 100_000), 92_802_584)):
+    for run, n_bytes in ((lambda: simulate(cfg, 1), 81_602_200),
+                         (lambda: simulate_limit_given_ybar(np.zeros((2, 3)), cfg, 100_000), 83_202_328)):
         with pytest.raises(ConfigError) as exc:
             run()
         assert f"{sizes}: one batch holds at least {n_bytes} bytes" in str(exc.value)
@@ -365,16 +342,15 @@ def test_simulate_refuses_an_engine_batch_larger_than_memory(monkeypatch):
 HUGE = 1 << 37
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_trajectories_of_huge_populations_are_refused_before_the_plan(monkeypatch, workers):
+@pytest.mark.parametrize("batch_paths", [1, 2])
+def test_trajectories_of_huge_populations_are_refused_before_the_plan(monkeypatch, batch_paths):
     cfg = fhn_two_pop(n_per_pop=HUGE, n_steps=10, t_end=0.1, thin=5)
-    monkeypatch.setenv("NEUROMF_WORKERS", workers)
-    for run in (lambda: simulate(cfg, 2), lambda: simulate_paths(cfg, 2)):
-        with pytest.raises(ConfigError) as exc:
-            run()
-        msg = str(exc.value)
-        assert f"spec.config.populations[0].n = {HUGE}" in msg
-        assert f"store {8 * 5 * 2 * 3 * 2 * HUGE} bytes of trajectories" in msg
+    batches_of(monkeypatch, cfg, batch_paths)
+    with pytest.raises(ConfigError) as exc:
+        simulate(cfg, 2)
+    msg = str(exc.value)
+    assert f"spec.config.populations[0].n = {HUGE}" in msg
+    assert f"store {8 * 5 * 2 * 3 * 2 * HUGE} bytes of trajectories" in msg
 
 
 def test_thinning_keeps_endpoints():
@@ -938,21 +914,20 @@ def test_mixed_network_gate_extremes_span_the_hh_columns():
 
 @pytest.mark.parametrize("variant", ["sign_preserving", "simple"])
 def test_uneven_parts_assemble_the_whole_ensemble(monkeypatch, variant):
-    # 5 paths over 3 workers are parts of 2, 2 and 1 paths; the parent's
-    # storage must put each where one worker would, extremes included
+    # 5 paths in batches of 2, 2 and 1 paths; the storage must put each
+    # where one batch would, extremes included
     cfg = _mixed_fhn_hh_fhn()
     cfg = cfg if variant == "sign_preserving" else _as_simple(cfg)
-    monkeypatch.setenv("NEUROMF_WORKERS", "1")
-    one = simulate_paths(cfg, 5)
-    monkeypatch.setenv("NEUROMF_WORKERS", "3")
-    three = simulate_paths(cfg, 5)
+    one = simulate(cfg, 5)
+    batches_of(monkeypatch, cfg, 2)
+    split = simulate(cfg, 5)
     for f in fields(one):
-        assert _same_value(getattr(one, f.name), getattr(three, f.name)), f.name
-    assert (three.j is None) == (variant == "simple")
+        assert _same_value(getattr(one, f.name), getattr(split, f.name)), f.name
+    assert (split.j is None) == (variant == "simple")
     lo, hi = cfg.population_slices()[cfg.labels.index("hh")]
     for gate in GATES:
-        stored = three.data[gate][:, :, lo:hi]
-        assert three.extremes[gate] == (float(stored.min()), float(stored.max())), gate
+        stored = split.data[gate][:, :, lo:hi]
+        assert split.extremes[gate] == (float(stored.min()), float(stored.max())), gate
 
 
 def test_simple_variant_pair_without_conductance_noise_adds_no_term(monkeypatch):
@@ -1006,14 +981,14 @@ def test_batch_count_covers_the_arrays_a_batch_allocates(make, variant, monkeypa
     # tracemalloc sees numpy's array data in a domain of its own: the plan's
     # vectors, then, at every node, everything a one-path batch holds.  The
     # count `_check_batch_fits` refuses by must be no less, for one system
-    # (simulate's storage) and the coupled pair (its gap), with node
-    # statistics and without
+    # (simulate's storage, which holds nothing per batch) and the coupled
+    # pair (its gap), with node statistics and without
     cfg = make() if variant == "sign_preserving" else _as_simple(make())
     counted = []
     monkeypatch.setattr(network, "_check_memory", lambda n_bytes, *args: counted.append(n_bytes))
     curve = np.full((len(cfg.populations), cfg.grid.n_steps + 1), 0.15)
     for systems, stats in itertools.product((1, 2), (False, True)):
-        kinds = [network._Storage if systems == 1 else network._CouplingGap]
+        kinds = [] if systems == 1 else [network._CouplingGap]
         kinds += [network._NodeStats] if stats else []
         network._check_batch_fits(cfg, systems, kinds, "batch")
         count, held = counted[-1], []
