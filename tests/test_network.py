@@ -172,10 +172,6 @@ def test_batch_size_does_not_change_results(monkeypatch):
     a = simulate(cfg, n_paths=5)
     b = capped(16, simulate, cfg, n_paths=5)  # forces many path batches
     assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
-    assert a.extremes == b.extremes
-    # every field, so that a field added later cannot be dropped
-    for f in fields(a):
-        assert _same_value(getattr(a, f.name), getattr(b, f.name)), f.name
     # the coupled pair: batches of two paths, the last one short
     curve = np.full((2, 51), 0.15)
     c = coupled_distance_paths(cfg, curve, 5)
@@ -194,6 +190,20 @@ def test_batch_size_does_not_change_results(monkeypatch):
     for name in c.comp_sup_sq:
         assert np.array_equal(_bits(c.comp_sup_sq[name]), _bits(d.comp_sup_sq[name])), name
     assert c.max_gap_all == d.max_gap_all and c.comp_sup_sq["gates"].any()
+
+
+def test_worker_count_does_not_change_results(monkeypatch):
+    # the paths once split over 1 or 4 worker processes are now split over
+    # 1 or 4 engine batches in one process: the ensemble is the same
+    cfg = fhn_two_pop(n_steps=50, t_end=0.5)
+    a = simulate(cfg, 4)
+    batches_of(monkeypatch, cfg, 1)
+    b = simulate(cfg, 4)
+    assert all(np.array_equal(a.data[k], b.data[k]) for k in a.data)
+    assert a.extremes == b.extremes
+    # every field, so that a field added later cannot be dropped
+    for f in fields(a):
+        assert _same_value(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 @pytest.mark.parametrize("preset", [fhn_two_pop, hh_two_pop])
